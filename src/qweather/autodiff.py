@@ -1,11 +1,15 @@
 """Exact circuit gradients.
 
-Parameter-shift differentiates the expectation with respect to each gate
-angle: every parameterized gate here is exp(-i*theta*P/2) for a Pauli word
-P, so dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2.  Derivatives
-with respect to trainable parameters or raw input values sum the shifts of
-every occurrence times the angle transform's chain-rule factor.  A central
-finite-difference oracle is provided for cross-checking.
+Training uses ``circuit_vjp``, the adjoint method for an exact statevector
+(Jones & Gacon, arXiv:2009.02823): one forward sweep and one reverse sweep
+give the weighted readout's derivative with respect to every trainable
+parameter and every raw input, with no per-sample Jacobian.
+
+Parameter shift and central finite differences stay as the test oracles.
+Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
+dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2; derivatives with
+respect to trainable parameters or raw input values sum the shifts of every
+occurrence times the angle transform's chain-rule factor.
 """
 
 from __future__ import annotations
@@ -19,12 +23,26 @@ from .circuits import (
     _input_array,
     _theta_array,
     angle_partials,
+    angle_values,
     parameterized_occurrences,
     run_circuit_batch,
 )
-from .qsim import z_signs
+from .qsim import apply_matrix, gate_matrix, z_signs
 
 SHIFTABLE_KINDS = {"RX", "RY", "RZ", "R3", "RXX", "RYY", "RZZ"}
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]])
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Pauli generator P of each single-angle rotation exp(-i*theta*P/2).
+_GENERATORS = {
+    "RX": _X,
+    "RY": _Y,
+    "RZ": _Z,
+    "RXX": np.kron(_X, _X),
+    "RYY": np.kron(_Y, _Y),
+    "RZZ": np.kron(_Z, _Z),
+}
 
 
 class UnsupportedGateError(Exception):
@@ -76,12 +94,15 @@ def expectation(circuit: Circuit, params, inputs, observable=0) -> float:
     return float(_expectations(amps, circuit.n_qubits, terms))
 
 
+def _z_readout(amps, n_qubits, qubits):
+    probs = np.abs(amps) ** 2
+    return np.stack([probs @ z_signs(n_qubits, q) for q in qubits], axis=-1)
+
+
 def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
     """<Z_q> for each q in ``qubits``; shape batch + (len(qubits),)."""
     amps = run_circuit_batch(circuit, params, inputs)
-    probs = np.abs(amps) ** 2
-    cols = [probs @ z_signs(circuit.n_qubits, q) for q in qubits]
-    return np.stack(cols, axis=-1)
+    return _z_readout(amps, circuit.n_qubits, qubits)
 
 
 def _relevant_occurrences(circuit, kind):
@@ -157,77 +178,70 @@ def finite_diff_grad(req: GradientRequest, h: float = 1e-5) -> np.ndarray:
     return (e[0::2] - e[1::2]) / (2 * h)
 
 
-def expectation_jacobian_pair(circuit: Circuit, params, inputs, qubits):
-    """Jacobians of <Z_q> with respect to parameters and raw inputs at once.
+def _rotation_sweep(circuit: Circuit):
+    """(kind, targets, AngleRef or None) per gate in circuit order, with
+    every R3 split into its RZ, RY, RZ rotations."""
+    sweep = []
+    for op in circuit.ops:
+        if op.kind == "R3":
+            a, b, g = op.angles
+            sweep += [
+                ("RZ", op.targets, a),
+                ("RY", op.targets, b),
+                ("RZ", op.targets, g),
+            ]
+        else:
+            sweep.append((op.kind, op.targets, op.angles[0] if op.angles else None))
+    return sweep
 
-    Returns (d_params, d_inputs) shaped (n_samples, len(qubits), n_trainable)
-    and (n_samples, len(qubits), n_inputs).  Shifts for both slot kinds share
-    one batched evaluation, which recurrent training leans on.
+
+def circuit_vjp(circuit: Circuit, params, inputs, qubits, weights):
+    """Adjoint vector-Jacobian product of the per-sample <Z_q> readout.
+
+    ``inputs`` is (n_samples, n_inputs), ``params`` the shared
+    (n_trainable,) angles and ``weights`` (n_samples, len(qubits)).  With
+    L = sum_bq weights[b, q] * <Z_q>_b, returns ``values``, the readout as
+    from ``expectation_batch``; ``d_params`` = dL/dparams, shape
+    (n_trainable,); and ``d_inputs`` = dL/dinputs, shape
+    (n_samples, n_inputs).
+
+    One forward sweep gives psi, and lambda = sum_q w_bq Z_q psi.  The
+    reverse sweep un-applies every gate from both; just after a rotation
+    exp(-i*a*P/2), dL/da = Im<lambda|P|psi> per sample, and the chain rule
+    through ``angle_partials`` carries it to parameters and inputs.
     """
     theta = _theta_array(circuit, params).ravel()
     x = np.atleast_2d(_input_array(circuit, inputs))
-    n_samples = x.shape[0]
-    occs = _relevant_occurrences(circuit, "trainable") + _relevant_occurrences(
-        circuit, "input"
-    )
-    jac_t = np.zeros((n_samples, len(qubits), circuit.n_trainable))
-    jac_x = np.zeros((n_samples, len(qubits), circuit.n_inputs))
-    if not occs:
-        return jac_t, jac_x
-    width = 2 * len(occs)
-    shifts = {}
-    for j, (i, pos, _) in enumerate(occs):
-        s = np.zeros(width)
-        s[2 * j] = np.pi / 2
-        s[2 * j + 1] = -np.pi / 2
-        shifts[(i, pos)] = s
-    amps = run_circuit_batch(circuit, theta, x[:, None, :], shifts)
-    probs = np.abs(amps) ** 2
-    for qi, q in enumerate(qubits):
-        e = probs @ z_signs(circuit.n_qubits, q)
-        de = 0.5 * (e[:, 0::2] - e[:, 1::2])
-        for j, (_, _, ref) in enumerate(occs):
-            for part_kind, idx, factor in angle_partials(ref, theta, x):
-                target = jac_t if part_kind == "trainable" else jac_x
-                target[:, qi, idx] += np.broadcast_to(factor, (n_samples,)) * de[:, j]
-    return jac_t, jac_x
-
-
-def expectation_jacobian(
-    circuit: Circuit, params, inputs, qubits, wrt: str = "trainable"
-) -> np.ndarray:
-    """Per-sample parameter-shift Jacobian of <Z_q> outputs.
-
-    ``inputs`` is (n_samples, n_inputs); the result is
-    (n_samples, len(qubits), n_slots).  Shared ``params`` of shape
-    (n_trainable,).  Every sample and shift is evaluated in one batch.
-    """
-    theta = _theta_array(circuit, params).ravel()
-    x = np.atleast_2d(_input_array(circuit, inputs))
-    n_samples = x.shape[0]
-    kind = "trainable" if wrt == "trainable" else "input"
-    if wrt not in ("trainable", "inputs"):
-        raise ValueError(f"wrt must be 'trainable' or 'inputs', got {wrt!r}")
-    n_slots = circuit.n_trainable if kind == "trainable" else circuit.n_inputs
-    occs = _relevant_occurrences(circuit, kind)
-    jac = np.zeros((n_samples, len(qubits), n_slots))
-    if not occs:
-        return jac
-    width = 2 * len(occs)
-    shifts = {}
-    for j, (i, pos, _) in enumerate(occs):
-        s = np.zeros(width)
-        s[2 * j] = np.pi / 2
-        s[2 * j + 1] = -np.pi / 2
-        shifts[(i, pos)] = s
-    # batch shape (n_samples, width) by broadcasting inputs against shifts
-    amps = run_circuit_batch(circuit, theta, x[:, None, :], shifts)
-    probs = np.abs(amps) ** 2
-    for qi, q in enumerate(qubits):
-        e = probs @ z_signs(circuit.n_qubits, q)
-        de = 0.5 * (e[:, 0::2] - e[:, 1::2])
-        for j, (_, _, ref) in enumerate(occs):
-            for part_kind, idx, factor in angle_partials(ref, theta, x):
-                if part_kind == kind:
-                    jac[:, qi, idx] += np.broadcast_to(factor, (n_samples,)) * de[:, j]
-    return jac
+    n = circuit.n_qubits
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (x.shape[0], len(qubits)):
+        raise ValueError(
+            f"weights must have shape {(x.shape[0], len(qubits))}, got {w.shape}"
+        )
+    psi = run_circuit_batch(circuit, theta, x)
+    values = _z_readout(psi, n, qubits)
+    signs = np.stack([z_signs(n, q) for q in qubits])
+    # psi and lambda side by side: one apply_matrix call un-applies a gate
+    # from both
+    pair = np.stack([psi, (w @ signs) * psi])
+    d_params = np.zeros(circuit.n_trainable)
+    d_inputs = np.zeros(x.shape)
+    sweep = _rotation_sweep(circuit)
+    # gates before the first rotation never need un-applying
+    first = next((j for j, s in enumerate(sweep) if s[2] is not None), len(sweep))
+    for j in range(len(sweep) - 1, first - 1, -1):
+        kind, targets, ref = sweep[j]
+        angle = ()
+        if ref is not None:
+            angle = (angle_values(ref, theta, x),)
+            p_psi = apply_matrix(pair[0], n, targets, _GENERATORS[kind])
+            overlap = np.einsum("bi,bi->b", pair[1].conj(), p_psi).imag
+            for slot_kind, idx, factor in angle_partials(ref, theta, x):
+                if slot_kind == "trainable":
+                    d_params[idx] += np.sum(factor * overlap)
+                else:
+                    d_inputs[:, idx] += factor * overlap
+        if j > first:
+            inverse = gate_matrix(kind, tuple(-a for a in angle))
+            pair = apply_matrix(pair, n, targets, inverse)
+    return values, d_params, d_inputs

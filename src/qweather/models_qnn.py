@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import expectation_batch, expectation_jacobian
+from .autodiff import circuit_vjp, expectation_batch
 from .circuits import (
     Circuit,
     build_qlstm_vqc,
@@ -157,24 +157,23 @@ def qnn_predict(model: QnnModel, X):
 
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     z = qnn_expectations(model, X)
-    jac = expectation_jacobian(model.circuit, model.params, X, model.readout)
     n = X.shape[0]
     if model.task == "regression":
         resid = z[:, 0] - y_enc
         loss = float(np.mean(resid**2))
-        grad = (2.0 / n) * (resid @ jac[:, 0, :])
-        return loss, grad
-    if model.task == "binary":
+        dl_dz = (2.0 / n) * resid[:, None]
+    elif model.task == "binary":
         p = np.clip((1.0 - z[:, 0]) / 2.0, 1e-12, 1.0 - 1e-12)
         loss = float(-np.mean(y_enc * np.log(p) + (1 - y_enc) * np.log(1 - p)))
-        dl_dz = (-y_enc / p + (1 - y_enc) / (1 - p)) * (-0.5) / n
-        grad = dl_dz @ jac[:, 0, :]
-        return loss, grad
-    p = _softmax(z)
-    onehot = np.eye(3)[y_enc.astype(int)]
-    loss = float(-np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None))))
-    dl_dz = (p - onehot) / n
-    grad = np.einsum("sk,skp->p", dl_dz, jac)
+        dl_dz = ((-y_enc / p + (1 - y_enc) / (1 - p)) * (-0.5) / n)[:, None]
+    else:
+        p = _softmax(z)
+        onehot = np.eye(3)[y_enc.astype(int)]
+        loss = float(
+            -np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None)))
+        )
+        dl_dz = (p - onehot) / n
+    _, grad, _ = circuit_vjp(model.circuit, model.params, X, model.readout, dl_dz)
     return loss, grad
 
 

@@ -7,8 +7,8 @@ prediction.  The quantum GRU does the same for reset/update/candidate
 gates.  Classical LSTM/GRU baselines with the dual-bias convention are
 provided for parameter-count comparisons, and everything trains under
 full-batch Adam on next-step mean squared error with analytic gradients
-(parameter shift through the circuits, backpropagation through time for
-the surrounding arithmetic).
+(adjoint vector-Jacobian products through the circuits, backpropagation
+through time for the surrounding arithmetic).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import expectation_batch, expectation_jacobian_pair
+from .autodiff import circuit_vjp, expectation_batch
 from .circuits import Circuit, build_qlstm_vqc
 from .optim import adam_init, adam_step
 
@@ -351,55 +351,48 @@ def _qlstm_loss_and_grad(cell: QlstmCell, X, y):
     for t in range(T):
         u = np.concatenate([X[:, t], h], axis=1)
         v = u @ W + b
-        rec = {"u": u, "v": v, "c_prev": c, "jac": {}}
-        zs = {}
-        for name in ("forget", "input", "update", "output"):
-            jt, jx = expectation_jacobian_pair(cell.circuit, thetas[name], v, qubits)
-            rec["jac"][name] = (jt, jx)
-            zs[name] = expectation_batch(cell.circuit, thetas[name], v, qubits)
+        zs = {
+            name: expectation_batch(cell.circuit, thetas[name], v, qubits)
+            for name in ("forget", "input", "update", "output")
+        }
         f = _sigmoid(zs["forget"])
         i = _sigmoid(zs["input"])
         g = np.tanh(zs["update"])
         o = _sigmoid(zs["output"])
+        c_prev = c
         c = f * c + i * g
         s = np.tanh(c)
         u2 = o * s
-        rec.update(f=f, i=i, g=g, o=o, c=c, s=s, u2=u2)
+        steps.append(dict(u=u, v=v, c_prev=c_prev, f=f, i=i, g=g, o=o, s=s, u2=u2))
         if t < T - 1:
-            jt, jx = expectation_jacobian_pair(
-                cell.circuit, thetas["hidden"], u2, qubits
-            )
-            rec["jac"]["hidden"] = (jt, jx)
             h = expectation_batch(cell.circuit, thetas["hidden"], u2, qubits)
-        steps.append(rec)
-    last = steps[-1]
-    jt_q, jx_q = expectation_jacobian_pair(
-        cell.circuit, thetas["readout"], last["u2"], qubits
-    )
-    q = expectation_batch(cell.circuit, thetas["readout"], last["u2"], qubits)
+    q = expectation_batch(cell.circuit, thetas["readout"], steps[-1]["u2"], qubits)
     yhat = q @ head_w + head_b
     resid = yhat - y
     loss = float(np.mean(resid**2))
     dy = (2.0 / B) * resid
 
     grad_theta = {name: np.zeros(per) for name in QLSTM_GATES}
+
+    def vjp(name, inputs, weights):
+        _, d_theta, d_inputs = circuit_vjp(
+            cell.circuit, thetas[name], inputs, qubits, weights
+        )
+        grad_theta[name] += d_theta
+        return d_inputs
+
     grad_W = np.zeros_like(W)
     grad_b = np.zeros_like(b)
     grad_head_w = q.T @ dy
     grad_head_b = dy.sum()
 
     dq = dy[:, None] * head_w[None, :]
-    grad_theta["readout"] += np.einsum("bk,bkp->p", dq, jt_q)
-    du2 = np.einsum("bk,bki->bi", dq, jx_q)
+    du2 = vjp("readout", steps[-1]["u2"], dq)
     dh = np.zeros((B, cell.hidden_size))
     dc = np.zeros((B, cell.hidden_size))
     for t in range(T - 1, -1, -1):
         rec = steps[t]
-        du2_t = du2 if t == T - 1 else np.zeros((B, cell.hidden_size))
-        if t < T - 1:
-            jt, jx = rec["jac"]["hidden"]
-            grad_theta["hidden"] += np.einsum("bk,bkp->p", dh, jt)
-            du2_t = du2_t + np.einsum("bk,bki->bi", dh, jx)
+        du2_t = du2 if t == T - 1 else vjp("hidden", rec["u2"], dh)
         do = du2_t * rec["s"]
         dc = dc + du2_t * rec["o"] * (1.0 - rec["s"] ** 2)
         df = dc * rec["c_prev"]
@@ -414,9 +407,7 @@ def _qlstm_loss_and_grad(cell: QlstmCell, X, y):
         }
         dv = np.zeros((B, cell.n_qubits))
         for name in ("forget", "input", "update", "output"):
-            jt, jx = rec["jac"][name]
-            grad_theta[name] += np.einsum("bk,bkp->p", dz[name], jt)
-            dv += np.einsum("bk,bki->bi", dz[name], jx)
+            dv += vjp(name, rec["v"], dz[name])
         grad_W += rec["u"].T @ dv
         grad_b += dv.sum(axis=0)
         du = dv @ W.T
@@ -438,30 +429,28 @@ def _qgru_loss_and_grad(cell: QgruCell, X, y):
     for t in range(T):
         u = np.concatenate([X[:, t], h], axis=1)
         v = u @ W + b
-        jac = {}
-        jac["reset"] = expectation_jacobian_pair(cell.circuit, thetas["reset"], v, qubits)
-        jac["update"] = expectation_jacobian_pair(
-            cell.circuit, thetas["update"], v, qubits
-        )
         r = _sigmoid(expectation_batch(cell.circuit, thetas["reset"], v, qubits))
         z = _sigmoid(expectation_batch(cell.circuit, thetas["update"], v, qubits))
         u2 = np.concatenate([X[:, t], r * h], axis=1)
         v2 = u2 @ W + b
-        jac["candidate"] = expectation_jacobian_pair(
-            cell.circuit, thetas["candidate"], v2, qubits
-        )
         g = np.tanh(expectation_batch(cell.circuit, thetas["candidate"], v2, qubits))
         h_prev = h
         h = (1.0 - z) * h + z * g
-        steps.append(
-            {"u": u, "u2": u2, "r": r, "z": z, "g": g, "h_prev": h_prev, "jac": jac}
-        )
+        steps.append(dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h_prev))
     yhat = h @ head_w + head_b
     resid = yhat - y
     loss = float(np.mean(resid**2))
     dy = (2.0 / B) * resid
 
     grad_theta = {name: np.zeros(per) for name in QGRU_GATES}
+
+    def vjp(name, inputs, weights):
+        _, d_theta, d_inputs = circuit_vjp(
+            cell.circuit, thetas[name], inputs, qubits, weights
+        )
+        grad_theta[name] += d_theta
+        return d_inputs
+
     grad_W = np.zeros_like(W)
     grad_b = np.zeros_like(b)
     grad_head_w = h.T @ dy
@@ -473,9 +462,7 @@ def _qgru_loss_and_grad(cell: QgruCell, X, y):
         dg = dh * rec["z"]
         dh_prev = dh * (1.0 - rec["z"])
         dzg = dg * (1.0 - rec["g"] ** 2)
-        jt, jx = rec["jac"]["candidate"]
-        grad_theta["candidate"] += np.einsum("bk,bkp->p", dzg, jt)
-        dv2 = np.einsum("bk,bki->bi", dzg, jx)
+        dv2 = vjp("candidate", rec["v2"], dzg)
         grad_W += rec["u2"].T @ dv2
         grad_b += dv2.sum(axis=0)
         du2 = dv2 @ W.T
@@ -484,11 +471,7 @@ def _qgru_loss_and_grad(cell: QgruCell, X, y):
         dh_prev = dh_prev + drh * rec["r"]
         dzr = dr * rec["r"] * (1.0 - rec["r"])
         dzz = dz * rec["z"] * (1.0 - rec["z"])
-        dv = np.zeros((B, cell.n_qubits))
-        for name, dzk in (("reset", dzr), ("update", dzz)):
-            jt, jx = rec["jac"][name]
-            grad_theta[name] += np.einsum("bk,bkp->p", dzk, jt)
-            dv += np.einsum("bk,bki->bi", dzk, jx)
+        dv = vjp("reset", rec["v"], dzr) + vjp("update", rec["v"], dzz)
         grad_W += rec["u"].T @ dv
         grad_b += dv.sum(axis=0)
         du = dv @ W.T

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from qweather.autodiff import (
-    expectation_jacobian_pair,
     GradientRequest,
+    circuit_vjp,
     expectation,
     expectation_batch,
-    expectation_jacobian,
     finite_diff_grad,
     param_shift_grad,
 )
@@ -15,6 +14,7 @@ from qweather.circuits import (
     Circuit,
     CircuitOp,
     build_qlstm_vqc,
+    build_real_amplitudes,
     build_reuploading_ising,
     build_reuploading_sel,
     build_zz_feature_map,
@@ -120,21 +120,67 @@ def test_weighted_observable_gradient_is_linear():
     assert np.max(np.abs(combined - (w0 * g0 + w2 * g2))) < 1e-10
 
 
-def test_jacobian_matches_per_sample_gradients():
+def _zz_map_then_ry(n_qubits):
+    """The ZZ feature map followed by one trainable RY per qubit.
+
+    Alone, the map only adds phases to |+...+>, so every <Z_q> is 0 for all
+    inputs; the RY layer turns those phases into a readout that depends on
+    the zz_product angles.
+    """
+    fmap = build_zz_feature_map(n_qubits, 1)
+    ry = tuple(
+        CircuitOp("RY", (q,), (AngleRef("trainable", q),)) for q in range(n_qubits)
+    )
+    return Circuit(f"{fmap.name}+RY", n_qubits, fmap.ops + ry, n_qubits, n_qubits)
+
+
+def _contracted_param_shift(circuit, theta, xs, qubits, weights):
+    """Per-sample parameter-shift gradients of sum_q w_bq <Z_q>: summed over
+    samples for the parameters, one row per sample for the inputs."""
+    d_params = np.zeros(circuit.n_trainable)
+    d_inputs = np.zeros(xs.shape)
+    for s, x in enumerate(xs):
+        obs = list(zip(qubits, weights[s]))
+        d_params += param_shift_grad(GradientRequest(circuit, theta, x, obs))
+        d_inputs[s] = param_shift_grad(
+            GradientRequest(circuit, theta, x, obs, wrt="inputs")
+        )
+    return d_params, d_inputs
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        build_reuploading_ising(3, 2),
+        build_reuploading_sel(3, 4),
+        _zz_map_then_ry(3),
+        build_qlstm_vqc(4, 2),
+        build_real_amplitudes(3, 2),
+    ],
+    ids=lambda c: c.name,
+)
+def test_vjp_matches_contracted_param_shift(circuit):
     rng = np.random.default_rng(34)
-    circuit = build_reuploading_sel(4, 2)
+    qubits = (0, 2) if circuit.n_qubits > 3 else (0, 1, 2)
     theta = rng.normal(size=circuit.n_trainable)
-    xs = rng.normal(size=(3, 4))
-    for wrt in ("trainable", "inputs"):
-        jac = expectation_jacobian(circuit, theta, xs, qubits=(0, 2), wrt=wrt)
-        n_slots = circuit.n_trainable if wrt == "trainable" else circuit.n_inputs
-        assert jac.shape == (3, 2, n_slots)
-        for s in range(3):
-            for qi, q in enumerate((0, 2)):
-                ref = param_shift_grad(
-                    GradientRequest(circuit, theta, xs[s], q, wrt=wrt)
-                )
-                assert np.allclose(jac[s, qi], ref, atol=1e-12)
+    xs = rng.uniform(-2.0, 2.0, size=(4, circuit.n_inputs))
+    weights = rng.normal(size=(4, len(qubits)))
+    values, d_params, d_inputs = circuit_vjp(circuit, theta, xs, qubits, weights)
+    ref_params, ref_inputs = _contracted_param_shift(
+        circuit, theta, xs, qubits, weights
+    )
+    assert d_params.shape == (circuit.n_trainable,)
+    assert d_inputs.shape == (4, circuit.n_inputs)
+    assert np.max(np.abs(d_params - ref_params), initial=0.0) < 1e-10
+    assert np.max(np.abs(d_inputs - ref_inputs), initial=0.0) < 1e-10
+    assert np.array_equal(values, expectation_batch(circuit, theta, xs, qubits))
+
+
+def test_vjp_rejects_misshapen_weights():
+    circuit = build_qlstm_vqc(4, 1)
+    theta = np.zeros(circuit.n_trainable)
+    with pytest.raises(ValueError):
+        circuit_vjp(circuit, theta, np.zeros((3, 4)), (0, 1), np.zeros((3, 3)))
 
 
 def test_expectation_batch_matches_scalar():
@@ -158,15 +204,3 @@ def test_request_validation():
         param_shift_grad(GradientRequest(RY_ONLY, [0.0], [], 5))
     with pytest.raises(ValueError):
         finite_diff_grad(GradientRequest(RY_ONLY, [0.0], [], 0), h=0.0)
-
-
-def test_jacobian_pair_matches_separate_calls():
-    rng = np.random.default_rng(40)
-    circuit = build_qlstm_vqc(3, 2)
-    theta = rng.normal(size=circuit.n_trainable)
-    xs = rng.normal(size=(5, 3))
-    jac_t, jac_x = expectation_jacobian_pair(circuit, theta, xs, qubits=(0, 1, 2))
-    ref_t = expectation_jacobian(circuit, theta, xs, (0, 1, 2), wrt="trainable")
-    ref_x = expectation_jacobian(circuit, theta, xs, (0, 1, 2), wrt="inputs")
-    assert np.allclose(jac_t, ref_t, atol=1e-12)
-    assert np.allclose(jac_x, ref_x, atol=1e-12)

@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qweather
 from qweather.cli import main
 from qweather.weather import load_csv
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(qweather.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +214,41 @@ class TestPlotData:
         )
         assert code == 2
         capsys.readouterr()
+
+
+class TestFreshProcessDeterminism:
+    """Two fresh interpreters running one config write the same bytes."""
+
+    @pytest.mark.parametrize(
+        "model, task", [("qlstm", "regression"), ("qnn-sel", "binary")]
+    )
+    def test_run_bytes_identical_across_processes(self, tmp_path, model, task):
+        cfg = tmp_path / "cfg.json"
+        doc = {
+            "model": model,
+            "task": task,
+            "data": {"kind": "synth", "seed": 7, "n_months": 60},
+            "epochs": 3,
+            "seed": 1,
+        }
+        cfg.write_text(json.dumps(doc))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+        )
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            cmd = ["run", "--config", str(cfg), "--out-dir", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "qweather.cli", *cmd],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(
+                [(out / f).read_bytes() for f in ("report.json", "predictions.csv")]
+            )
+        assert outputs[0] == outputs[1]

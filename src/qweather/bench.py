@@ -6,6 +6,10 @@ report.json, predictions.csv, loss_history.csv.  Reports are byte-stable
 for a fixed config and seed; wall time is measured but kept out of
 report.json so repeated runs stay identical, landing in timing.json
 instead.
+
+Each model is one ``ModelSpec`` entry in ``MODELS``: the tasks it
+supports, its default knobs, whether it trains on windows or on rows, and
+the function that fits it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -86,46 +92,269 @@ class PipelineError(Exception):
         self.cause = cause
 
 
-MODEL_TASKS = {
-    "qnn-ising": ("regression", "binary", "ternary"),
-    "qnn-sel": ("regression", "binary", "ternary"),
-    "vqc": ("binary", "ternary"),
-    "qsvm": ("binary", "ternary"),
-    "svc": ("binary", "ternary"),
-    "nn": ("regression", "binary", "ternary"),
-    "qlstm": ("regression",),
-    "qgru": ("regression",),
-    "lstm": ("regression",),
-    "gru": ("regression",),
-}
-
-RECURRENT_MODELS = ("qlstm", "qgru", "lstm", "gru")
-
-DEFAULT_EPOCHS = {
-    "qnn-ising": 150,
-    "qnn-sel": 150,
-    "nn": 300,
-    "qlstm": 50,
-    "qgru": 20,
-    "lstm": 150,
-    "gru": 150,
-}
-DEFAULT_LR = {
-    "qnn-ising": 0.1,
-    "qnn-sel": 0.1,
-    "nn": 0.05,
-    "qlstm": 0.05,
-    "qgru": 0.05,
-    "lstm": 0.02,
-    "gru": 0.02,
-}
-DEFAULT_LAYERS = {"qnn-ising": 2, "qnn-sel": 4, "qlstm": 2, "qgru": 2}
-HIDDEN_SIZES = {"lstm": 8, "gru": 16}
 DENSE_BUDGETS = {3: 21, 4: 48}
-DEFAULT_ITERS = 150
+
+
+def _same(values):
+    return values
+
+
+@dataclass(frozen=True)
+class Fitted:
+    """A trained model as the harness scores it.
+
+    ``predict`` gives class labels, or regression values in the units of
+    the targets the fit was given; ``probabilities`` gives class
+    probabilities, or is None; ``to_scaled`` maps regression targets into
+    the space the model trained in.
+    """
+
+    predict: Callable
+    probabilities: Callable | None
+    n_params: int
+    details: dict
+    history: list
+    to_scaled: Callable = _same
+
+
+# The fit functions call other modules' functions through this module's
+# globals, not through references held in MODELS, so rebinding those names
+# (as an outside tracer does) reaches every call.
+
+
+def _class_probabilities(task, scores, p1_of):
+    # a binary model reads one score; a ternary one, a score per class
+    if task == "binary":
+        p1 = p1_of(scores[:, 0])
+        return np.column_stack([1.0 - p1, p1])
+    return _softmax(scores)
+
+
+def _ising_circuit(cfg, n_feats):
+    if n_feats != 3:
+        raise ValueError(
+            f"the Ising circuit encodes exactly 3 features, selection gave {n_feats}"
+        )
+    return build_reuploading_ising(3, cfg.n_layers)
+
+
+def _sel_circuit(cfg, n_feats):
+    if cfg.task == "ternary" and n_feats < 3:
+        raise ValueError("ternary readout needs at least 3 qubits")
+    return build_reuploading_sel(n_feats, cfg.n_layers)
+
+
+def _fit_qnn(circuit_for, cfg, X_train, y_train):
+    circuit = circuit_for(cfg, X_train.shape[1])
+    model = build_qnn(circuit, cfg.task, seed=cfg.seed)
+    model, history = qnn_train(
+        model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
+    )
+
+    def probabilities(X):
+        return _class_probabilities(
+            cfg.task, qnn_expectations(model, X), lambda z: (1.0 - z) / 2.0
+        )
+
+    regression = cfg.task == "regression"
+    return Fitted(
+        predict=lambda X: qnn_predict(model, X),
+        probabilities=None if regression else probabilities,
+        n_params=circuit.n_trainable,
+        details={"circuit": circuit.name, "lr": cfg.lr},
+        history=history,
+        to_scaled=model.target_scaler.to_scaled if regression else _same,
+    )
+
+
+def _fit_vqc(cfg, X_train, y_train):
+    n_classes = 3 if cfg.task == "ternary" else 2
+    clf = build_vqc_classifier(X_train.shape[1], n_classes, seed=cfg.seed)
+    clf, history = vqc_train(clf, (X_train, y_train), iters=cfg.iters, seed=cfg.seed)
+    return Fitted(
+        predict=lambda X: np.argmax(vqc_probabilities(clf, X), axis=1),
+        probabilities=lambda X: vqc_probabilities(clf, X),
+        n_params=clf.ansatz.n_trainable,
+        details={
+            "feature_map": clf.feature_map.name,
+            "ansatz": clf.ansatz.name,
+            "readout_rule": clf.readout_rule,
+        },
+        history=history,
+    )
+
+
+def _fit_nn(cfg, X_train, y_train):
+    n_feats = X_train.shape[1]
+    if n_feats not in DENSE_BUDGETS:
+        raise ValueError(f"no parameter budget defined for {n_feats} features")
+    budget = DENSE_BUDGETS[n_feats]
+    model = build_dense_baseline(budget, n_feats, cfg.task, seed=cfg.seed)
+    scaler = None
+    if cfg.task == "regression":
+        # regression trains on targets min-max scaled over the training slice
+        scaler = ColumnScaler("minmax", float(y_train.min()), float(y_train.max()))
+        y_train = scaler.transform(y_train)
+    model, history = dense_train(
+        model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
+    )
+
+    def predict(X):
+        out = dense_predict(model, X)
+        return out if scaler is None else scaler.inverse(out)
+
+    def probabilities(X):
+        return _class_probabilities(cfg.task, dense_forward(model, X), _sigmoid)
+
+    return Fitted(
+        predict=predict,
+        probabilities=probabilities if scaler is None else None,
+        n_params=budget,
+        details={"layer_sizes": list(model.layer_sizes), "budget": budget, "lr": cfg.lr},
+        history=history,
+        to_scaled=_same if scaler is None else scaler.transform,
+    )
+
+
+def _fidelity(cfg, X_train):
+    fm = build_zz_feature_map(X_train.shape[1], 1)
+    return (lambda A, B: fidelity_kernel(A, B, fm)), {"feature_map": fm.name}
+
+
+def _rbf(cfg, X_train):
+    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(X_train)
+    return (lambda A, B: rbf_kernel(A, B, gamma)), {"gamma": gamma}
+
+
+def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
+    kernel, details = kernel_for(cfg, X_train)
+    K_train = kernel(X_train, X_train)
+    if cfg.task == "binary":
+        y_pm = np.where(np.asarray(y_train) == 1, 1.0, -1.0)
+        model = svm_train(K_train, y_pm, C=cfg.C, label_map=(0, 1))
+        n_params = int(len(model.support_indices))
+
+        def decide(K):
+            return (svm_decision(model, K) >= 0).astype(int)
+
+    else:
+        model = ovr_train(K_train, y_train, C=cfg.C)
+        n_params = int(sum(len(m.support_indices) for m in model.models))
+        classes = np.asarray(model.classes)
+
+        def decide(K):
+            return classes[np.argmax(ovr_decision(model, K), axis=1)]
+
+    def predict(X):
+        # the training rows' kernel is already at hand
+        return decide(K_train if X is X_train else kernel(X, X_train))
+
+    details.update(C=cfg.C, n_support=n_params)
+    return Fitted(
+        predict=predict,
+        probabilities=None,
+        n_params=n_params,
+        details=details,
+        history=[],
+    )
+
+
+def _quantum_cell(cell):
+    details = {"circuit": cell.circuit.name, "n_circuit_params": cell.n_circuit_params}
+    return cell, details
+
+
+def _qlstm(cfg, n_feats):
+    return _quantum_cell(build_qlstm(n_feats, n_qubits=4, n_layers=cfg.n_layers))
+
+
+def _qgru(cfg, n_feats):
+    return _quantum_cell(build_qgru(n_feats, n_qubits=4, n_layers=cfg.n_layers))
+
+
+def _classical_cell(model):
+    return model, {"hidden_size": model.hidden_size}
+
+
+def _lstm(cfg, n_feats):
+    return _classical_cell(build_classical_lstm(n_feats, hidden_size=8))
+
+
+def _gru(cfg, n_feats):
+    return _classical_cell(build_classical_gru(n_feats, hidden_size=16))
+
+
+def _fit_recurrent(build, cfg, X_train, y_train):
+    model, details = build(cfg, X_train.shape[2])
+    model, history = train_sequence_model(
+        model, X_train, y_train, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed
+    )
+    details.update(window=cfg.window, lr=cfg.lr)
+    return Fitted(
+        predict=lambda X: sequence_forward(model, X),
+        probabilities=None,
+        n_params=count_params(model),
+        details=details,
+        history=history,
+    )
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model: the tasks it supports, its defaults and how it is fitted.
+
+    ``fit(cfg, X_train, y_train)`` takes a normalized config and returns a
+    ``Fitted``.  A ``windows`` model trains on (n, window, features) arrays
+    against min-max scaled targets; the others train on feature rows.
+    Defaults left None stay unset in the config.
+    """
+
+    tasks: tuple
+    fit: Callable
+    scaling: str = "standard"
+    epochs: int | None = None
+    iters: int | None = None
+    lr: float | None = None
+    n_layers: int | None = None
+    windows: bool = False
+
+
+_ANY_TASK = ("regression", "binary", "ternary")
+_CLASSIFY = ("binary", "ternary")
+_REGRESS = ("regression",)
+
 # angle-embedding feature maps want inputs in [0, 1]; everything else
 # trains on standardized features
-MINMAX_MODELS = ("qsvm", "svc", "vqc")
+MODELS = {
+    "qnn-ising": ModelSpec(
+        _ANY_TASK, partial(_fit_qnn, _ising_circuit), epochs=150, lr=0.1, n_layers=2
+    ),
+    "qnn-sel": ModelSpec(
+        _ANY_TASK, partial(_fit_qnn, _sel_circuit), epochs=150, lr=0.1, n_layers=4
+    ),
+    "vqc": ModelSpec(_CLASSIFY, _fit_vqc, scaling="minmax", iters=150),
+    "qsvm": ModelSpec(
+        _CLASSIFY, partial(_fit_kernel_machine, _fidelity), scaling="minmax"
+    ),
+    "svc": ModelSpec(_CLASSIFY, partial(_fit_kernel_machine, _rbf), scaling="minmax"),
+    "nn": ModelSpec(_ANY_TASK, _fit_nn, epochs=300, lr=0.05),
+    "qlstm": ModelSpec(
+        _REGRESS, partial(_fit_recurrent, _qlstm), epochs=50, lr=0.05, n_layers=2,
+        windows=True,
+    ),
+    "qgru": ModelSpec(
+        _REGRESS, partial(_fit_recurrent, _qgru), epochs=20, lr=0.05, n_layers=2,
+        windows=True,
+    ),
+    "lstm": ModelSpec(
+        _REGRESS, partial(_fit_recurrent, _lstm), epochs=150, lr=0.02, windows=True
+    ),
+    "gru": ModelSpec(
+        _REGRESS, partial(_fit_recurrent, _gru), epochs=150, lr=0.02, windows=True
+    ),
+}
+
+MODEL_TASKS = {name: spec.tasks for name, spec in MODELS.items()}
 
 _CONFIG_FIELDS = (
     "model",
@@ -143,6 +372,8 @@ _CONFIG_FIELDS = (
     "gamma",
     "seed",
 )
+# config fields whose None means "the model's default"
+_DEFAULTED = ("scaling", "epochs", "iters", "lr", "n_layers")
 
 
 @dataclass(frozen=True)
@@ -163,9 +394,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODEL_TASKS:
+        if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.task not in MODEL_TASKS[self.model]:
+        if self.task not in MODELS[self.model].tasks:
             raise ConfigError(
                 f"model {self.model!r} does not support task {self.task!r}"
             )
@@ -203,19 +434,12 @@ class ExperimentConfig:
 
 def normalized(config: ExperimentConfig) -> ExperimentConfig:
     """Fill every defaulted knob so reports echo the values actually used."""
-    updates = {}
-    if config.scaling is None:
-        updates["scaling"] = (
-            "minmax" if config.model in MINMAX_MODELS else "standard"
-        )
-    if config.epochs is None and config.model in DEFAULT_EPOCHS:
-        updates["epochs"] = DEFAULT_EPOCHS[config.model]
-    if config.iters is None and config.model == "vqc":
-        updates["iters"] = DEFAULT_ITERS
-    if config.lr is None and config.model in DEFAULT_LR:
-        updates["lr"] = DEFAULT_LR[config.model]
-    if config.n_layers is None and config.model in DEFAULT_LAYERS:
-        updates["n_layers"] = DEFAULT_LAYERS[config.model]
+    spec = MODELS[config.model]
+    updates = {
+        name: getattr(spec, name)
+        for name in _DEFAULTED
+        if getattr(config, name) is None and getattr(spec, name) is not None
+    }
     return replace(config, **updates) if updates else config
 
 
@@ -333,325 +557,82 @@ def _mse(a, b) -> float:
     return float(np.mean((np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) ** 2))
 
 
-def _n_classes(task) -> int:
-    return 3 if task == "ternary" else 2
-
-
-def _train_kernel_machine(cfg, X_train, y_train, X_test):
-    if cfg.model == "qsvm":
-        fm = build_zz_feature_map(X_train.shape[1], 1)
-        K_train = fidelity_kernel(X_train, X_train, fm)
-        K_test = fidelity_kernel(X_test, X_train, fm)
-        details = {"feature_map": fm.name, "C": cfg.C}
-    else:
-        gamma = cfg.gamma if cfg.gamma is not None else default_gamma(X_train)
-        K_train = rbf_kernel(X_train, X_train, gamma)
-        K_test = rbf_kernel(X_test, X_train, gamma)
-        details = {"gamma": gamma, "C": cfg.C}
-    if cfg.task == "binary":
-        y_pm = np.where(np.asarray(y_train) == 1, 1.0, -1.0)
-        model = svm_train(K_train, y_pm, C=cfg.C, label_map=(0, 1))
-        n_params = int(len(model.support_indices))
-
-        def predict(rows):
-            return (svm_decision(model, rows) >= 0).astype(int)
-
-    else:
-        model = ovr_train(K_train, y_train, C=cfg.C)
-        n_params = int(sum(len(m.support_indices) for m in model.models))
-        classes = np.asarray(model.classes)
-
-        def predict(rows):
-            return classes[np.argmax(ovr_decision(model, rows), axis=1)]
-
-    details["n_support"] = n_params
-    train_pred = predict(K_train)
-    test_pred = predict(K_test)
-    return n_params, details, [], train_pred, test_pred, None
-
-
-def _classification_probabilities(kind, model, X):
-    if kind == "qnn":
-        z = qnn_expectations(model, X)
-        if model.task == "binary":
-            p1 = (1.0 - z[:, 0]) / 2.0
-            return np.column_stack([1.0 - p1, p1])
-        return _softmax(z)
-    if kind == "vqc":
-        return vqc_probabilities(model, X)
-    out = dense_forward(model, X)
-    if model.task == "binary":
-        p1 = _sigmoid(out[:, 0])
-        return np.column_stack([1.0 - p1, p1])
-    return _softmax(out)
-
-
-def _run_feedforward(cfg, dataset, feats):
-    n = dataset.n_rows
-    split = int(math.floor(n * cfg.split_fraction))
+def _rows(cfg, dataset, feats, split):
+    """Feature rows and their temperatures, or class labels."""
     scaled = _stage("scale", scale, dataset, feats, cfg.scaling, split)
-    X = scaled.feature_matrix(feats)
-    t2m = dataset.target()
-    X_train, X_test = X[:split], X[split:]
-    times_test = dataset.time[split:]
-
-    if cfg.task in ("binary", "ternary"):
-        y = _stage("bin", bin_target, t2m, cfg.task)
-        y_train, y_test = y[:split], y[split:]
-        if cfg.model in ("qsvm", "svc"):
-            out = _stage(
-                "train", _train_kernel_machine, cfg, X_train, y_train, X_test
-            )
-            n_params, details, history, train_pred, test_pred, probs = out
-        else:
-            model, details, history = _stage(
-                "train", _fit_feedforward_model, cfg, feats, X_train, y_train
-            )
-            n_params = details.pop("_n_params")
-            kind = details.pop("_kind")
-            train_pred = _predict_labels(kind, model, X_train)
-            test_pred = _predict_labels(kind, model, X_test)
-            probs = _classification_probabilities(kind, model, X_test)
-        metrics = {
-            "train_accuracy": _accuracy(train_pred, y_train),
-            "test_accuracy": _accuracy(test_pred, y_test),
-        }
-        predictions = tuple(
-            (times_test[i], int(y_test[i]), int(test_pred[i]))
-            for i in range(len(y_test))
-        )
-        probabilities = (
-            tuple(tuple(float(v) for v in row) for row in probs)
-            if probs is not None
-            else None
-        )
-        return n_params, details, history, metrics, predictions, probabilities, split
-
-    # regression on row features
-    y_train, y_test = t2m[:split], t2m[split:]
-    model, details, history = _stage(
-        "train", _fit_feedforward_model, cfg, feats, X_train, y_train
-    )
-    n_params = details.pop("_n_params")
-    kind = details.pop("_kind")
-    if kind == "qnn":
-        pred_train = qnn_predict(model, X_train)
-        pred_test = qnn_predict(model, X_test)
-        to_scaled = model.target_scaler.to_scaled
-    else:
-        scaler = ColumnScaler(
-            "minmax", float(y_train.min()), float(y_train.max())
-        )
-        pred_train = scaler.inverse(dense_forward(model, X_train)[:, 0])
-        pred_test = scaler.inverse(dense_forward(model, X_test)[:, 0])
-        to_scaled = scaler.transform
-    metrics = {
-        "train_mse_scaled": _mse(to_scaled(pred_train), to_scaled(y_train)),
-        "test_mse_scaled": _mse(to_scaled(pred_test), to_scaled(y_test)),
-        "train_mse_kelvin": _mse(pred_train, y_train),
-        "test_mse_kelvin": _mse(pred_test, y_test),
-    }
-    predictions = tuple(
-        (times_test[i], float(y_test[i]), float(pred_test[i]))
-        for i in range(len(y_test))
-    )
-    return n_params, details, history, metrics, predictions, None, split
+    y = dataset.target()
+    if cfg.task != "regression":
+        y = _stage("bin", bin_target, y, cfg.task)
+    return scaled.feature_matrix(feats), y, np.arange(dataset.n_rows), _same
 
 
-def _predict_labels(kind, model, X):
-    if kind == "qnn":
-        return qnn_predict(model, X)
-    if kind == "vqc":
-        return np.argmax(vqc_probabilities(model, X), axis=1)
-    return dense_predict(model, X)
-
-
-def _fit_feedforward_model(cfg, feats, X_train, y_train):
-    n_feats = len(feats)
-    if cfg.model == "qnn-ising":
-        if n_feats != 3:
-            raise ValueError(
-                f"the Ising circuit encodes exactly 3 features, selection gave {n_feats}"
-            )
-        circuit = build_reuploading_ising(3, cfg.n_layers)
-        model = build_qnn(circuit, cfg.task, seed=cfg.seed)
-        model, history = qnn_train(
-            model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
-        )
-        details = {
-            "circuit": circuit.name,
-            "lr": cfg.lr,
-            "_n_params": circuit.n_trainable,
-            "_kind": "qnn",
-        }
-        return model, details, list(history)
-    if cfg.model == "qnn-sel":
-        if cfg.task == "ternary" and n_feats < 3:
-            raise ValueError("ternary readout needs at least 3 qubits")
-        circuit = build_reuploading_sel(n_feats, cfg.n_layers)
-        model = build_qnn(circuit, cfg.task, seed=cfg.seed)
-        model, history = qnn_train(
-            model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
-        )
-        details = {
-            "circuit": circuit.name,
-            "lr": cfg.lr,
-            "_n_params": circuit.n_trainable,
-            "_kind": "qnn",
-        }
-        return model, details, list(history)
-    if cfg.model == "vqc":
-        clf = build_vqc_classifier(n_feats, _n_classes(cfg.task), seed=cfg.seed)
-        clf, history = vqc_train(
-            clf, (X_train, y_train), iters=cfg.iters, seed=cfg.seed
-        )
-        details = {
-            "feature_map": clf.feature_map.name,
-            "ansatz": clf.ansatz.name,
-            "readout_rule": clf.readout_rule,
-            "_n_params": clf.ansatz.n_trainable,
-            "_kind": "vqc",
-        }
-        return clf, details, list(history)
-    if cfg.model == "nn":
-        if n_feats not in DENSE_BUDGETS:
-            raise ValueError(
-                f"no parameter budget defined for {n_feats} features"
-            )
-        budget = DENSE_BUDGETS[n_feats]
-        model = build_dense_baseline(budget, n_feats, cfg.task, seed=cfg.seed)
-        if cfg.task == "regression":
-            scaler = ColumnScaler(
-                "minmax", float(y_train.min()), float(y_train.max())
-            )
-            y_fit = scaler.transform(y_train)
-        else:
-            y_fit = y_train
-        model, history = dense_train(
-            model, (X_train, y_fit), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
-        )
-        details = {
-            "layer_sizes": list(model.layer_sizes),
-            "budget": budget,
-            "lr": cfg.lr,
-            "_n_params": budget,
-            "_kind": "nn",
-        }
-        return model, details, list(history)
-    raise ValueError(f"unhandled model {cfg.model!r}")
-
-
-def _run_recurrent(cfg, dataset, feats):
-    n = dataset.n_rows
-    split = int(math.floor(n * cfg.split_fraction))
+def _windows(cfg, dataset, feats, split):
+    """Windows of past rows and the next temperature, min-max scaled."""
     target = dataset.target_name
     scaled = _stage("scale", scale, dataset, feats, cfg.scaling, split)
     scaled = _stage("scale", scale, scaled, [target], "minmax", split)
-    target_scaler = scaled.scaling_state[target]
     F = scaled.feature_matrix(feats)
-    ty = scaled.target()
-    X_w, y_w = _stage("window", make_windows, F, ty, cfg.window)
-    target_idx = np.arange(cfg.window, n)
-    train_mask = target_idx < split
-    X_train, y_train = X_w[train_mask], y_w[train_mask]
-    X_test, y_test = X_w[~train_mask], y_w[~train_mask]
-    if X_train.shape[0] == 0 or X_test.shape[0] == 0:
+    X, y = _stage("window", make_windows, F, scaled.target(), cfg.window)
+    rows = np.arange(cfg.window, dataset.n_rows)
+    if not rows[0] < split <= rows[-1]:
         raise PipelineError(
             "window", ValueError("split leaves an empty train or test window set")
         )
-
-    def build():
-        if cfg.model == "qlstm":
-            return build_qlstm(len(feats), n_qubits=4, n_layers=cfg.n_layers)
-        if cfg.model == "qgru":
-            return build_qgru(len(feats), n_qubits=4, n_layers=cfg.n_layers)
-        if cfg.model == "lstm":
-            return build_classical_lstm(len(feats), HIDDEN_SIZES["lstm"])
-        return build_classical_gru(len(feats), HIDDEN_SIZES["gru"])
-
-    model = _stage("train", build)
-    model, history = _stage(
-        "train",
-        train_sequence_model,
-        model,
-        X_train,
-        y_train,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        seed=cfg.seed,
-    )
-    pred_train = sequence_forward(model, X_train)
-    pred_test = sequence_forward(model, X_test)
-    metrics = {
-        "train_mse_scaled": _mse(pred_train, y_train),
-        "test_mse_scaled": _mse(pred_test, y_test),
-        "train_mse_kelvin": _mse(
-            target_scaler.inverse(pred_train), target_scaler.inverse(y_train)
-        ),
-        "test_mse_kelvin": _mse(
-            target_scaler.inverse(pred_test), target_scaler.inverse(y_test)
-        ),
-    }
-    test_idx = target_idx[~train_mask]
-    actual_k = target_scaler.inverse(y_test)
-    pred_k = target_scaler.inverse(pred_test)
-    predictions = tuple(
-        (dataset.time[test_idx[i]], float(actual_k[i]), float(pred_k[i]))
-        for i in range(len(test_idx))
-    )
-    details = {"window": cfg.window, "lr": cfg.lr}
-    if cfg.model in ("qlstm", "qgru"):
-        details["circuit"] = model.circuit.name
-        details["n_circuit_params"] = model.n_circuit_params
-    else:
-        details["hidden_size"] = model.hidden_size
-    n_params = count_params(model)
-    return (
-        n_params,
-        details,
-        list(history),
-        metrics,
-        predictions,
-        None,
-        int(train_mask.sum()),
-        int((~train_mask).sum()),
-    )
+    return X, y, rows, scaled.scaling_state[target].inverse
 
 
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Execute one experiment and optionally write its artifact directory."""
     cfg = normalized(config)
+    spec = MODELS[cfg.model]
     started = time.perf_counter()
     dataset = _stage("ingest", _load_dataset, cfg.data)
     corr = _stage("correlate", correlation_report, dataset)
     feats = _stage("select", select_features, corr, **cfg.selection)
-    if cfg.model in RECURRENT_MODELS:
-        (
-            n_params,
-            details,
-            history,
-            metrics,
-            predictions,
-            probabilities,
-            n_train,
-            n_test,
-        ) = _run_recurrent(cfg, dataset, feats)
+    split = int(math.floor(dataset.n_rows * cfg.split_fraction))
+    prepare = _windows if spec.windows else _rows
+    # rows[i] is the dataset row whose target y[i] is
+    X, y, rows, to_kelvin = prepare(cfg, dataset, feats, split)
+    train = rows < split
+    X_train, y_train, X_test, y_test = X[train], y[train], X[~train], y[~train]
+    fitted = _stage("train", spec.fit, cfg, X_train, y_train)
+    pred_train = fitted.predict(X_train)
+    pred_test = fitted.predict(X_test)
+    if cfg.task == "regression":
+        to_scaled = fitted.to_scaled
+        metrics = {
+            "train_mse_scaled": _mse(to_scaled(pred_train), to_scaled(y_train)),
+            "test_mse_scaled": _mse(to_scaled(pred_test), to_scaled(y_test)),
+            "train_mse_kelvin": _mse(to_kelvin(pred_train), to_kelvin(y_train)),
+            "test_mse_kelvin": _mse(to_kelvin(pred_test), to_kelvin(y_test)),
+        }
+        actual, predicted, value = to_kelvin(y_test), to_kelvin(pred_test), float
     else:
-        n_params, details, history, metrics, predictions, probabilities, split = (
-            _run_feedforward(cfg, dataset, feats)
+        metrics = {
+            "train_accuracy": _accuracy(pred_train, y_train),
+            "test_accuracy": _accuracy(pred_test, y_test),
+        }
+        actual, predicted, value = y_test, pred_test, int
+    predictions = tuple(
+        (dataset.time[r], value(a), value(p))
+        for r, a, p in zip(rows[~train], actual, predicted)
+    )
+    probabilities = None
+    if fitted.probabilities is not None:
+        probabilities = tuple(
+            tuple(float(v) for v in row) for row in fitted.probabilities(X_test)
         )
-        n_train, n_test = split, dataset.n_rows - split
     if not all(np.isfinite(v) for v in metrics.values()):
         raise PipelineError("evaluate", ValueError("non-finite metric produced"))
     report = ExperimentReport(
         config=config_to_dict(cfg),
-        n_parameters=int(n_params),
+        n_parameters=int(fitted.n_params),
         selected_features=tuple(feats),
-        details=details,
+        details=fitted.details,
         metrics=metrics,
-        loss_history=tuple(float(v) for v in history),
-        n_train=n_train,
-        n_test=n_test,
+        loss_history=tuple(float(v) for v in fitted.history),
+        n_train=int(train.sum()),
+        n_test=int((~train).sum()),
         predictions=predictions,
         probabilities=probabilities,
         wall_time_s=time.perf_counter() - started,

@@ -20,16 +20,11 @@ import numpy as np
 
 from .autodiff import circuit_vjp, expectation_batch
 from .circuits import Circuit, build_qlstm_vqc
+from .models_qnn import INIT_ANGLE, _sigmoid
 from .optim import adam_init, adam_step
-
-INIT_ANGLE = np.pi / 8
 
 QLSTM_GATES = ("forget", "input", "update", "output", "hidden", "readout")
 QGRU_GATES = ("reset", "update", "candidate")
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def make_windows(features, target, window: int = 4, stride: int = 1):

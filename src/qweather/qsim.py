@@ -208,41 +208,23 @@ def _r3(alpha, beta, gamma):
     return m
 
 
-def _apply_matrix_einsum(amps, n_qubits, targets, mat):
-    k = len(targets)
-    batch_shape = amps.shape[:-1]
-    off = len(batch_shape)
-    psi = amps.reshape(batch_shape + (2,) * n_qubits)
-    src = [off + t for t in targets]
-    dst = list(range(off, off + k))
-    psi = np.moveaxis(psi, src, dst)
-    rest = psi.shape[off + k:]
-    psi = psi.reshape(batch_shape + (1 << k, -1))
-    if mat.ndim == 2:
-        out = np.einsum("ij,...jr->...ir", mat, psi)
-    else:
-        out = np.einsum("...ij,...jr->...ir", mat, psi)
-    out = out.reshape(batch_shape + (2,) * k + rest)
-    out = np.moveaxis(out, dst, src)
-    return out.reshape(batch_shape + (1 << n_qubits,))
-
-
 def apply_matrix(
     amps: np.ndarray, n_qubits: int, targets: tuple[int, ...], mat: np.ndarray
 ) -> np.ndarray:
     """Apply a k-qubit unitary to amplitudes of shape (..., 2**n_qubits).
 
-    Leading axes of ``amps`` are batch axes.  ``mat`` is (2**k, 2**k) for a
-    shared matrix or (batch..., 2**k, 2**k) for per-element matrices.
+    Leading axes of ``amps`` are batch axes.  ``mat`` acts on k = 1 or 2
+    qubits and is (2**k, 2**k) for a shared matrix or (batch..., 2**k, 2**k)
+    for per-element matrices, whose batch axes must broadcast to those of
+    ``amps``.
     """
     k = len(targets)
     batch_shape = amps.shape[:-1]
     off = len(batch_shape)
     if k > 2:
-        return _apply_matrix_einsum(amps, n_qubits, targets, mat)
+        raise ValueError(f"apply_matrix acts on at most 2 qubits, got {k}")
     if mat.ndim > 2 and mat.shape[:-2] != batch_shape:
-        if np.broadcast_shapes(batch_shape, mat.shape[:-2]) != batch_shape:
-            return _apply_matrix_einsum(amps, n_qubits, targets, mat)
+        # raises ValueError when the batch axes do not broadcast
         mat = np.broadcast_to(mat, batch_shape + mat.shape[-2:])
     batched = mat.ndim > 2
     psi = amps.reshape(batch_shape + (2,) * n_qubits)

@@ -57,13 +57,27 @@ def test_param_shift_matches_finite_diff_on_sel():
     assert np.max(np.abs(param_shift_grad(req) - finite_diff_grad(req))) < 1e-6
 
 
+def _zz_map_then_ry(n_qubits):
+    """The ZZ feature map followed by one trainable RY per qubit.
+
+    Alone, the map only adds phases to |+...+>, so every <Z_q> is 0 for all
+    inputs; the RY layer turns those phases into a readout that depends on
+    the zz_product angles.
+    """
+    fmap = build_zz_feature_map(n_qubits, 1)
+    ry = tuple(
+        CircuitOp("RY", (q,), (AngleRef("trainable", q),)) for q in range(n_qubits)
+    )
+    return Circuit(f"{fmap.name}+RY", n_qubits, fmap.ops + ry, n_qubits, n_qubits)
+
+
 @pytest.mark.parametrize(
     "circuit",
     [
         build_reuploading_ising(3, 2),
         build_reuploading_sel(4, 2),
         build_qlstm_vqc(4, 1),
-        build_zz_feature_map(4, 1),
+        _zz_map_then_ry(4),
     ],
     ids=lambda c: c.name,
 )
@@ -118,20 +132,6 @@ def test_weighted_observable_gradient_is_linear():
     g0 = param_shift_grad(GradientRequest(circuit, theta, x, 0))
     g2 = param_shift_grad(GradientRequest(circuit, theta, x, 2))
     assert np.max(np.abs(combined - (w0 * g0 + w2 * g2))) < 1e-10
-
-
-def _zz_map_then_ry(n_qubits):
-    """The ZZ feature map followed by one trainable RY per qubit.
-
-    Alone, the map only adds phases to |+...+>, so every <Z_q> is 0 for all
-    inputs; the RY layer turns those phases into a readout that depends on
-    the zz_product angles.
-    """
-    fmap = build_zz_feature_map(n_qubits, 1)
-    ry = tuple(
-        CircuitOp("RY", (q,), (AngleRef("trainable", q),)) for q in range(n_qubits)
-    )
-    return Circuit(f"{fmap.name}+RY", n_qubits, fmap.ops + ry, n_qubits, n_qubits)
 
 
 def _contracted_param_shift(circuit, theta, xs, qubits, weights):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qweather.bench import (
+    MODEL_TASKS,
     ConfigError,
     ExperimentConfig,
     NoPredictionsError,
@@ -239,6 +240,41 @@ class TestRegressionRuns:
         assert rep.details["n_circuit_params"] == 72
         assert len(rep.loss_history) == 2
         assert rep.metrics["test_mse_scaled"] >= 0.0
+
+
+METRIC_KEYS = {
+    "regression": {
+        "train_mse_scaled",
+        "test_mse_scaled",
+        "train_mse_kelvin",
+        "test_mse_kelvin",
+    },
+    "binary": {"train_accuracy", "test_accuracy"},
+    "ternary": {"train_accuracy", "test_accuracy"},
+}
+# classifiers that report class probabilities; kernel machines only vote
+PROBABILISTIC = {"qnn-ising", "qnn-sel", "vqc", "nn"}
+
+
+@pytest.mark.parametrize(
+    "model,task",
+    [(model, task) for model, tasks in MODEL_TASKS.items() for task in tasks],
+)
+def test_every_model_task_pair_completes(model, task):
+    rep = run(tiny_config(model=model, task=task, epochs=2, iters=5))
+    assert set(rep.metrics) == METRIC_KEYS[task]
+    assert rep.n_test == len(rep.predictions)
+    if task != "regression" and model in PROBABILISTIC:
+        assert len(rep.probabilities) == rep.n_test
+    else:
+        assert rep.probabilities is None
+    assert rep.n_parameters > 0
+    if model in ("qsvm", "svc"):
+        assert rep.loss_history == ()
+    elif model == "vqc":
+        assert len(rep.loss_history) >= 5
+    else:
+        assert len(rep.loss_history) == 2
 
 
 class TestStageErrors:

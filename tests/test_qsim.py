@@ -248,6 +248,22 @@ def test_batched_apply_matches_loop():
 
 
 @pytest.mark.parametrize(
+    "targets,mat",
+    [
+        ((0, 1, 2), np.eye(8, dtype=complex)),
+        ((1,), np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))),
+        ((1,), np.broadcast_to(np.eye(2, dtype=complex), (2, 7, 2, 2))),
+    ],
+    ids=["three_qubits", "batch_mismatch", "batch_wider_than_amplitudes"],
+)
+def test_apply_matrix_rejects_unsupported_inputs(targets, mat):
+    amps = np.zeros((7, 8), dtype=complex)
+    amps[:, 0] = 1.0
+    with pytest.raises(ValueError):
+        apply_matrix(amps, 3, targets, mat)
+
+
+@pytest.mark.parametrize(
     "kind,targets,angles",
     [
         ("RX", (0,), ()),

@@ -233,6 +233,7 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
         y_pm = np.where(np.asarray(y_train) == 1, 1.0, -1.0)
         model = svm_train(K_train, y_pm, C=cfg.C, label_map=(0, 1))
         n_params = int(len(model.support_indices))
+        details.update(smo_iterations=model.n_iter, smo_gap=model.kkt_gap)
 
         def decide(K):
             return (svm_decision(model, K) >= 0).astype(int)
@@ -240,6 +241,10 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
     else:
         model = ovr_train(K_train, y_train, C=cfg.C)
         n_params = int(sum(len(m.support_indices) for m in model.models))
+        details.update(
+            smo_iterations=[m.n_iter for m in model.models],
+            smo_gap=[m.kkt_gap for m in model.models],
+        )
         classes = np.asarray(model.classes)
 
         def decide(K):

@@ -220,7 +220,8 @@ class TestFreshProcessDeterminism:
     """Two fresh interpreters running one config write the same bytes."""
 
     @pytest.mark.parametrize(
-        "model, task", [("qlstm", "regression"), ("qnn-sel", "binary")]
+        "model, task",
+        [("qlstm", "regression"), ("qnn-sel", "binary"), ("svc", "ternary")],
     )
     def test_run_bytes_identical_across_processes(self, tmp_path, model, task):
         cfg = tmp_path / "cfg.json"

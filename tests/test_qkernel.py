@@ -182,13 +182,15 @@ def test_free_support_vector_sits_on_margin():
 def test_zero_kernel_row_predicts_bias_sign():
     K = np.array([[1.0, 0.1], [0.1, 1.0]])
     model = svm_train(K, np.array([1.0, -1.0]), C=1.0)
+    # both alphas sit at C, so the bias is the midpoint of [-0.1, 0.1]
+    assert model.bias == pytest.approx(0.0, abs=1e-12)
     label, decision = svm_predict(model, np.zeros(2))
     assert decision == pytest.approx(model.bias)
     assert label == (1 if model.bias >= 0 else -1)
 
 
 def test_smo_matches_brute_force_dual():
-    rng = np.random.default_rng(98)
+    cases = []
     for seed in range(8):
         local = np.random.default_rng(seed)
         n = int(local.integers(3, 7))
@@ -196,14 +198,22 @@ def test_smo_matches_brute_force_dual():
         y = local.choice([-1.0, 1.0], size=n)
         if np.unique(y).size < 2:
             y[0] = -y[1]
-        K = rbf_kernel_matrix(X, gamma=0.8).entries
-        model = svm_train(K, y, C=1.0, tol=1e-5)
-        alpha = full_alpha(model, n)
+        cases.append((rbf_kernel_matrix(X, gamma=0.8).entries, y, 1.0))
+    # a larger set with overlapping classes, where C = 0.5 holds alphas at C
+    local = np.random.default_rng(36)
+    X = local.normal(size=(36, 2))
+    y = np.where(X[:, 0] + 0.8 * local.normal(size=36) > 0, 1.0, -1.0)
+    cases.append((rbf_kernel_matrix(X, gamma=0.5).entries, y, 0.5))
+    for K, y, C in cases:
+        model = svm_train(K, y, C=C, tol=1e-5)
+        alpha = full_alpha(model, len(y))
         ours = dual_objective(K, y, alpha)
-        best = brute_force_dual(K, y, 1.0)
+        best = brute_force_dual(K, y, C)
         assert abs(ours - best) < 1e-4
-        assert np.all(alpha >= -1e-12) and np.all(alpha <= 1.0 + 1e-12)
+        assert model.kkt_gap <= 1e-5
+        assert np.all(alpha >= -1e-12) and np.all(alpha <= C + 1e-12)
         assert abs(alpha @ y) < 1e-8
+    assert np.count_nonzero(alpha == C) > 0
 
 
 def test_svm_train_validation():
@@ -258,6 +268,8 @@ def test_ovr_tie_goes_to_lowest_class():
         regularization_C=1.0,
         label_map=(-1, 1),
         n_train=2,
+        n_iter=0,
+        kkt_gap=0.0,
     )
     model = OvrModel(classes=(0, 1, 2), models=(stub, stub, stub))
     label, decisions = ovr_predict(model, np.array([0.4, 0.1]))

@@ -5,16 +5,20 @@ variational circuit read out as per-qubit Z expectations; two further
 circuits project the cell output to the hidden state and to the scalar
 prediction.  The quantum GRU does the same for reset/update/candidate
 gates.  Classical LSTM/GRU baselines with the dual-bias convention are
-provided for parameter-count comparisons, and everything trains under
-full-batch Adam on next-step mean squared error with analytic gradients
-(adjoint vector-Jacobian products through the circuits, backpropagation
-through time for the surrounding arithmetic).
+provided for parameter-count comparisons.
+
+Each cell's step function is the one place its forward arithmetic lives.
+Prediction and training run the same loop over the steps; training then
+hands the step records to the cell's backward function (backpropagation
+through time, with an adjoint vector-Jacobian product through each gate
+circuit) and takes full-batch Adam steps on next-step mean squared error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,15 +53,16 @@ def make_windows(features, target, window: int = 4, stride: int = 1):
 
 
 @dataclass(frozen=True)
-class QlstmCell:
-    """LSTM cell whose gates are variational circuits.
+class _QuantumCell:
+    """Recurrent cell whose gates are variational circuits.
 
-    The hidden state is the per-qubit readout of the projection circuit,
-    so hidden_size always equals n_qubits.  Parameters are one flat
-    vector: six circuit blocks, then the shared input map (weights and
-    bias), then the scalar head.
+    The hidden state is a per-qubit readout, so hidden_size always equals
+    n_qubits.  Parameters are one flat vector: one circuit block per gate,
+    then the shared input map (weights and bias), then the scalar head.
     """
 
+    kind: ClassVar[str]
+    gates: ClassVar[tuple[str, ...]]
     circuit: Circuit
     input_dim: int
     n_qubits: int
@@ -68,38 +73,31 @@ class QlstmCell:
     def __post_init__(self):
         if self.hidden_size != self.n_qubits:
             raise ValueError("hidden_size must equal n_qubits")
-        if len(self.params) != qlstm_param_count(
-            self.input_dim, self.n_qubits, self.n_layers
+        if len(self.params) != _quantum_param_count(
+            self.gates, self.input_dim, self.n_qubits, self.n_layers
         ):
             raise ValueError("parameter vector has the wrong length")
 
     @property
     def n_circuit_params(self) -> int:
-        return len(QLSTM_GATES) * self.circuit.n_trainable
+        return len(self.gates) * self.circuit.n_trainable
 
 
 @dataclass(frozen=True)
-class QgruCell:
+class QlstmCell(_QuantumCell):
+    """LSTM cell: a projection circuit turns the cell output into the
+    hidden state and a readout circuit feeds the head."""
+
+    kind: ClassVar[str] = "qlstm"
+    gates: ClassVar[tuple[str, ...]] = QLSTM_GATES
+
+
+@dataclass(frozen=True)
+class QgruCell(_QuantumCell):
     """GRU cell with circuit-valued reset, update, and candidate gates."""
 
-    circuit: Circuit
-    input_dim: int
-    n_qubits: int
-    hidden_size: int
-    n_layers: int
-    params: np.ndarray
-
-    def __post_init__(self):
-        if self.hidden_size != self.n_qubits:
-            raise ValueError("hidden_size must equal n_qubits")
-        if len(self.params) != qgru_param_count(
-            self.input_dim, self.n_qubits, self.n_layers
-        ):
-            raise ValueError("parameter vector has the wrong length")
-
-    @property
-    def n_circuit_params(self) -> int:
-        return len(QGRU_GATES) * self.circuit.n_trainable
+    kind: ClassVar[str] = "qgru"
+    gates: ClassVar[tuple[str, ...]] = QGRU_GATES
 
 
 @dataclass(frozen=True)
@@ -126,14 +124,17 @@ def _affine_sizes(input_dim, n_qubits):
     return in_dim * n_qubits, n_qubits, n_qubits, 1
 
 
-def qlstm_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
+def _quantum_param_count(gates, input_dim, n_qubits, n_layers) -> int:
     per_vqc = 3 * n_qubits * n_layers
-    return len(QLSTM_GATES) * per_vqc + sum(_affine_sizes(input_dim, n_qubits))
+    return len(gates) * per_vqc + sum(_affine_sizes(input_dim, n_qubits))
+
+
+def qlstm_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
+    return _quantum_param_count(QLSTM_GATES, input_dim, n_qubits, n_layers)
 
 
 def qgru_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
-    per_vqc = 3 * n_qubits * n_layers
-    return len(QGRU_GATES) * per_vqc + sum(_affine_sizes(input_dim, n_qubits))
+    return _quantum_param_count(QGRU_GATES, input_dim, n_qubits, n_layers)
 
 
 def classical_param_count(kind, input_dim, hidden_size) -> int:
@@ -198,70 +199,70 @@ def _init_classical(n, hidden_size, seed):
     return rng.uniform(-bound, bound, size=n)
 
 
+def _head(model):
+    # every parameter layout ends with the scalar head: hidden_size weights, then the bias
+    hs = model.hidden_size
+    return model.params[-hs - 1 : -1], model.params[-1]
+
+
 def _unpack_quantum(cell):
-    gates = QLSTM_GATES if isinstance(cell, QlstmCell) else QGRU_GATES
     per = cell.circuit.n_trainable
     p = cell.params
-    thetas = {g: p[i * per : (i + 1) * per] for i, g in enumerate(gates)}
-    k = len(gates) * per
+    thetas = {g: p[i * per : (i + 1) * per] for i, g in enumerate(cell.gates)}
+    k = len(cell.gates) * per
     in_dim = cell.input_dim + cell.hidden_size
     W = p[k : k + in_dim * cell.n_qubits].reshape(in_dim, cell.n_qubits)
     k += in_dim * cell.n_qubits
     b = p[k : k + cell.n_qubits]
-    k += cell.n_qubits
-    head_w = p[k : k + cell.n_qubits]
-    head_b = p[k + cell.n_qubits]
-    return thetas, W, b, head_w, head_b
+    return thetas, W, b
 
 
-def qlstm_step(cell: QlstmCell, x_t, h, c, return_gates: bool = False):
-    """One step: (x_t, h, c) -> (h', c', y).
+def qlstm_step(cell: QlstmCell, x_t, h, c):
+    """One step: (x_t, h, c) -> ((h', c'), record).
 
     Shapes are batched: x_t (B, input_dim), h and c (B, hidden_size).
-    Gate values come from circuits evaluated on the shared affine map of
-    [x_t; h]; c' = f*c + i*g and the projection circuit turns o*tanh(c')
-    into the next hidden state while the readout circuit feeds the head.
+    Gate values come from circuits evaluated on the shared affine map v of
+    u = [x_t; h]; c' = f*c + i*g and the projection circuit turns
+    u2 = o*tanh(c') into the next hidden state.  The record holds every
+    intermediate that backpropagation through time reads.
     """
-    thetas, W, b, head_w, head_b = _unpack_quantum(cell)
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
+    thetas, W, b = _unpack_quantum(cell)
     qubits = tuple(range(cell.n_qubits))
-    v = np.concatenate([x_t, h], axis=1) @ W + b
+    u = np.concatenate([x_t, h], axis=1)
+    v = u @ W + b
     f = _sigmoid(expectation_batch(cell.circuit, thetas["forget"], v, qubits))
     i = _sigmoid(expectation_batch(cell.circuit, thetas["input"], v, qubits))
     g = np.tanh(expectation_batch(cell.circuit, thetas["update"], v, qubits))
     o = _sigmoid(expectation_batch(cell.circuit, thetas["output"], v, qubits))
     c_next = f * c + i * g
-    u2 = o * np.tanh(c_next)
+    s = np.tanh(c_next)
+    u2 = o * s
     h_next = expectation_batch(cell.circuit, thetas["hidden"], u2, qubits)
-    q = expectation_batch(cell.circuit, thetas["readout"], u2, qubits)
-    y = q @ head_w + head_b
-    if return_gates:
-        return h_next, c_next, y, {"f": f, "i": i, "g": g, "o": o}
-    return h_next, c_next, y
+    return (h_next, c_next), dict(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2)
 
 
-def qgru_step(cell: QgruCell, x_t, h, return_gates: bool = False):
-    """One step: (x_t, h) -> (h', y) with h' = (1 - z)*h + z*g.
+def _qlstm_readout(cell: QlstmCell, u2):
+    thetas, _, _ = _unpack_quantum(cell)
+    return expectation_batch(cell.circuit, thetas["readout"], u2, tuple(range(cell.n_qubits)))
 
-    The candidate gate sees the input map of [x_t; r*h], reusing the same
-    affine map that feeds the reset and update gates.
+
+def qgru_step(cell: QgruCell, x_t, h):
+    """One step: (x_t, h) -> ((h',), record) with h' = (1 - z)*h + z*g.
+
+    The candidate gate sees the input map of u2 = [x_t; r*h], reusing the
+    same affine map that feeds the reset and update gates.
     """
-    thetas, W, b, head_w, head_b = _unpack_quantum(cell)
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    h = np.atleast_2d(np.asarray(h, dtype=float))
+    thetas, W, b = _unpack_quantum(cell)
     qubits = tuple(range(cell.n_qubits))
-    v = np.concatenate([x_t, h], axis=1) @ W + b
+    u = np.concatenate([x_t, h], axis=1)
+    v = u @ W + b
     r = _sigmoid(expectation_batch(cell.circuit, thetas["reset"], v, qubits))
     z = _sigmoid(expectation_batch(cell.circuit, thetas["update"], v, qubits))
-    v2 = np.concatenate([x_t, r * h], axis=1) @ W + b
+    u2 = np.concatenate([x_t, r * h], axis=1)
+    v2 = u2 @ W + b
     g = np.tanh(expectation_batch(cell.circuit, thetas["candidate"], v2, qubits))
     h_next = (1.0 - z) * h + z * g
-    y = h_next @ head_w + head_b
-    if return_gates:
-        return h_next, y, {"r": r, "z": z, "g": g}
-    return h_next, y
+    return (h_next,), dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h)
 
 
 def _unpack_classical(model):
@@ -276,14 +277,12 @@ def _unpack_classical(model):
     b_ih = p[k : k + gates * hs]
     k += gates * hs
     b_hh = p[k : k + gates * hs]
-    k += gates * hs
-    head_w = p[k : k + hs]
-    head_b = p[k + hs]
-    return W_ih, W_hh, b_ih, b_hh, head_w, head_b
+    return W_ih, W_hh, b_ih, b_hh
 
 
 def lstm_step(model: ClassicalRnnBaseline, x_t, h, c):
-    W_ih, W_hh, b_ih, b_hh, head_w, head_b = _unpack_classical(model)
+    """One step: (x_t, h, c) -> ((h', c'), record) with gates in i, f, g, o order."""
+    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
     hs = model.hidden_size
     pre = x_t @ W_ih.T + b_ih + h @ W_hh.T + b_hh
     i = _sigmoid(pre[:, 0:hs])
@@ -291,12 +290,14 @@ def lstm_step(model: ClassicalRnnBaseline, x_t, h, c):
     g = np.tanh(pre[:, 2 * hs : 3 * hs])
     o = _sigmoid(pre[:, 3 * hs :])
     c_next = f * c + i * g
-    h_next = o * np.tanh(c_next)
-    return h_next, c_next, h_next @ head_w + head_b
+    s = np.tanh(c_next)
+    h_next = o * s
+    return (h_next, c_next), dict(x=x_t, h_prev=h, c_prev=c, i=i, f=f, g=g, o=o, s=s)
 
 
 def gru_step(model: ClassicalRnnBaseline, x_t, h):
-    W_ih, W_hh, b_ih, b_hh, head_w, head_b = _unpack_classical(model)
+    """One step: (x_t, h) -> ((h',), record) with h' = (1 - z)*n + z*h."""
+    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
     hs = model.hidden_size
     gi = x_t @ W_ih.T + b_ih
     gh = h @ W_hh.T + b_hh
@@ -304,69 +305,15 @@ def gru_step(model: ClassicalRnnBaseline, x_t, h):
     z = _sigmoid(gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs])
     n = np.tanh(gi[:, 2 * hs :] + r * gh[:, 2 * hs :])
     h_next = (1.0 - z) * n + z * h
-    return h_next, h_next @ head_w + head_b
+    return (h_next,), dict(x=x_t, h_prev=h, r=r, z=z, n=n, gh_n=gh[:, 2 * hs :])
 
 
-def sequence_forward(model, X) -> np.ndarray:
-    """Predictions y (B,) after running each window through the cell."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 2:
-        X = X[None]
-    B, T, _ = X.shape
-    if isinstance(model, QlstmCell):
-        h = np.zeros((B, model.hidden_size))
-        c = np.zeros((B, model.hidden_size))
-        for t in range(T):
-            h, c, y = qlstm_step(model, X[:, t], h, c)
-        return y
-    if isinstance(model, QgruCell):
-        h = np.zeros((B, model.hidden_size))
-        for t in range(T):
-            h, y = qgru_step(model, X[:, t], h)
-        return y
-    h = np.zeros((B, model.hidden_size))
-    if model.kind == "lstm":
-        c = np.zeros((B, model.hidden_size))
-        for t in range(T):
-            h, c, y = lstm_step(model, X[:, t], h, c)
-    else:
-        for t in range(T):
-            h, y = gru_step(model, X[:, t], h)
-    return y
-
-
-def _qlstm_loss_and_grad(cell: QlstmCell, X, y):
-    thetas, W, b, head_w, head_b = _unpack_quantum(cell)
+def _qlstm_backward(cell: QlstmCell, steps, q, dy):
+    thetas, W, b = _unpack_quantum(cell)
+    head_w, _ = _head(cell)
     per = cell.circuit.n_trainable
     qubits = tuple(range(cell.n_qubits))
-    B, T, _ = X.shape
-    h = np.zeros((B, cell.hidden_size))
-    c = np.zeros((B, cell.hidden_size))
-    steps = []
-    for t in range(T):
-        u = np.concatenate([X[:, t], h], axis=1)
-        v = u @ W + b
-        zs = {
-            name: expectation_batch(cell.circuit, thetas[name], v, qubits)
-            for name in ("forget", "input", "update", "output")
-        }
-        f = _sigmoid(zs["forget"])
-        i = _sigmoid(zs["input"])
-        g = np.tanh(zs["update"])
-        o = _sigmoid(zs["output"])
-        c_prev = c
-        c = f * c + i * g
-        s = np.tanh(c)
-        u2 = o * s
-        steps.append(dict(u=u, v=v, c_prev=c_prev, f=f, i=i, g=g, o=o, s=s, u2=u2))
-        if t < T - 1:
-            h = expectation_batch(cell.circuit, thetas["hidden"], u2, qubits)
-    q = expectation_batch(cell.circuit, thetas["readout"], steps[-1]["u2"], qubits)
-    yhat = q @ head_w + head_b
-    resid = yhat - y
-    loss = float(np.mean(resid**2))
-    dy = (2.0 / B) * resid
-
+    B, T = dy.size, len(steps)
     grad_theta = {name: np.zeros(per) for name in QLSTM_GATES}
 
     def vjp(name, inputs, weights):
@@ -407,36 +354,18 @@ def _qlstm_loss_and_grad(cell: QlstmCell, X, y):
         grad_b += dv.sum(axis=0)
         du = dv @ W.T
         dh = du[:, cell.input_dim :]
-    grad = np.concatenate(
+    return np.concatenate(
         [grad_theta[name] for name in QLSTM_GATES]
         + [grad_W.ravel(), grad_b, grad_head_w, [grad_head_b]]
     )
-    return loss, grad
 
 
-def _qgru_loss_and_grad(cell: QgruCell, X, y):
-    thetas, W, b, head_w, head_b = _unpack_quantum(cell)
+def _qgru_backward(cell: QgruCell, steps, h, dy):
+    thetas, W, b = _unpack_quantum(cell)
+    head_w, _ = _head(cell)
     per = cell.circuit.n_trainable
     qubits = tuple(range(cell.n_qubits))
-    B, T, _ = X.shape
-    h = np.zeros((B, cell.hidden_size))
-    steps = []
-    for t in range(T):
-        u = np.concatenate([X[:, t], h], axis=1)
-        v = u @ W + b
-        r = _sigmoid(expectation_batch(cell.circuit, thetas["reset"], v, qubits))
-        z = _sigmoid(expectation_batch(cell.circuit, thetas["update"], v, qubits))
-        u2 = np.concatenate([X[:, t], r * h], axis=1)
-        v2 = u2 @ W + b
-        g = np.tanh(expectation_batch(cell.circuit, thetas["candidate"], v2, qubits))
-        h_prev = h
-        h = (1.0 - z) * h + z * g
-        steps.append(dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h_prev))
-    yhat = h @ head_w + head_b
-    resid = yhat - y
-    loss = float(np.mean(resid**2))
-    dy = (2.0 / B) * resid
-
+    T = len(steps)
     grad_theta = {name: np.zeros(per) for name in QGRU_GATES}
 
     def vjp(name, inputs, weights):
@@ -471,34 +400,16 @@ def _qgru_loss_and_grad(cell: QgruCell, X, y):
         grad_b += dv.sum(axis=0)
         du = dv @ W.T
         dh = dh_prev + du[:, cell.input_dim :]
-    grad = np.concatenate(
+    return np.concatenate(
         [grad_theta[name] for name in QGRU_GATES]
         + [grad_W.ravel(), grad_b, grad_head_w, [grad_head_b]]
     )
-    return loss, grad
 
 
-def _lstm_loss_and_grad(model: ClassicalRnnBaseline, X, y):
-    W_ih, W_hh, b_ih, b_hh, head_w, head_b = _unpack_classical(model)
-    hs = model.hidden_size
-    B, T, _ = X.shape
-    h = np.zeros((B, hs))
-    c = np.zeros((B, hs))
-    steps = []
-    for t in range(T):
-        pre = X[:, t] @ W_ih.T + b_ih + h @ W_hh.T + b_hh
-        i = _sigmoid(pre[:, 0:hs])
-        f = _sigmoid(pre[:, hs : 2 * hs])
-        g = np.tanh(pre[:, 2 * hs : 3 * hs])
-        o = _sigmoid(pre[:, 3 * hs :])
-        steps.append({"x": X[:, t], "h_prev": h, "c_prev": c, "i": i, "f": f, "g": g, "o": o})
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        steps[-1]["c"] = c
-    yhat = h @ head_w + head_b
-    resid = yhat - y
-    loss = float(np.mean(resid**2))
-    dy = (2.0 / B) * resid
+def _lstm_backward(model: ClassicalRnnBaseline, steps, h, dy):
+    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
+    head_w, _ = _head(model)
+    B, T = dy.size, len(steps)
     g_W_ih = np.zeros_like(W_ih)
     g_W_hh = np.zeros_like(W_hh)
     g_b_ih = np.zeros_like(b_ih)
@@ -506,12 +417,11 @@ def _lstm_loss_and_grad(model: ClassicalRnnBaseline, X, y):
     g_head_w = h.T @ dy
     g_head_b = dy.sum()
     dh = dy[:, None] * head_w[None, :]
-    dc = np.zeros((B, hs))
+    dc = np.zeros((B, model.hidden_size))
     for t in range(T - 1, -1, -1):
         rec = steps[t]
-        tc = np.tanh(rec["c"])
-        do = dh * tc
-        dc = dc + dh * rec["o"] * (1.0 - tc**2)
+        do = dh * rec["s"]
+        dc = dc + dh * rec["o"] * (1.0 - rec["s"] ** 2)
         df = dc * rec["c_prev"]
         di = dc * rec["g"]
         dg = dc * rec["i"]
@@ -530,32 +440,15 @@ def _lstm_loss_and_grad(model: ClassicalRnnBaseline, X, y):
         g_b_ih += dpre.sum(axis=0)
         g_b_hh += dpre.sum(axis=0)
         dh = dpre @ W_hh
-    grad = np.concatenate(
+    return np.concatenate(
         [g_W_ih.ravel(), g_W_hh.ravel(), g_b_ih, g_b_hh, g_head_w, [g_head_b]]
     )
-    return loss, grad
 
 
-def _gru_loss_and_grad(model: ClassicalRnnBaseline, X, y):
-    W_ih, W_hh, b_ih, b_hh, head_w, head_b = _unpack_classical(model)
-    hs = model.hidden_size
-    B, T, _ = X.shape
-    h = np.zeros((B, hs))
-    steps = []
-    for t in range(T):
-        gi = X[:, t] @ W_ih.T + b_ih
-        gh = h @ W_hh.T + b_hh
-        r = _sigmoid(gi[:, 0:hs] + gh[:, 0:hs])
-        z = _sigmoid(gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs])
-        n = np.tanh(gi[:, 2 * hs :] + r * gh[:, 2 * hs :])
-        steps.append(
-            {"x": X[:, t], "h_prev": h, "r": r, "z": z, "n": n, "gh_n": gh[:, 2 * hs :]}
-        )
-        h = (1.0 - z) * n + z * h
-    yhat = h @ head_w + head_b
-    resid = yhat - y
-    loss = float(np.mean(resid**2))
-    dy = (2.0 / B) * resid
+def _gru_backward(model: ClassicalRnnBaseline, steps, h, dy):
+    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
+    head_w, _ = _head(model)
+    T = len(steps)
     g_W_ih = np.zeros_like(W_ih)
     g_W_hh = np.zeros_like(W_hh)
     g_b_ih = np.zeros_like(b_ih)
@@ -579,34 +472,72 @@ def _gru_loss_and_grad(model: ClassicalRnnBaseline, X, y):
         g_b_ih += gi_rows.sum(axis=0)
         g_b_hh += gh_rows.sum(axis=0)
         dh = dh_prev + gh_rows @ W_hh
-    grad = np.concatenate(
+    return np.concatenate(
         [g_W_ih.ravel(), g_W_hh.ravel(), g_b_ih, g_b_hh, g_head_w, [g_head_b]]
     )
-    return loss, grad
+
+
+def _cell_ops(model):
+    """(step, number of state arrays, readout circuit or None, backward);
+    built per call, so a rebound module global (perfbench's tracer) is used."""
+    return {
+        "qlstm": (qlstm_step, 2, _qlstm_readout, _qlstm_backward),
+        "qgru": (qgru_step, 1, None, _qgru_backward),
+        "lstm": (lstm_step, 2, None, _lstm_backward),
+        "gru": (gru_step, 1, None, _gru_backward),
+    }[model.kind]
+
+
+def _run(model, X):
+    """Run each window through the cell from a zero state.
+
+    Returns the per-step records, the head's input and the predictions.
+    The head's input is the final hidden state, except for qlstm, where it
+    is the readout circuit on the last step's u2.
+    """
+    step, n_state, readout, _ = _cell_ops(model)
+    B, T, _ = X.shape
+    state = tuple(np.zeros((B, model.hidden_size)) for _ in range(n_state))
+    steps = []
+    for t in range(T):
+        state, rec = step(model, X[:, t], *state)
+        steps.append(rec)
+    head_in = state[0] if readout is None else readout(model, steps[-1]["u2"])
+    head_w, head_b = _head(model)
+    return steps, head_in, head_in @ head_w + head_b
+
+
+def sequence_forward(model, X) -> np.ndarray:
+    """Predictions y (B,) after running each window through the cell."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 2:
+        X = X[None]
+    return _run(model, X)[2]
 
 
 def sequence_loss_and_grad(model, X, y):
-    """Full-batch MSE of final-step predictions and its exact gradient."""
+    """Full-batch MSE of final-step predictions and its exact gradient.
+
+    The forward pass is the one ``sequence_forward`` runs; the cell's
+    backward function then walks its step records in reverse.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 3:
         raise ValueError("windows must have shape (batch, steps, features)")
     if X.shape[0] != y.size:
         raise ValueError("window count and target count differ")
-    if isinstance(model, QlstmCell):
-        return _qlstm_loss_and_grad(model, X, y)
-    if isinstance(model, QgruCell):
-        return _qgru_loss_and_grad(model, X, y)
-    if model.kind == "lstm":
-        return _lstm_loss_and_grad(model, X, y)
-    return _gru_loss_and_grad(model, X, y)
+    steps, head_in, yhat = _run(model, X)
+    resid = yhat - y
+    dy = (2.0 / y.size) * resid
+    backward = _cell_ops(model)[3]
+    return float(np.mean(resid**2)), backward(model, steps, head_in, dy)
 
 
 def _reinitialized(model, seed):
-    if isinstance(model, QlstmCell):
-        return build_qlstm(model.input_dim, model.n_qubits, model.n_layers, seed=seed)
-    if isinstance(model, QgruCell):
-        return build_qgru(model.input_dim, model.n_qubits, model.n_layers, seed=seed)
+    if isinstance(model, _QuantumCell):
+        build = build_qlstm if model.kind == "qlstm" else build_qgru
+        return build(model.input_dim, model.n_qubits, model.n_layers, seed=seed)
     params = _init_classical(model.params.size, model.hidden_size, seed)
     return replace(model, params=params)
 
@@ -636,24 +567,18 @@ def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01,
 
 
 def recurrent_to_json(model, seed=None) -> str:
-    if isinstance(model, (QlstmCell, QgruCell)):
-        doc = {
-            "kind": "qlstm" if isinstance(model, QlstmCell) else "qgru",
-            "layout": model.circuit.name,
-            "input_dim": model.input_dim,
-            "n_qubits": model.n_qubits,
-            "n_layers": model.n_layers,
-            "values": model.params.tolist(),
-            "seed": seed,
-        }
+    doc = {
+        "kind": model.kind,
+        "input_dim": model.input_dim,
+        "values": model.params.tolist(),
+        "seed": seed,
+    }
+    if isinstance(model, ClassicalRnnBaseline):
+        doc["hidden_size"] = model.hidden_size
     else:
-        doc = {
-            "kind": model.kind,
-            "input_dim": model.input_dim,
-            "hidden_size": model.hidden_size,
-            "values": model.params.tolist(),
-            "seed": seed,
-        }
+        doc.update(
+            layout=model.circuit.name, n_qubits=model.n_qubits, n_layers=model.n_layers
+        )
     return json.dumps(doc, sort_keys=True)
 
 
@@ -662,16 +587,10 @@ def recurrent_from_json(text: str):
     kind = doc.get("kind")
     values = np.asarray(doc["values"], dtype=float)
     if kind in ("qlstm", "qgru"):
-        circuit = build_qlstm_vqc(doc["n_qubits"], doc["n_layers"])
+        n_qubits, n_layers = doc["n_qubits"], doc["n_layers"]
         cls = QlstmCell if kind == "qlstm" else QgruCell
-        return cls(
-            circuit,
-            doc["input_dim"],
-            doc["n_qubits"],
-            doc["n_qubits"],
-            doc["n_layers"],
-            values,
-        )
+        circuit = build_qlstm_vqc(n_qubits, n_layers)
+        return cls(circuit, doc["input_dim"], n_qubits, n_qubits, n_layers, values)
     if kind in ("lstm", "gru"):
         return ClassicalRnnBaseline(kind, doc["input_dim"], doc["hidden_size"], values)
     raise ValueError(f"unknown model kind {kind!r}")

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qweather.autodiff import expectation_batch
 from qweather.models_recurrent import (
     ClassicalRnnBaseline,
     QgruCell,
@@ -117,13 +118,13 @@ class TestQlstmStep:
         x = np.zeros((2, 3))
         h = np.zeros((2, 4))
         c = np.array([[0.8, -0.4, 0.2, 1.0], [0.1, 0.3, -0.5, 0.0]])
-        h2, c2, y, gates = qlstm_step(cell, x, h, c, return_gates=True)
-        assert np.allclose(gates["f"], 0.5, atol=1e-12)
-        assert np.allclose(gates["i"], 0.5, atol=1e-12)
-        assert np.allclose(gates["o"], 0.5, atol=1e-12)
-        assert np.allclose(gates["g"], 0.0, atol=1e-12)
+        (h2, c2), rec = qlstm_step(cell, x, h, c)
+        assert np.allclose(rec["f"], 0.5, atol=1e-12)
+        assert np.allclose(rec["i"], 0.5, atol=1e-12)
+        assert np.allclose(rec["o"], 0.5, atol=1e-12)
+        assert np.allclose(rec["g"], 0.0, atol=1e-12)
         assert np.allclose(c2, 0.5 * c, atol=1e-12)
-        assert np.allclose(y, 0.0, atol=1e-12)
+        assert np.allclose(sequence_forward(cell, np.zeros((2, 3, 3))), 0.0, atol=1e-12)
 
     def test_zero_cell_state_gives_input_times_update(self):
         cell = build_qlstm(input_dim=2, n_qubits=2, n_layers=1, seed=5)
@@ -131,8 +132,8 @@ class TestQlstmStep:
         x = rng.normal(size=(3, 2))
         h = rng.normal(size=(3, 2)) * 0.3
         c = np.zeros((3, 2))
-        _, c2, _, gates = qlstm_step(cell, x, h, c, return_gates=True)
-        assert np.allclose(c2, gates["i"] * gates["g"], atol=1e-12)
+        (_, c2), rec = qlstm_step(cell, x, h, c)
+        assert np.allclose(c2, rec["i"] * rec["g"], atol=1e-12)
 
     def test_gate_ranges(self):
         cell = build_qlstm(input_dim=2, n_qubits=2, n_layers=1, seed=1)
@@ -140,10 +141,10 @@ class TestQlstmStep:
         x = rng.normal(size=(8, 2)) * 2
         h = rng.normal(size=(8, 2))
         c = rng.normal(size=(8, 2))
-        h2, c2, _, gates = qlstm_step(cell, x, h, c, return_gates=True)
+        (h2, c2), rec = qlstm_step(cell, x, h, c)
         for name in ("f", "i", "o"):
-            assert np.all(gates[name] > 0) and np.all(gates[name] < 1)
-        assert np.all(gates["g"] > -1) and np.all(gates["g"] < 1)
+            assert np.all(rec[name] > 0) and np.all(rec[name] < 1)
+        assert np.all(rec["g"] > -1) and np.all(rec["g"] < 1)
         assert np.all(np.abs(h2) <= 1.0)
 
     def test_sequence_forward_matches_manual_loop(self):
@@ -153,7 +154,12 @@ class TestQlstmStep:
         h = np.zeros((4, 2))
         c = np.zeros((4, 2))
         for t in range(3):
-            h, c, y = qlstm_step(cell, X[:, t], h, c)
+            (h, c), rec = qlstm_step(cell, X[:, t], h, c)
+        # the readout circuit is the sixth block; the head is the last three values
+        per = cell.circuit.n_trainable
+        theta = cell.params[5 * per : 6 * per]
+        q = expectation_batch(cell.circuit, theta, rec["u2"], (0, 1))
+        y = q @ cell.params[-3:-1] + cell.params[-1]
         assert np.allclose(sequence_forward(cell, X), y, atol=1e-12)
 
 
@@ -163,32 +169,30 @@ class TestQgruStep:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 2))
         h = rng.normal(size=(5, 2)) * 0.5
-        h2, y, gates = qgru_step(cell, x, h, return_gates=True)
-        assert np.allclose(
-            h2, (1.0 - gates["z"]) * h + gates["z"] * gates["g"], atol=1e-12
-        )
+        (h2,), rec = qgru_step(cell, x, h)
+        assert np.allclose(h2, (1.0 - rec["z"]) * h + rec["z"] * rec["g"], atol=1e-12)
         for name in ("r", "z"):
-            assert np.all(gates[name] > 0) and np.all(gates[name] < 1)
+            assert np.all(rec[name] > 0) and np.all(rec[name] < 1)
 
     def test_update_gate_extremes_interpolate(self):
         cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1, seed=4)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2))
         h = rng.normal(size=(3, 2))
-        _, _, gates = qgru_step(cell, x, h, return_gates=True)
-        z, g = gates["z"], gates["g"]
-        assert np.allclose((1 - np.zeros_like(z)) * h + np.zeros_like(z) * g, h)
-        assert np.allclose((1 - np.ones_like(z)) * h + np.ones_like(z) * g, g)
+        (h2,), rec = qgru_step(cell, x, h)
+        # z lies strictly inside (0, 1), so h' lies strictly between h and g
+        assert np.all((rec["z"] > 0) & (rec["z"] < 1))
+        assert np.all((h2 - h) * (h2 - rec["g"]) < 0)
 
     def test_zero_params_keep_hidden_at_candidate_mix(self):
         cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1)
         x = np.zeros((2, 2))
         h = np.array([[0.6, -0.2], [0.1, 0.4]])
-        h2, _, gates = qgru_step(cell, x, h, return_gates=True)
+        (h2,), rec = qgru_step(cell, x, h)
         # zero weights blind the gates to h, so r = z = 1/2 and g = 0
-        assert np.allclose(gates["r"], 0.5, atol=1e-12)
-        assert np.allclose(gates["z"], 0.5, atol=1e-12)
-        assert np.allclose(gates["g"], 0.0, atol=1e-12)
+        assert np.allclose(rec["r"], 0.5, atol=1e-12)
+        assert np.allclose(rec["z"], 0.5, atol=1e-12)
+        assert np.allclose(rec["g"], 0.0, atol=1e-12)
         assert np.allclose(h2, 0.5 * h, atol=1e-12)
 
 
@@ -198,18 +202,56 @@ class TestClassicalSteps:
         x = np.ones((2, 3))
         h = np.zeros((2, 4))
         c = np.zeros((2, 4))
-        h2, c2, y = lstm_step(model, x, h, c)
-        assert np.allclose(h2, 0.0) and np.allclose(c2, 0.0) and np.allclose(y, 0.0)
+        (h2, c2), _ = lstm_step(model, x, h, c)
+        assert np.allclose(h2, 0.0) and np.allclose(c2, 0.0)
+        assert np.allclose(sequence_forward(model, np.ones((2, 3, 3))), 0.0)
 
     def test_gru_step_shapes(self):
         model = build_classical_gru(3, 5, seed=6)
         rng = np.random.default_rng(6)
-        h2, y = gru_step(model, rng.normal(size=(4, 3)), rng.normal(size=(4, 5)))
+        (h2,), _ = gru_step(model, rng.normal(size=(4, 3)), rng.normal(size=(4, 5)))
         assert h2.shape == (4, 5)
-        assert y.shape == (4,)
+        assert sequence_forward(model, rng.normal(size=(4, 2, 3))).shape == (4,)
+
+    def test_lstm_step_identities(self):
+        model = build_classical_lstm(3, 4, seed=10)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(5, 3))
+        h = rng.normal(size=(5, 4)) * 0.5
+        c = rng.normal(size=(5, 4))
+        (h2, c2), rec = lstm_step(model, x, h, c)
+        assert np.allclose(c2, rec["f"] * c + rec["i"] * rec["g"], atol=1e-12)
+        assert np.allclose(h2, rec["o"] * np.tanh(c2), atol=1e-12)
+        assert not np.allclose(c2, rec["i"] * rec["g"])
+
+    def test_gru_step_identity(self):
+        model = build_classical_gru(3, 5, seed=11)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(5, 3))
+        h = rng.normal(size=(5, 5)) * 0.5
+        (h2,), rec = gru_step(model, x, h)
+        assert np.allclose(h2, (1.0 - rec["z"]) * rec["n"] + rec["z"] * h, atol=1e-12)
+        assert not np.allclose(h2, (1.0 - rec["z"]) * rec["n"])
 
 
 class TestGradients:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            build_qlstm(input_dim=2, n_qubits=2, n_layers=1, seed=12),
+            build_qgru(input_dim=2, n_qubits=2, n_layers=1, seed=12),
+            build_classical_lstm(2, 4, seed=12),
+            build_classical_gru(2, 4, seed=12),
+        ],
+        ids=["qlstm", "qgru", "lstm", "gru"],
+    )
+    def test_loss_is_mse_of_sequence_forward(self, model):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(5, 4, 2))
+        y = rng.normal(size=5)
+        loss, _ = sequence_loss_and_grad(model, X, y)
+        assert loss == float(np.mean((sequence_forward(model, X) - y) ** 2))
+
     @pytest.mark.parametrize(
         "builder,kwargs",
         [

@@ -1,8 +1,9 @@
 """Quantum machine learning models for weather time series.
 
-Exact statevector simulation, data-embedding circuit templates,
-parameter-shift gradients, quantum kernel SVMs, variational classifiers
-and quantum recurrent models, plus the experiment harness and CLI.
+Exact statevector simulation, data-embedding circuit templates, quantum
+kernel SVMs, variational classifiers and quantum recurrent models, plus
+the experiment harness and CLI.  Gradient training uses adjoint
+vector-Jacobian products; parameter shift stays as a test oracle.
 """
 
 from .bench import (

@@ -33,16 +33,14 @@ from .models_qnn import (
     build_dense_baseline,
     build_qnn,
     build_vqc_classifier,
-    dense_forward,
     dense_predict,
+    dense_probabilities,
     dense_train,
-    qnn_expectations,
     qnn_predict,
+    qnn_probabilities,
     qnn_train,
     vqc_probabilities,
     vqc_train,
-    _sigmoid,
-    _softmax,
 )
 from .models_recurrent import (
     build_classical_gru,
@@ -101,33 +99,26 @@ def _same(values):
 
 @dataclass(frozen=True)
 class Fitted:
-    """A trained model as the harness scores it.
+    """A trained model as the harness scores it; it sets one of two scorers.
 
-    ``predict`` gives class labels, or regression values in the units of
-    the targets the fit was given; ``probabilities`` gives class
-    probabilities, or is None; ``to_scaled`` maps regression targets into
-    the space the model trained in.
+    A probabilistic classifier sets ``probabilities``, the class
+    probabilities of a batch, and its labels are their argmax, ties to the
+    lowest class.  Regression models and kernel machines set ``predict``:
+    values in the units of the targets the fit was given, or labels.
+    ``to_scaled`` maps regression targets into the model's training space.
     """
 
-    predict: Callable
-    probabilities: Callable | None
     n_params: int
     details: dict
     history: list
+    predict: Callable | None = None
+    probabilities: Callable | None = None
     to_scaled: Callable = _same
 
 
 # The fit functions call other modules' functions through this module's
 # globals, not through references held in MODELS, so rebinding those names
 # (as an outside tracer does) reaches every call.
-
-
-def _class_probabilities(task, scores, p1_of):
-    # a binary model reads one score; a ternary one, a score per class
-    if task == "binary":
-        p1 = p1_of(scores[:, 0])
-        return np.column_stack([1.0 - p1, p1])
-    return _softmax(scores)
 
 
 def _ising_circuit(cfg, n_feats):
@@ -151,15 +142,10 @@ def _fit_qnn(circuit_for, cfg, X_train, y_train):
         model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
     )
 
-    def probabilities(X):
-        return _class_probabilities(
-            cfg.task, qnn_expectations(model, X), lambda z: (1.0 - z) / 2.0
-        )
-
     regression = cfg.task == "regression"
     return Fitted(
-        predict=lambda X: qnn_predict(model, X),
-        probabilities=None if regression else probabilities,
+        predict=(lambda X: qnn_predict(model, X)) if regression else None,
+        probabilities=None if regression else (lambda X: qnn_probabilities(model, X)),
         n_params=circuit.n_trainable,
         details={"circuit": circuit.name, "lr": cfg.lr},
         history=history,
@@ -172,7 +158,6 @@ def _fit_vqc(cfg, X_train, y_train):
     clf = build_vqc_classifier(X_train.shape[1], n_classes, seed=cfg.seed)
     clf, history = vqc_train(clf, (X_train, y_train), iters=cfg.iters, seed=cfg.seed)
     return Fitted(
-        predict=lambda X: np.argmax(vqc_probabilities(clf, X), axis=1),
         probabilities=lambda X: vqc_probabilities(clf, X),
         n_params=clf.ansatz.n_trainable,
         details={
@@ -199,20 +184,14 @@ def _fit_nn(cfg, X_train, y_train):
         model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
     )
 
-    def predict(X):
-        out = dense_predict(model, X)
-        return out if scaler is None else scaler.inverse(out)
-
-    def probabilities(X):
-        return _class_probabilities(cfg.task, dense_forward(model, X), _sigmoid)
-
+    regression = scaler is not None
     return Fitted(
-        predict=predict,
-        probabilities=probabilities if scaler is None else None,
+        predict=(lambda X: scaler.inverse(dense_predict(model, X))) if regression else None,
+        probabilities=None if regression else (lambda X: dense_probabilities(model, X)),
         n_params=budget,
         details={"layer_sizes": list(model.layer_sizes), "budget": budget, "lr": cfg.lr},
         history=history,
-        to_scaled=_same if scaler is None else scaler.transform,
+        to_scaled=scaler.transform if regression else _same,
     )
 
 
@@ -257,7 +236,6 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
     details.update(C=cfg.C, n_support=n_params)
     return Fitted(
         predict=predict,
-        probabilities=None,
         n_params=n_params,
         details=details,
         history=[],
@@ -297,7 +275,6 @@ def _fit_recurrent(build, cfg, X_train, y_train):
     details.update(window=cfg.window, lr=cfg.lr)
     return Fitted(
         predict=lambda X: sequence_forward(model, X),
-        probabilities=None,
         n_params=count_params(model),
         details=details,
         history=history,
@@ -601,8 +578,15 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     train = rows < split
     X_train, y_train, X_test, y_test = X[train], y[train], X[~train], y[~train]
     fitted = _stage("train", spec.fit, cfg, X_train, y_train)
-    pred_train = fitted.predict(X_train)
-    pred_test = fitted.predict(X_test)
+    probabilities = None
+    if fitted.probabilities is None:
+        pred_train, pred_test = fitted.predict(X_train), fitted.predict(X_test)
+    else:
+        # one pass over each split; its labels are the argmax of its rows
+        pred_train = np.argmax(fitted.probabilities(X_train), axis=1)
+        P_test = fitted.probabilities(X_test)
+        pred_test = np.argmax(P_test, axis=1)
+        probabilities = tuple(tuple(float(v) for v in row) for row in P_test)
     if cfg.task == "regression":
         to_scaled = fitted.to_scaled
         metrics = {
@@ -622,11 +606,6 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         (dataset.time[r], value(a), value(p))
         for r, a, p in zip(rows[~train], actual, predicted)
     )
-    probabilities = None
-    if fitted.probabilities is not None:
-        probabilities = tuple(
-            tuple(float(v) for v in row) for row in fitted.probabilities(X_test)
-        )
     if not all(np.isfinite(v) for v in metrics.values()):
         raise PipelineError("evaluate", ValueError("non-finite metric produced"))
     report = ExperimentReport(

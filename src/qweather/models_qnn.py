@@ -6,6 +6,8 @@ p(class 1) = (1 - <Z>)/2, ternary applies softmax over three readouts.
 VqcClassifier runs a trainable ansatz behind a feature map and aggregates
 basis-state probabilities by a readout rule (bitstring parity for binary,
 basis index mod n_classes for ternary); it trains derivative-free.
+Every classifier here gives class probabilities from one batch function,
+and its labels are their argmax, ties going to the lowest class.
 """
 
 from __future__ import annotations
@@ -127,47 +129,37 @@ def qnn_expectations(model: QnnModel, X) -> np.ndarray:
     return expectation_batch(model.circuit, model.params, X, model.readout)
 
 
-def qnn_forward(model: QnnModel, x):
-    """Prediction for one sample.
-
-    regression -> value in original target units; binary -> (label, p1);
-    ternary -> (label, class probabilities).
-    """
-    z = qnn_expectations(model, np.atleast_2d(x))[0]
+def qnn_probabilities(model: QnnModel, X) -> np.ndarray:
+    """Class probabilities per sample, shape (n, 2) or (n, 3)."""
     if model.task == "regression":
-        scaler = model.target_scaler or TargetScaler(-1.0, 1.0)
-        return float(scaler.from_scaled(z[0]))
+        raise ValueError("a regression model has no class probabilities")
+    z = qnn_expectations(model, X)
     if model.task == "binary":
-        p1 = float((1.0 - z[0]) / 2.0)
-        return (1 if p1 >= 0.5 else 0), p1
-    probs = _softmax(z)
-    return int(np.argmax(probs)), probs
+        p1 = (1.0 - z[:, 0]) / 2.0
+        return np.column_stack([1.0 - p1, p1])
+    return _softmax(z)
 
 
 def qnn_predict(model: QnnModel, X):
-    """Batch predictions: values (regression) or labels (classification)."""
-    z = qnn_expectations(model, X)
-    if model.task == "regression":
-        scaler = model.target_scaler or TargetScaler(-1.0, 1.0)
-        return scaler.from_scaled(z[:, 0])
-    if model.task == "binary":
-        return ((1.0 - z[:, 0]) / 2.0 >= 0.5).astype(int)
-    return np.argmax(_softmax(z), axis=1)
+    """Values in target units (regression), or the probabilities' argmax labels."""
+    if model.task != "regression":
+        return np.argmax(qnn_probabilities(model, X), axis=1)
+    scaler = model.target_scaler or TargetScaler(-1.0, 1.0)
+    return scaler.from_scaled(qnn_expectations(model, X)[:, 0])
 
 
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
-    z = qnn_expectations(model, X)
     n = X.shape[0]
     if model.task == "regression":
-        resid = z[:, 0] - y_enc
+        resid = qnn_expectations(model, X)[:, 0] - y_enc
         loss = float(np.mean(resid**2))
         dl_dz = (2.0 / n) * resid[:, None]
     elif model.task == "binary":
-        p = np.clip((1.0 - z[:, 0]) / 2.0, 1e-12, 1.0 - 1e-12)
+        p = np.clip(qnn_probabilities(model, X)[:, 1], 1e-12, 1.0 - 1e-12)
         loss = float(-np.mean(y_enc * np.log(p) + (1 - y_enc) * np.log(1 - p)))
         dl_dz = ((-y_enc / p + (1 - y_enc) / (1 - p)) * (-0.5) / n)[:, None]
     else:
-        p = _softmax(z)
+        p = qnn_probabilities(model, X)
         onehot = np.eye(3)[y_enc.astype(int)]
         loss = float(
             -np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None)))
@@ -273,12 +265,6 @@ def vqc_probabilities(clf: VqcClassifier, X) -> np.ndarray:
     return np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
 
 
-def vqc_predict(clf: VqcClassifier, x):
-    """(label, class probabilities); argmax with ties to the lowest class."""
-    probs = vqc_probabilities(clf, np.atleast_2d(x))[0]
-    return int(np.argmax(probs)), probs
-
-
 def vqc_train(clf: VqcClassifier, dataset, iters: int = 150, seed=None):
     """Derivative-free training of the ansatz on mean cross-entropy."""
     X, y = dataset
@@ -379,13 +365,26 @@ def dense_forward(model: DenseBaseline, X) -> np.ndarray:
     return hidden @ w2 + b2
 
 
-def dense_predict(model: DenseBaseline, X):
-    out = dense_forward(model, X)
+def _dense_class_probabilities(task, out):
+    # binary: sigmoid of the one logit; ternary: softmax over three scores
+    if task == "binary":
+        p1 = _sigmoid(out[:, 0])
+        return np.column_stack([1.0 - p1, p1])
+    return _softmax(out)
+
+
+def dense_probabilities(model: DenseBaseline, X) -> np.ndarray:
+    """Class probabilities per sample, shape (n, 2) or (n, 3)."""
     if model.task == "regression":
-        return out[:, 0]
-    if model.task == "binary":
-        return (_sigmoid(out[:, 0]) >= 0.5).astype(int)
-    return np.argmax(out, axis=1)
+        raise ValueError("a regression model has no class probabilities")
+    return _dense_class_probabilities(model.task, dense_forward(model, X))
+
+
+def dense_predict(model: DenseBaseline, X):
+    """Values (regression), or the probabilities' argmax labels."""
+    if model.task != "regression":
+        return np.argmax(dense_probabilities(model, X), axis=1)
+    return dense_forward(model, X)[:, 0]
 
 
 def _dense_loss_and_grad(model: DenseBaseline, X, y):
@@ -399,11 +398,11 @@ def _dense_loss_and_grad(model: DenseBaseline, X, y):
         loss = float(np.mean(resid**2))
         d_out = (2.0 / n) * resid[:, None]
     elif model.task == "binary":
-        p = np.clip(_sigmoid(out[:, 0]), 1e-12, 1 - 1e-12)
+        p = np.clip(_dense_class_probabilities(model.task, out)[:, 1], 1e-12, 1 - 1e-12)
         loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
         d_out = ((p - y) / n)[:, None]
     else:
-        p = _softmax(out)
+        p = _dense_class_probabilities(model.task, out)
         yi = y.astype(int)
         loss = float(-np.mean(np.log(np.clip(p[np.arange(n), yi], 1e-12, None))))
         d_out = (p - np.eye(3)[yi]) / n
@@ -429,6 +428,8 @@ def dense_train(model: DenseBaseline, dataset, epochs: int, seed=None, lr: float
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     if seed is not None:
         rng = np.random.default_rng(seed)
         model = replace(model, params=rng.uniform(-0.5, 0.5, size=model.params.size))

@@ -131,6 +131,12 @@ def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3, label_map=(-1, 1)):
     averages over free support vectors (0 < alpha < C); when none exist it
     is the midpoint of the interval the KKT conditions allow.
     """
+    K, y = _checked(kernel, y, C)
+    return _smo(K, y, C, tol, label_map)
+
+
+def _checked(kernel, y, C):
+    """The kernel entries and float labels, once every input check passes."""
     K = _as_entries(kernel)
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
@@ -147,7 +153,12 @@ def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3, label_map=(-1, 1)):
         raise IllConditionedKernelError(
             f"kernel minimum eigenvalue {min_eig:.3e} below -1e-8"
         )
+    return K, y
 
+
+def _smo(K, y, C, tol, label_map):
+    """The SMO solve of ``svm_train`` on checked inputs."""
+    n = y.size
     # dual gradient G of 0.5 a'Qa - sum(a) with Q = yy'K; -y*G is the
     # bias each point asks for, and the KKT gap is its spread over the sets
     # where alpha can still move up (I_up) and down (I_low)
@@ -229,15 +240,13 @@ class OvrModel:
 
 def ovr_train(kernel, y, C: float = 1.0, tol: float = 1e-3) -> OvrModel:
     """One binary machine per class, that class against the rest."""
-    K = _as_entries(kernel)
     y = np.asarray(y).ravel()
     classes = tuple(sorted(np.unique(y).tolist()))
     if len(classes) < 2:
         raise ValueError("at least two classes are required")
-    models = []
-    for c in classes:
-        yc = np.where(y == c, 1.0, -1.0)
-        models.append(svm_train(K, yc, C=C, tol=tol, label_map=(-1, 1)))
+    # the checks pass for one class's labels iff they pass for all: run once
+    K, _ = _checked(kernel, np.where(y == classes[0], 1.0, -1.0), C)
+    models = [_smo(K, np.where(y == c, 1.0, -1.0), C, tol, (-1, 1)) for c in classes]
     return OvrModel(classes=classes, models=tuple(models))
 
 

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from qweather import autodiff, models_qnn
 from qweather.bench import (
     MODEL_TASKS,
     ConfigError,
@@ -266,6 +267,8 @@ def test_every_model_task_pair_completes(model, task):
     assert rep.n_test == len(rep.predictions)
     if task != "regression" and model in PROBABILISTIC:
         assert len(rep.probabilities) == rep.n_test
+        labels = [row[2] for row in rep.predictions]
+        assert labels == np.argmax(rep.probabilities, axis=1).tolist()
     else:
         assert rep.probabilities is None
     assert rep.n_parameters > 0
@@ -275,6 +278,28 @@ def test_every_model_task_pair_completes(model, task):
         assert len(rep.loss_history) >= 5
     else:
         assert len(rep.loss_history) == 2
+
+
+@pytest.mark.parametrize(
+    "model,task",
+    [("vqc", "binary"), ("vqc", "ternary"), ("qnn-sel", "binary"), ("qnn-ising", "ternary")],
+)
+def test_classifier_simulates_test_rows_once(model, task, monkeypatch):
+    # every circuit evaluation of the quantum classifiers goes through one of
+    # these two names; record the batch size of each
+    batch_rows = []
+    for module in (autodiff, models_qnn):
+        original = module.run_circuit_batch
+
+        def counted(circuit, params, inputs, *args, _original=original, **kwargs):
+            batch_rows.append(np.atleast_2d(inputs).shape[0])
+            return _original(circuit, params, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(module, "run_circuit_batch", counted)
+    rep = run(tiny_config(model=model, task=task, epochs=2, iters=5))
+    assert rep.n_test != rep.n_train
+    assert batch_rows.count(rep.n_test) == 1
+    assert len(rep.probabilities) == rep.n_test
 
 
 class TestStageErrors:

@@ -1,6 +1,7 @@
 """Tests for the feed-forward quantum models and dense baselines."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,18 +27,18 @@ from qweather.models_qnn import (
     circuit_from_name,
     dense_forward,
     dense_predict,
+    dense_probabilities,
     dense_train,
     _dense_loss_and_grad,
     _qnn_loss_and_grad,
     qnn_expectations,
-    qnn_forward,
     qnn_from_json,
     qnn_predict,
+    qnn_probabilities,
     qnn_to_json,
     qnn_train,
     readout_class_masks,
     vqc_from_json,
-    vqc_predict,
     vqc_probabilities,
     vqc_to_json,
     vqc_train,
@@ -68,19 +69,25 @@ class TestTargetScaler:
         assert np.allclose(scaler.to_scaled([5.0, 5.0]), 0.0)
 
 
+# one sample with no features, for the circuits that take no inputs
+NO_INPUT = np.zeros((1, 0))
+
+
 class TestQnnForward:
     def test_ternary_uniform_for_zero_params_constant_features(self):
         model = build_qnn(build_reuploading_ising(3, 2), "ternary")
-        label, probs = qnn_forward(model, [0.7, 0.7, 0.7])
-        assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
-        assert label == 0
+        x = np.array([[0.7, 0.7, 0.7]])
+        assert np.allclose(qnn_probabilities(model, x), 1.0 / 3.0, atol=1e-12)
+        assert qnn_predict(model, x).tolist() == [0]
 
     def test_binary_certain_zero_state(self):
         # |00> gives <Z_0> = 1, hence p(class 1) = 0
         model = build_qnn(build_real_amplitudes(2, 0), "binary")
-        label, p1 = qnn_forward(model, np.zeros(0))
-        assert p1 == pytest.approx(0.0, abs=1e-12)
-        assert label == 0
+        probs = qnn_probabilities(model, NO_INPUT)
+        assert probs.shape == (1, 2)
+        assert probs[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert qnn_predict(model, NO_INPUT).tolist() == [0]
 
     def test_binary_balanced_superposition(self):
         model = QnnModel(
@@ -89,9 +96,9 @@ class TestQnnForward:
             task="binary",
             readout=(0,),
         )
-        label, p1 = qnn_forward(model, np.zeros(0))
-        assert p1 == pytest.approx(0.5, abs=1e-12)
-        assert label == int(p1 >= 0.5)
+        probs = qnn_probabilities(model, NO_INPUT)
+        assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert qnn_predict(model, NO_INPUT).tolist() == [int(np.argmax(probs[0]))]
 
     def test_regression_unscales_readout(self):
         scaler = TargetScaler(10.0, 20.0)
@@ -102,12 +109,19 @@ class TestQnnForward:
             readout=(0,),
             target_scaler=scaler,
         )
-        assert qnn_forward(model, np.zeros(0)) == pytest.approx(15.0, abs=1e-12)
+        assert qnn_predict(model, NO_INPUT) == pytest.approx([15.0], abs=1e-12)
 
     def test_feature_count_checked(self):
         model = build_qnn(build_reuploading_sel(4, 2), "regression")
         with pytest.raises(ValueError):
-            qnn_forward(model, [0.1, 0.2, 0.3])
+            qnn_predict(model, [[0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError):
+            qnn_probabilities(replace(model, task="binary"), [[0.1, 0.2, 0.3]])
+
+    def test_regression_has_no_probabilities(self):
+        model = build_qnn(build_reuploading_sel(2, 2), "regression")
+        with pytest.raises(ValueError):
+            qnn_probabilities(model, np.zeros((1, 2)))
 
     def test_readout_shape_checked(self):
         with pytest.raises(ValueError):
@@ -117,13 +131,6 @@ class TestQnnForward:
                 task="ternary",
                 readout=(0,),
             )
-
-    def test_batch_predict_matches_single(self):
-        model = build_qnn(build_reuploading_sel(2, 2), "binary", seed=3)
-        X = np.linspace(-1.0, 1.0, 5).reshape(-1, 1).repeat(2, axis=1)
-        batch = qnn_predict(model, X)
-        singles = [qnn_forward(model, x)[0] for x in X]
-        assert list(batch) == singles
 
 
 class TestQnnGradients:
@@ -253,9 +260,9 @@ class TestVqcClassifier:
 
     def test_predict_tie_goes_to_lowest_class(self):
         clf = build_vqc_classifier(2, 2)
-        label, probs = vqc_predict(clf, [0.0, 0.0])
-        assert label == 0
-        assert probs[0] == pytest.approx(probs[1], abs=1e-12)
+        probs = vqc_probabilities(clf, [[0.0, 0.0]])
+        assert probs[0, 0] == pytest.approx(probs[0, 1], abs=1e-12)
+        assert np.argmax(probs, axis=1).tolist() == [0]
 
     def test_qubit_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -282,7 +289,7 @@ class TestVqcClassifier:
         x = (x + rng.normal(0, 0.02, size=20))[:, None]
         y = np.concatenate([np.zeros(10, dtype=int), np.ones(10, dtype=int)])
         clf, history = vqc_train(clf, (x, y), iters=60, seed=1)
-        preds = np.array([vqc_predict(clf, xi)[0] for xi in x])
+        preds = np.argmax(vqc_probabilities(clf, x), axis=1)
         acc = max(np.mean(preds == y), np.mean(preds == 1 - y))
         assert acc >= 0.9
         assert len(history) >= 2
@@ -298,7 +305,7 @@ class TestVqcClassifier:
         clf = build_vqc_classifier(2, 3, seed=2)
         trained, history = vqc_train(clf, (X, y), iters=80, seed=2)
         assert min(history) < history[0]
-        preds = np.array([vqc_predict(trained, xi)[0] for xi in X])
+        preds = np.argmax(vqc_probabilities(trained, X), axis=1)
         assert np.mean(preds == y) >= 0.5
 
     def test_label_range_checked(self):
@@ -382,6 +389,27 @@ class TestDenseBaseline:
         model = build_dense_baseline(48, 4, "binary", seed=4)
         model, _ = dense_train(model, (X, y), epochs=200, seed=4, lr=0.05)
         assert np.mean(dense_predict(model, X) == y) == 1.0
+
+    def test_zero_epochs_rejected(self):
+        model = build_dense_baseline(21, 3, "binary")
+        with pytest.raises(ValueError):
+            dense_train(model, (np.ones((4, 3)), np.zeros(4)), epochs=0)
+
+    def test_binary_tie_goes_to_lowest_class(self):
+        # zero parameters give a zero logit, and sigmoid(0) is exactly 0.5
+        model = build_dense_baseline(21, 3, "binary")
+        X = np.ones((2, 3))
+        assert dense_probabilities(model, X).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert dense_predict(model, X).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("task", ["binary", "ternary"])
+    def test_labels_are_argmax_of_probabilities(self, task):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(9, 3))
+        model = build_dense_baseline(21, 3, task, seed=2)
+        probs = dense_probabilities(model, X)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(dense_predict(model, X), np.argmax(probs, axis=1))
 
 
 class TestSerialization:

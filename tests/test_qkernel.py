@@ -282,6 +282,34 @@ def test_ovr_requires_two_classes():
         ovr_train(np.eye(3), np.zeros(3))
 
 
+def test_ovr_checks_the_kernel_once(monkeypatch):
+    rng = np.random.default_rng(101)
+    X, y = _clusters(rng, [(-3.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 6)
+    km = rbf_kernel_matrix(X, gamma=0.5)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(K):
+        calls.append(K.shape)
+        return eigvalsh(K)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    model = ovr_train(km, y, C=10.0)
+    assert len(model.models) == 3
+    assert calls == [(18, 18)]
+
+
+def test_ovr_train_validation():
+    K = np.eye(3)
+    y = np.array([0, 1, 2])
+    with pytest.raises(ValueError):
+        ovr_train(np.eye(2), y)
+    with pytest.raises(ValueError):
+        ovr_train(K, y, C=0.0)
+    with pytest.raises(IllConditionedKernelError):
+        ovr_train(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]))
+
+
 def test_kernel_csv_export(tmp_path):
     km = KernelMatrix(entries=np.array([[1.0, 0.25], [0.25, 1.0]]), source="demo|abc")
     path = tmp_path / "kernel.csv"

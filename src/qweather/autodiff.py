@@ -3,7 +3,10 @@
 Training uses ``circuit_vjp``, the adjoint method for an exact statevector
 (Jones & Gacon, arXiv:2009.02823): one forward sweep and one reverse sweep
 give the weighted readout's derivative with respect to every trainable
-parameter and every raw input, with no per-sample Jacobian.
+parameter and every raw input, with no per-sample Jacobian.  The forward
+sweep is the one training already ran: QLSTM, QGRU and QNN training keep
+the final states of each gate circuit's forward pass (the tape) and hand
+them to ``circuit_vjp``, which runs only the reverse sweep.
 
 Parameter shift and central finite differences stay as the test oracles.
 Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
@@ -27,7 +30,7 @@ from .circuits import (
     parameterized_occurrences,
     run_circuit_batch,
 )
-from .qsim import apply_matrix, gate_matrix, z_signs
+from .qsim import apply_matrix, gate_matrix, z_expectations, z_signs
 
 SHIFTABLE_KINDS = {"RX", "RY", "RZ", "R3", "RXX", "RYY", "RZZ"}
 
@@ -94,15 +97,10 @@ def expectation(circuit: Circuit, params, inputs, observable=0) -> float:
     return float(_expectations(amps, circuit.n_qubits, terms))
 
 
-def _z_readout(amps, n_qubits, qubits):
-    probs = np.abs(amps) ** 2
-    return np.stack([probs @ z_signs(n_qubits, q) for q in qubits], axis=-1)
-
-
 def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
     """<Z_q> for each q in ``qubits``; shape batch + (len(qubits),)."""
     amps = run_circuit_batch(circuit, params, inputs)
-    return _z_readout(amps, circuit.n_qubits, qubits)
+    return z_expectations(amps, circuit.n_qubits, qubits)
 
 
 def _relevant_occurrences(circuit, kind):
@@ -195,31 +193,37 @@ def _rotation_sweep(circuit: Circuit):
     return sweep
 
 
-def circuit_vjp(circuit: Circuit, params, inputs, qubits, weights):
+def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
     """Adjoint vector-Jacobian product of the per-sample <Z_q> readout.
 
     ``inputs`` is (n_samples, n_inputs), ``params`` the shared
-    (n_trainable,) angles and ``weights`` (n_samples, len(qubits)).  With
-    L = sum_bq weights[b, q] * <Z_q>_b, returns ``values``, the readout as
-    from ``expectation_batch``; ``d_params`` = dL/dparams, shape
-    (n_trainable,); and ``d_inputs`` = dL/dinputs, shape
+    (n_trainable,) angles, ``states`` the (n_samples, 2**n) amplitudes the
+    forward pass left, as from ``run_circuit_batch(circuit, params,
+    inputs)``, and ``weights`` (n_samples, len(qubits)).  With
+    L = sum_bq weights[b, q] * <Z_q>_b, returns ``d_params`` = dL/dparams,
+    shape (n_trainable,), and ``d_inputs`` = dL/dinputs, shape
     (n_samples, n_inputs).
 
-    One forward sweep gives psi, and lambda = sum_q w_bq Z_q psi.  The
-    reverse sweep un-applies every gate from both; just after a rotation
-    exp(-i*a*P/2), dL/da = Im<lambda|P|psi> per sample, and the chain rule
-    through ``angle_partials`` carries it to parameters and inputs.
+    The forward states are the tape: training keeps them from its forward
+    pass, so no gate is applied twice.  lambda = sum_q w_bq Z_q psi; the
+    reverse sweep un-applies every gate from psi and lambda, and just after
+    a rotation exp(-i*a*P/2), dL/da = Im<lambda|P|psi> per sample; the
+    chain rule through ``angle_partials`` carries it to parameters and
+    inputs.
     """
     theta = _theta_array(circuit, params).ravel()
     x = np.atleast_2d(_input_array(circuit, inputs))
     n = circuit.n_qubits
+    psi = np.asarray(states)
+    if psi.shape != (x.shape[0], 1 << n):
+        raise ValueError(
+            f"states must have shape {(x.shape[0], 1 << n)}, got {psi.shape}"
+        )
     w = np.asarray(weights, dtype=float)
     if w.shape != (x.shape[0], len(qubits)):
         raise ValueError(
             f"weights must have shape {(x.shape[0], len(qubits))}, got {w.shape}"
         )
-    psi = run_circuit_batch(circuit, theta, x)
-    values = _z_readout(psi, n, qubits)
     signs = np.stack([z_signs(n, q) for q in qubits])
     # psi and lambda side by side: one apply_matrix call un-applies a gate
     # from both
@@ -244,4 +248,4 @@ def circuit_vjp(circuit: Circuit, params, inputs, qubits, weights):
         if j > first:
             inverse = gate_matrix(kind, tuple(-a for a in angle))
             pair = apply_matrix(pair, n, targets, inverse)
-    return values, d_params, d_inputs
+    return d_params, d_inputs

@@ -201,23 +201,39 @@ def _input_array(circuit: Circuit, inputs) -> np.ndarray:
 
 
 def run_circuit_batch(
-    circuit: Circuit, params, inputs, angle_shifts=None
+    circuit: Circuit, params, inputs, angle_shifts=None, state=None
 ) -> np.ndarray:
     """Amplitudes of shape batch + (2**n,) for batched params/inputs.
 
     ``params`` broadcasts as (..., n_trainable) against ``inputs``
     (..., n_inputs).  ``angle_shifts`` maps (op_index, angle_position) to
     an additive shift (scalar or batch-shaped), which is how parameter
-    shift evaluations are batched.
+    shift evaluations are batched.  ``state`` (batch + (2**n,)) replaces
+    |0...0> as the starting amplitudes, so a circuit can run on the states
+    another circuit left; it is read, never written.
+
+    A gate whose angles are the same for every row is built and applied
+    as one shared matrix; only angles that vary by row become per-row
+    matrices.
     """
     theta = _theta_array(circuit, params)
     x = _input_array(circuit, inputs)
+    dim = 1 << circuit.n_qubits
     shapes = [theta.shape[:-1], x.shape[:-1]]
     if angle_shifts:
         shapes += [np.shape(s) for s in angle_shifts.values()]
-    batch_shape = np.broadcast_shapes(*shapes)
-    amps = np.zeros(batch_shape + (1 << circuit.n_qubits,), dtype=complex)
-    amps[..., 0] = 1.0
+    if state is None:
+        amps = np.zeros(np.broadcast_shapes(*shapes) + (dim,), dtype=complex)
+        amps[..., 0] = 1.0
+    else:
+        state = np.asarray(state, dtype=complex)
+        if state.shape[-1:] != (dim,):
+            raise ValueError(
+                f"{circuit.name} acts on {dim} amplitudes, got state shape "
+                f"{state.shape}"
+            )
+        batch_shape = np.broadcast_shapes(*shapes, state.shape[:-1])
+        amps = np.broadcast_to(state, batch_shape + (dim,))
     for i, op in enumerate(circuit.ops):
         if not op.angles:
             mat = gate_matrix(op.kind)
@@ -227,7 +243,7 @@ def run_circuit_batch(
                 a = angle_values(ref, theta, x)
                 if angle_shifts and (i, pos) in angle_shifts:
                     a = a + angle_shifts[(i, pos)]
-                angles.append(np.broadcast_to(a, batch_shape))
+                angles.append(a)
             mat = gate_matrix(op.kind, tuple(angles))
         amps = apply_matrix(amps, circuit.n_qubits, op.targets, mat)
     return amps

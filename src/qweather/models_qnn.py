@@ -5,7 +5,10 @@ regression inverts an affine target map, binary classification uses
 p(class 1) = (1 - <Z>)/2, ternary applies softmax over three readouts.
 VqcClassifier runs a trainable ansatz behind a feature map and aggregates
 basis-state probabilities by a readout rule (bitstring parity for binary,
-basis index mod n_classes for ternary); it trains derivative-free.
+basis index mod n_classes for ternary); it trains derivative-free.  The
+feature map reads only inputs, so a fit simulates it once and every COBYLA
+evaluation runs the ansatz from those cached states.  QNN training keeps
+its forward states for ``circuit_vjp``.
 Every classifier here gives class probabilities from one batch function,
 and its labels are their argmax, ties going to the lowest class.
 """
@@ -30,6 +33,7 @@ from .circuits import (
     run_circuit_batch,
 )
 from .optim import adam_init, adam_step, cobyla_minimize
+from .qsim import z_expectations
 
 INIT_ANGLE = np.pi / 8
 
@@ -129,15 +133,19 @@ def qnn_expectations(model: QnnModel, X) -> np.ndarray:
     return expectation_batch(model.circuit, model.params, X, model.readout)
 
 
+def _qnn_class_probabilities(task, z):
+    # binary: p1 = (1 - <Z>)/2; ternary: softmax over three readouts
+    if task == "binary":
+        p1 = (1.0 - z[:, 0]) / 2.0
+        return np.column_stack([1.0 - p1, p1])
+    return _softmax(z)
+
+
 def qnn_probabilities(model: QnnModel, X) -> np.ndarray:
     """Class probabilities per sample, shape (n, 2) or (n, 3)."""
     if model.task == "regression":
         raise ValueError("a regression model has no class probabilities")
-    z = qnn_expectations(model, X)
-    if model.task == "binary":
-        p1 = (1.0 - z[:, 0]) / 2.0
-        return np.column_stack([1.0 - p1, p1])
-    return _softmax(z)
+    return _qnn_class_probabilities(model.task, qnn_expectations(model, X))
 
 
 def qnn_predict(model: QnnModel, X):
@@ -150,22 +158,25 @@ def qnn_predict(model: QnnModel, X):
 
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     n = X.shape[0]
+    # the forward states are the tape circuit_vjp reverses
+    psi = run_circuit_batch(model.circuit, model.params, X)
+    z = z_expectations(psi, model.circuit.n_qubits, model.readout)
     if model.task == "regression":
-        resid = qnn_expectations(model, X)[:, 0] - y_enc
+        resid = z[:, 0] - y_enc
         loss = float(np.mean(resid**2))
         dl_dz = (2.0 / n) * resid[:, None]
     elif model.task == "binary":
-        p = np.clip(qnn_probabilities(model, X)[:, 1], 1e-12, 1.0 - 1e-12)
+        p = np.clip(_qnn_class_probabilities(model.task, z)[:, 1], 1e-12, 1.0 - 1e-12)
         loss = float(-np.mean(y_enc * np.log(p) + (1 - y_enc) * np.log(1 - p)))
         dl_dz = ((-y_enc / p + (1 - y_enc) / (1 - p)) * (-0.5) / n)[:, None]
     else:
-        p = qnn_probabilities(model, X)
+        p = _qnn_class_probabilities(model.task, z)
         onehot = np.eye(3)[y_enc.astype(int)]
         loss = float(
             -np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None)))
         )
         dl_dz = (p - onehot) / n
-    _, grad, _ = circuit_vjp(model.circuit, model.params, X, model.readout, dl_dz)
+    grad, _ = circuit_vjp(model.circuit, model.params, X, psi, model.readout, dl_dz)
     return loss, grad
 
 
@@ -220,6 +231,8 @@ class VqcClassifier:
             raise ValueError("feature map and ansatz must share the qubit count")
         if len(self.params) != self.ansatz.n_trainable:
             raise ValueError("parameter length does not match ansatz")
+        if self.feature_map.n_trainable or self.ansatz.n_inputs:
+            raise ValueError("the feature map reads only inputs, the ansatz only parameters")
 
     @property
     def full_circuit(self) -> Circuit:
@@ -256,17 +269,35 @@ def readout_class_masks(n_qubits: int, n_classes: int, rule: str) -> np.ndarray:
     return np.stack([classes == c for c in range(n_classes)])
 
 
-def vqc_probabilities(clf: VqcClassifier, X) -> np.ndarray:
-    """Class probabilities per sample, shape (n, n_classes)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    amps = run_circuit_batch(clf.full_circuit, clf.params, X)
-    probs = np.abs(amps) ** 2
-    masks = readout_class_masks(clf.feature_map.n_qubits, clf.n_classes, clf.readout_rule)
+def _vqc_fixed_part(clf: VqcClassifier, X):
+    """What no trainable angle changes: the feature map's states of X and
+    the readout masks."""
+    states = run_circuit_batch(clf.feature_map, (), X)
+    masks = readout_class_masks(clf.ansatz.n_qubits, clf.n_classes, clf.readout_rule)
+    return states, masks
+
+
+def _vqc_class_probabilities(clf: VqcClassifier, theta, states, masks) -> np.ndarray:
+    probs = np.abs(run_circuit_batch(clf.ansatz, theta, (), state=states)) ** 2
     return np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
 
 
+def vqc_probabilities(clf: VqcClassifier, X) -> np.ndarray:
+    """Class probabilities per sample, shape (n, n_classes).
+
+    The feature map runs first and the ansatz runs on its states: the same
+    gates in the same order as ``clf.full_circuit``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _vqc_class_probabilities(clf, clf.params, *_vqc_fixed_part(clf, X))
+
+
 def vqc_train(clf: VqcClassifier, dataset, iters: int = 150, seed=None):
-    """Derivative-free training of the ansatz on mean cross-entropy."""
+    """Derivative-free training of the ansatz on mean cross-entropy.
+
+    The feature-map states, readout masks and row index are built once per
+    fit; each COBYLA evaluation runs only the ansatz.
+    """
     X, y = dataset
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y).astype(int).ravel()
@@ -277,11 +308,13 @@ def vqc_train(clf: VqcClassifier, dataset, iters: int = 150, seed=None):
     theta0 = (
         init_params(clf.ansatz.n_trainable, seed) if seed is not None else clf.params
     )
+    states, masks = _vqc_fixed_part(clf, X)
+    rows = np.arange(len(y))
     history = []
 
     def objective(theta):
-        p = vqc_probabilities(replace(clf, params=theta), X)
-        picked = np.clip(p[np.arange(len(y)), y], 1e-12, None)
+        p = _vqc_class_probabilities(clf, theta, states, masks)
+        picked = np.clip(p[rows, y], 1e-12, None)
         loss = float(-np.mean(np.log(picked)))
         history.append(loss)
         return loss

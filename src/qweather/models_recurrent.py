@@ -12,6 +12,8 @@ Prediction and training run the same loop over the steps; training then
 hands the step records to the cell's backward function (backpropagation
 through time, with an adjoint vector-Jacobian product through each gate
 circuit) and takes full-batch Adam steps on next-step mean squared error.
+The records keep each gate circuit's final states, so the adjoint starts
+from them and no circuit is simulated twice in a step.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import circuit_vjp, expectation_batch
-from .circuits import Circuit, build_qlstm_vqc
+from .autodiff import circuit_vjp
+from .circuits import Circuit, build_qlstm_vqc, run_circuit_batch
 from .models_qnn import INIT_ANGLE, _sigmoid
 from .optim import adam_init, adam_step
+from .qsim import z_expectations
 
 QLSTM_GATES = ("forget", "input", "update", "output", "hidden", "readout")
 QGRU_GATES = ("reset", "update", "candidate")
@@ -217,6 +220,16 @@ def _unpack_quantum(cell):
     return thetas, W, b
 
 
+def _gate_readout(cell: _QuantumCell, thetas, name, inputs, tape):
+    """Per-qubit <Z> of gate circuit ``name`` on ``inputs``.
+
+    Its final states go into ``tape[name]``; backpropagation hands them to
+    ``circuit_vjp`` in place of a second forward sweep.
+    """
+    tape[name] = run_circuit_batch(cell.circuit, thetas[name], inputs)
+    return z_expectations(tape[name], cell.n_qubits, range(cell.n_qubits))
+
+
 def qlstm_step(cell: QlstmCell, x_t, h, c):
     """One step: (x_t, h, c) -> ((h', c'), record).
 
@@ -224,26 +237,29 @@ def qlstm_step(cell: QlstmCell, x_t, h, c):
     Gate values come from circuits evaluated on the shared affine map v of
     u = [x_t; h]; c' = f*c + i*g and the projection circuit turns
     u2 = o*tanh(c') into the next hidden state.  The record holds every
-    intermediate that backpropagation through time reads.
+    intermediate that backpropagation through time reads, the gate
+    circuits' final states (``tape``) among them.
     """
     thetas, W, b = _unpack_quantum(cell)
-    qubits = tuple(range(cell.n_qubits))
+    tape = {}
     u = np.concatenate([x_t, h], axis=1)
     v = u @ W + b
-    f = _sigmoid(expectation_batch(cell.circuit, thetas["forget"], v, qubits))
-    i = _sigmoid(expectation_batch(cell.circuit, thetas["input"], v, qubits))
-    g = np.tanh(expectation_batch(cell.circuit, thetas["update"], v, qubits))
-    o = _sigmoid(expectation_batch(cell.circuit, thetas["output"], v, qubits))
+    f = _sigmoid(_gate_readout(cell, thetas, "forget", v, tape))
+    i = _sigmoid(_gate_readout(cell, thetas, "input", v, tape))
+    g = np.tanh(_gate_readout(cell, thetas, "update", v, tape))
+    o = _sigmoid(_gate_readout(cell, thetas, "output", v, tape))
     c_next = f * c + i * g
     s = np.tanh(c_next)
     u2 = o * s
-    h_next = expectation_batch(cell.circuit, thetas["hidden"], u2, qubits)
-    return (h_next, c_next), dict(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2)
+    h_next = _gate_readout(cell, thetas, "hidden", u2, tape)
+    record = dict(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2, tape=tape)
+    return (h_next, c_next), record
 
 
-def _qlstm_readout(cell: QlstmCell, u2):
+def _qlstm_readout(cell: QlstmCell, rec):
+    # the readout circuit's states join the last step's tape
     thetas, _, _ = _unpack_quantum(cell)
-    return expectation_batch(cell.circuit, thetas["readout"], u2, tuple(range(cell.n_qubits)))
+    return _gate_readout(cell, thetas, "readout", rec["u2"], rec["tape"])
 
 
 def qgru_step(cell: QgruCell, x_t, h):
@@ -253,16 +269,17 @@ def qgru_step(cell: QgruCell, x_t, h):
     same affine map that feeds the reset and update gates.
     """
     thetas, W, b = _unpack_quantum(cell)
-    qubits = tuple(range(cell.n_qubits))
+    tape = {}
     u = np.concatenate([x_t, h], axis=1)
     v = u @ W + b
-    r = _sigmoid(expectation_batch(cell.circuit, thetas["reset"], v, qubits))
-    z = _sigmoid(expectation_batch(cell.circuit, thetas["update"], v, qubits))
+    r = _sigmoid(_gate_readout(cell, thetas, "reset", v, tape))
+    z = _sigmoid(_gate_readout(cell, thetas, "update", v, tape))
     u2 = np.concatenate([x_t, r * h], axis=1)
     v2 = u2 @ W + b
-    g = np.tanh(expectation_batch(cell.circuit, thetas["candidate"], v2, qubits))
+    g = np.tanh(_gate_readout(cell, thetas, "candidate", v2, tape))
     h_next = (1.0 - z) * h + z * g
-    return (h_next,), dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h)
+    record = dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h, tape=tape)
+    return (h_next,), record
 
 
 def _unpack_classical(model):
@@ -316,9 +333,9 @@ def _qlstm_backward(cell: QlstmCell, steps, q, dy):
     B, T = dy.size, len(steps)
     grad_theta = {name: np.zeros(per) for name in QLSTM_GATES}
 
-    def vjp(name, inputs, weights):
-        _, d_theta, d_inputs = circuit_vjp(
-            cell.circuit, thetas[name], inputs, qubits, weights
+    def vjp(name, rec, inputs, weights):
+        d_theta, d_inputs = circuit_vjp(
+            cell.circuit, thetas[name], inputs, rec["tape"][name], qubits, weights
         )
         grad_theta[name] += d_theta
         return d_inputs
@@ -329,12 +346,12 @@ def _qlstm_backward(cell: QlstmCell, steps, q, dy):
     grad_head_b = dy.sum()
 
     dq = dy[:, None] * head_w[None, :]
-    du2 = vjp("readout", steps[-1]["u2"], dq)
+    du2 = vjp("readout", steps[-1], steps[-1]["u2"], dq)
     dh = np.zeros((B, cell.hidden_size))
     dc = np.zeros((B, cell.hidden_size))
     for t in range(T - 1, -1, -1):
         rec = steps[t]
-        du2_t = du2 if t == T - 1 else vjp("hidden", rec["u2"], dh)
+        du2_t = du2 if t == T - 1 else vjp("hidden", rec, rec["u2"], dh)
         do = du2_t * rec["s"]
         dc = dc + du2_t * rec["o"] * (1.0 - rec["s"] ** 2)
         df = dc * rec["c_prev"]
@@ -349,7 +366,7 @@ def _qlstm_backward(cell: QlstmCell, steps, q, dy):
         }
         dv = np.zeros((B, cell.n_qubits))
         for name in ("forget", "input", "update", "output"):
-            dv += vjp(name, rec["v"], dz[name])
+            dv += vjp(name, rec, rec["v"], dz[name])
         grad_W += rec["u"].T @ dv
         grad_b += dv.sum(axis=0)
         du = dv @ W.T
@@ -368,9 +385,9 @@ def _qgru_backward(cell: QgruCell, steps, h, dy):
     T = len(steps)
     grad_theta = {name: np.zeros(per) for name in QGRU_GATES}
 
-    def vjp(name, inputs, weights):
-        _, d_theta, d_inputs = circuit_vjp(
-            cell.circuit, thetas[name], inputs, qubits, weights
+    def vjp(name, rec, inputs, weights):
+        d_theta, d_inputs = circuit_vjp(
+            cell.circuit, thetas[name], inputs, rec["tape"][name], qubits, weights
         )
         grad_theta[name] += d_theta
         return d_inputs
@@ -386,7 +403,7 @@ def _qgru_backward(cell: QgruCell, steps, h, dy):
         dg = dh * rec["z"]
         dh_prev = dh * (1.0 - rec["z"])
         dzg = dg * (1.0 - rec["g"] ** 2)
-        dv2 = vjp("candidate", rec["v2"], dzg)
+        dv2 = vjp("candidate", rec, rec["v2"], dzg)
         grad_W += rec["u2"].T @ dv2
         grad_b += dv2.sum(axis=0)
         du2 = dv2 @ W.T
@@ -395,7 +412,7 @@ def _qgru_backward(cell: QgruCell, steps, h, dy):
         dh_prev = dh_prev + drh * rec["r"]
         dzr = dr * rec["r"] * (1.0 - rec["r"])
         dzz = dz * rec["z"] * (1.0 - rec["z"])
-        dv = vjp("reset", rec["v"], dzr) + vjp("update", rec["v"], dzz)
+        dv = vjp("reset", rec, rec["v"], dzr) + vjp("update", rec, rec["v"], dzz)
         grad_W += rec["u"].T @ dv
         grad_b += dv.sum(axis=0)
         du = dv @ W.T
@@ -502,7 +519,7 @@ def _run(model, X):
     for t in range(T):
         state, rec = step(model, X[:, t], *state)
         steps.append(rec)
-    head_in = state[0] if readout is None else readout(model, steps[-1]["u2"])
+    head_in = state[0] if readout is None else readout(model, steps[-1])
     head_w, head_b = _head(model)
     return steps, head_in, head_in @ head_w + head_b
 

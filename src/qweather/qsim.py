@@ -300,6 +300,13 @@ def expectation_z(state: Statevector, qubit: int) -> float:
     return float(probs @ z_signs(state.n_qubits, qubit))
 
 
+def z_expectations(amps: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
+    """<Z_q> for each q in ``qubits`` over amplitudes of shape (..., 2**n);
+    shape (..., len(qubits))."""
+    probs = np.abs(amps) ** 2
+    return np.stack([probs @ z_signs(n_qubits, q) for q in qubits], axis=-1)
+
+
 def probabilities(state: Statevector) -> np.ndarray:
     """Computational-basis probabilities |amplitude_b|**2."""
     return np.abs(state.amplitudes) ** 2

@@ -18,6 +18,7 @@ from qweather.circuits import (
     build_reuploading_ising,
     build_reuploading_sel,
     build_zz_feature_map,
+    run_circuit_batch,
 )
 
 RY_ONLY = Circuit(
@@ -165,7 +166,8 @@ def test_vjp_matches_contracted_param_shift(circuit):
     theta = rng.normal(size=circuit.n_trainable)
     xs = rng.uniform(-2.0, 2.0, size=(4, circuit.n_inputs))
     weights = rng.normal(size=(4, len(qubits)))
-    values, d_params, d_inputs = circuit_vjp(circuit, theta, xs, qubits, weights)
+    states = run_circuit_batch(circuit, theta, xs)
+    d_params, d_inputs = circuit_vjp(circuit, theta, xs, states, qubits, weights)
     ref_params, ref_inputs = _contracted_param_shift(
         circuit, theta, xs, qubits, weights
     )
@@ -173,14 +175,23 @@ def test_vjp_matches_contracted_param_shift(circuit):
     assert d_inputs.shape == (4, circuit.n_inputs)
     assert np.max(np.abs(d_params - ref_params), initial=0.0) < 1e-10
     assert np.max(np.abs(d_inputs - ref_inputs), initial=0.0) < 1e-10
-    assert np.array_equal(values, expectation_batch(circuit, theta, xs, qubits))
 
 
 def test_vjp_rejects_misshapen_weights():
     circuit = build_qlstm_vqc(4, 1)
     theta = np.zeros(circuit.n_trainable)
+    xs = np.zeros((3, 4))
+    states = run_circuit_batch(circuit, theta, xs)
     with pytest.raises(ValueError):
-        circuit_vjp(circuit, theta, np.zeros((3, 4)), (0, 1), np.zeros((3, 3)))
+        circuit_vjp(circuit, theta, xs, states, (0, 1), np.zeros((3, 3)))
+
+
+def test_vjp_rejects_states_of_another_batch():
+    circuit = build_qlstm_vqc(4, 1)
+    theta = np.zeros(circuit.n_trainable)
+    states = run_circuit_batch(circuit, theta, np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        circuit_vjp(circuit, theta, np.zeros((3, 4)), states, (0, 1), np.zeros((3, 2)))
 
 
 def test_expectation_batch_matches_scalar():

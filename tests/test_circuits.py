@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import same_bytes
 
+import qweather.circuits as circuits_mod
 from qweather.circuits import (
     AngleRef,
     Circuit,
@@ -208,6 +210,90 @@ def test_batch_run_broadcasts_shared_params():
     for i in range(6):
         sv = bind_and_run(circuit, theta, x[i])
         assert np.allclose(amps[i], sv.amplitudes, atol=1e-12)
+
+
+def _vqc_circuit(n):
+    # zz feature map then real amplitudes, as the vqc classifier runs them
+    fmap, ansatz = build_zz_feature_map(n, 1), build_real_amplitudes(n, 3)
+    return Circuit(
+        f"{fmap.name}+{ansatz.name}", n, fmap.ops + ansatz.ops, ansatz.n_trainable, n
+    )
+
+
+def _matrix_ndims(monkeypatch):
+    """Record the ndim of every matrix run_circuit_batch applies."""
+    ndims = []
+    apply = circuits_mod.apply_matrix
+
+    def recording(amps, n_qubits, targets, mat):
+        ndims.append(mat.ndim)
+        return apply(amps, n_qubits, targets, mat)
+
+    monkeypatch.setattr(circuits_mod, "apply_matrix", recording)
+    return ndims
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        build_qlstm_vqc(4, 2),
+        build_reuploading_sel(4, 4),
+        build_reuploading_ising(3, 2),
+        _vqc_circuit(3),
+    ],
+    ids=lambda c: c.name,
+)
+def test_shared_params_give_the_bytes_of_tiled_params(circuit, monkeypatch):
+    # shared angles build one matrix per gate, tiled ones a matrix per row;
+    # both paths must do the same float arithmetic
+    rng = np.random.default_rng(26)
+    batch = 7
+    theta = rng.normal(size=circuit.n_trainable)
+    tiled = np.tile(theta, (batch, 1))
+    x = rng.uniform(-2.0, 2.0, size=(batch, circuit.n_inputs))
+    ndims = _matrix_ndims(monkeypatch)
+    shared = run_circuit_batch(circuit, theta, x)
+    shared_ndims = ndims[:]
+    ndims.clear()
+    per_row = run_circuit_batch(circuit, tiled, x)
+    assert same_bytes(shared, per_row)
+    for op, shared_nd, row_nd in zip(circuit.ops, shared_ndims, ndims):
+        kinds = {ref.slot_kind for ref in op.angles}
+        assert shared_nd == (3 if "input" in kinds else 2)
+        assert row_nd == (3 if kinds else 2)
+
+    # a batch-shaped shift on one trainable occurrence makes only that gate per-row
+    i, pos = next(
+        (i, pos)
+        for i, op in enumerate(circuit.ops)
+        for pos, ref in enumerate(op.angles)
+        if ref.slot_kind == "trainable"
+    )
+    shift = {(i, pos): rng.normal(size=batch)}
+    assert same_bytes(
+        run_circuit_batch(circuit, theta, x, shift),
+        run_circuit_batch(circuit, tiled, x, shift),
+    )
+    scalar_shift = {(i, pos): np.pi / 2}
+    assert same_bytes(
+        run_circuit_batch(circuit, theta, x, scalar_shift),
+        run_circuit_batch(circuit, tiled, x, scalar_shift),
+    )
+
+
+def test_run_from_a_state_continues_the_circuit():
+    fmap, ansatz = build_zz_feature_map(3, 1), build_real_amplitudes(3, 3)
+    full = _vqc_circuit(3)
+    rng = np.random.default_rng(27)
+    theta = rng.normal(size=ansatz.n_trainable)
+    x = rng.uniform(0.0, np.pi, size=(5, 3))
+    states = run_circuit_batch(fmap, (), x)
+    kept = states.copy()
+    amps = run_circuit_batch(ansatz, theta, (), state=states)
+    assert same_bytes(amps, run_circuit_batch(full, theta, x))
+    assert same_bytes(states, kept)
+    with pytest.raises(ValueError):
+        run_circuit_batch(ansatz, theta, (), state=np.zeros((5, 4), dtype=complex))
 
 
 def test_angle_shift_offsets_one_occurrence():

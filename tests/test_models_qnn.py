@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import same_bytes
 
 from qweather.circuits import (
     AngleRef,
@@ -15,6 +16,7 @@ from qweather.circuits import (
     build_reuploading_sel,
     build_z_feature_map,
     build_zz_feature_map,
+    run_circuit_batch,
 )
 from qweather.models_qnn import (
     DenseBaseline,
@@ -26,6 +28,7 @@ from qweather.models_qnn import (
     build_vqc_classifier,
     circuit_from_name,
     dense_forward,
+    init_params,
     dense_predict,
     dense_probabilities,
     dense_train,
@@ -43,6 +46,7 @@ from qweather.models_qnn import (
     vqc_to_json,
     vqc_train,
 )
+from qweather.optim import cobyla_minimize
 
 
 def _ry_ansatz():
@@ -216,6 +220,24 @@ class TestQnnTrain:
         assert h1 == h2
         assert h1 != h3
 
+    @pytest.mark.parametrize("task", ["regression", "binary", "ternary"])
+    def test_one_epoch_sweeps_the_circuit_once(self, task, circuit_sweeps):
+        rng = np.random.default_rng(10)
+        X = rng.uniform(-1, 1, size=(6, 3))
+        y = rng.integers(0, 3 if task == "ternary" else 2, size=6)
+        model = build_qnn(build_reuploading_ising(3, 1), task)
+        qnn_train(model, (X, y), epochs=1, seed=10)
+        assert circuit_sweeps == [model.circuit.name]
+
+    @pytest.mark.parametrize("task", ["regression", "binary", "ternary"])
+    def test_taped_states_are_a_fresh_forward(self, task, fresh_forward_vjps):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1, 1, size=(6, 4))
+        y = rng.integers(0, 3 if task == "ternary" else 2, size=6)
+        model = build_qnn(build_reuploading_sel(4, 2), task)
+        qnn_train(model, (X, y), epochs=3, seed=11)
+        assert len(fresh_forward_vjps) == 3
+
     def test_empty_dataset_rejected(self):
         model = build_qnn(build_reuploading_ising(3, 1), "ternary")
         with pytest.raises(ValueError):
@@ -307,6 +329,49 @@ class TestVqcClassifier:
         assert min(history) < history[0]
         preds = np.argmax(vqc_probabilities(trained, X), axis=1)
         assert np.mean(preds == y) >= 0.5
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_probabilities_are_the_full_circuit_bytes(self, n_classes):
+        # full_circuit is the oracle: feature map then ansatz in one run
+        clf = build_vqc_classifier(3, n_classes, seed=13)
+        X = np.random.default_rng(13).uniform(0, np.pi, size=(9, 3))
+        probs = np.abs(run_circuit_batch(clf.full_circuit, clf.params, X)) ** 2
+        masks = readout_class_masks(3, n_classes, clf.readout_rule)
+        want = np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
+        assert same_bytes(vqc_probabilities(clf, X), want)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_training_matches_a_full_circuit_objective(self, n_classes, circuit_sweeps):
+        clf = build_vqc_classifier(3, n_classes)
+        rng = np.random.default_rng(14)
+        X = rng.uniform(0, np.pi, size=(12, 3))
+        y = rng.integers(0, n_classes, size=12)
+        _, history = vqc_train(clf, (X, y), iters=5, seed=14)
+        # the feature map runs once per fit, the ansatz once per evaluation
+        assert len(circuit_sweeps) == 1 + len(history)
+        want = []
+
+        def full_objective(theta):
+            probs = np.abs(run_circuit_batch(clf.full_circuit, theta, X)) ** 2
+            masks = readout_class_masks(3, n_classes, clf.readout_rule)
+            p = np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
+            loss = float(-np.mean(np.log(np.clip(p[np.arange(12), y], 1e-12, None))))
+            want.append(loss)
+            return loss
+
+        cobyla_minimize(full_objective, init_params(clf.ansatz.n_trainable, 14), max_iters=5)
+        assert len(history) >= 5
+        assert history == want
+
+    def test_feature_map_must_be_input_only(self):
+        with pytest.raises(ValueError):
+            VqcClassifier(
+                feature_map=build_real_amplitudes(2, 1),
+                ansatz=build_real_amplitudes(2, 1),
+                params=np.zeros(4),
+                n_classes=2,
+                readout_rule="parity",
+            )
 
     def test_label_range_checked(self):
         clf = build_vqc_classifier(2, 2)

@@ -367,6 +367,30 @@ class TestTraining:
         _, other = train_sequence_model(model, X, y, epochs=4, lr=0.05, seed=12)
         assert runs[0] != other
 
+    @pytest.mark.parametrize(
+        "builder,sweeps_per_step,extra",
+        [(build_qlstm, 5, 1), (build_qgru, 3, 0)],
+        ids=["qlstm", "qgru"],
+    )
+    def test_one_epoch_sweeps_each_gate_circuit_once_per_step(
+        self, builder, sweeps_per_step, extra, circuit_sweeps
+    ):
+        # qlstm: forget, input, update, output and hidden per step, plus the
+        # readout once; qgru: reset, update and candidate per step.  The
+        # backward pass reads the taped states and adds no sweep.
+        X, y = _sine_windows(n_points=20, window=4)
+        model = builder(input_dim=1, n_qubits=2, n_layers=1)
+        train_sequence_model(model, X, y, epochs=1, seed=5)
+        assert len(circuit_sweeps) == sweeps_per_step * X.shape[1] + extra
+
+    @pytest.mark.parametrize("builder", [build_qlstm, build_qgru], ids=["qlstm", "qgru"])
+    def test_taped_states_are_a_fresh_forward(self, builder, fresh_forward_vjps):
+        X, y = _sine_windows(n_points=20, window=3)
+        model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=6)
+        train_sequence_model(model, X, y, epochs=2, seed=6)
+        gates = 5 if model.kind == "qlstm" else 3
+        assert len(fresh_forward_vjps) == 2 * gates * X.shape[1]
+
     def test_window_shape_validated(self):
         model = build_qlstm(input_dim=2, n_qubits=2, n_layers=1)
         with pytest.raises(ValueError):

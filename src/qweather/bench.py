@@ -55,10 +55,10 @@ from .models_recurrent import (
 from .qkernel import (
     default_gamma,
     fidelity_kernel,
-    ovr_decision,
+    ovr_predict,
     ovr_train,
     rbf_kernel,
-    svm_decision,
+    svm_predict,
     svm_train,
 )
 from .weather import (
@@ -213,10 +213,7 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
         model = svm_train(K_train, y_pm, C=cfg.C, label_map=(0, 1))
         n_params = int(len(model.support_indices))
         details.update(smo_iterations=model.n_iter, smo_gap=model.kkt_gap)
-
-        def decide(K):
-            return (svm_decision(model, K) >= 0).astype(int)
-
+        decide = partial(svm_predict, model)
     else:
         model = ovr_train(K_train, y_train, C=cfg.C)
         n_params = int(sum(len(m.support_indices) for m in model.models))
@@ -224,10 +221,7 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
             smo_iterations=[m.n_iter for m in model.models],
             smo_gap=[m.kkt_gap for m in model.models],
         )
-        classes = np.asarray(model.classes)
-
-        def decide(K):
-            return classes[np.argmax(ovr_decision(model, K), axis=1)]
+        decide = partial(ovr_predict, model)
 
     def predict(X):
         # the training rows' kernel is already at hand

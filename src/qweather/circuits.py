@@ -73,6 +73,8 @@ class CircuitOp:
             raise ValueError(
                 f"{self.kind} acts on {n_targets} qubit(s), got {len(self.targets)}"
             )
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"duplicate target qubits {self.targets}")
 
 
 @dataclass(frozen=True)

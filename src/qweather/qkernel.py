@@ -225,11 +225,12 @@ def svm_decision(model: SvmModel, k_rows) -> np.ndarray:
     return k_rows[:, model.support_indices] @ coef + model.bias
 
 
-def svm_predict(model: SvmModel, k_row):
-    """(label, decision value) for one query row; sign ties go positive."""
-    decision = float(svm_decision(model, k_row)[0])
-    label = model.label_map[1] if decision >= 0 else model.label_map[0]
-    return label, decision
+def svm_predict(model: SvmModel, k_rows) -> np.ndarray:
+    """Labels for kernel rows of shape (m, n_train) or (n_train,), shape
+    (m,): ``label_map[1]`` where the decision is >= 0 (sign ties go
+    positive), ``label_map[0]`` elsewhere."""
+    positive = svm_decision(model, k_rows) >= 0
+    return np.where(positive, model.label_map[1], model.label_map[0])
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def ovr_decision(model: OvrModel, k_rows) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def ovr_predict(model: OvrModel, k_row):
-    """(label, decision values); argmax with ties to the lowest class."""
-    decisions = ovr_decision(model, k_row)[0]
-    return model.classes[int(np.argmax(decisions))], decisions
+def ovr_predict(model: OvrModel, k_rows) -> np.ndarray:
+    """Labels for kernel rows, shape (m,): the class of the largest
+    decision value, ties to the lowest class."""
+    return np.asarray(model.classes)[np.argmax(ovr_decision(model, k_rows), axis=1)]

@@ -4,11 +4,19 @@ Basis convention: qubit 0 is the most significant bit of the basis index,
 so basis index b = sum_q bit_q * 2**(n - 1 - q).  Rotations follow
 RP(theta) = exp(-i * theta * P / 2) for Pauli words P, and the three-angle
 rotation decomposes as R3(a, b, g) = RZ(g) @ RY(b) @ RZ(a).
+
+``apply_matrix`` applies every gate as at most two gathers of the
+amplitudes, each scaled by one matrix entry per amplitude: no gate kind has
+more than two nonzero entries in a matrix row.  Its index tables are cached
+per (qubit count, targets, nonzero pattern), and each amplitude sees the
+same products and sums as a slot-by-slot application of the matrix (see
+``apply_matrix`` for the one exception, the sign of a zero).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,78 +216,106 @@ def _r3(alpha, beta, gamma):
     return m
 
 
+@lru_cache(maxsize=None)
+def _gather_plan(n_qubits, targets, nonzero, ones):
+    """Index tables of ``apply_matrix`` for one gate structure.
+
+    ``nonzero`` and ``ones`` are the bytes of the (2**k, 2**k) masks of
+    nonzero and of unit entries; ``ones`` is None for per-row matrices.
+    Term j of output amplitude i is entry ``coef[j, i]`` of the flattened
+    matrix times input amplitude ``gather[j, i]``.  A matrix row's entries
+    go by flip pattern f = row ^ column, so term 0 is the diagonal where
+    the row has one; a row with fewer entries than the widest adds a zero
+    entry's product.  ``scale`` is False when every entry is a shared 1,
+    which needs no multiply, and ``diag`` when term 0 is the diagonal of
+    every row.
+    """
+    k = len(targets)
+    if len(set(targets)) != k:
+        raise ValueError(f"duplicate target qubits {targets}")
+    for t in targets:
+        if not 0 <= t < n_qubits:
+            raise ValueError(f"target qubit {t} out of range for {n_qubits} qubits")
+    d = 1 << k
+    nz = np.frombuffer(nonzero, dtype=bool).reshape(d, d)
+    shifts = [n_qubits - 1 - t for t in targets]
+    idx = np.arange(1 << n_qubits)
+    row = sum((idx >> s & 1) << (k - 1 - q) for q, s in enumerate(shifts))
+    # the amplitude bits that flip pattern f flips
+    bits = np.array(
+        [sum((f >> (k - 1 - q) & 1) << s for q, s in enumerate(shifts)) for f in range(d)]
+    )
+    flips = [sorted(range(d), key=lambda f: not nz[r, r ^ f]) for r in range(d)]
+    width = int(nz.sum(axis=1).max())
+    flip = np.array(flips)[row, :width].T
+    coef = row * d + (row ^ flip)
+    scale = ones is None or not np.frombuffer(ones, dtype=bool)[coef].all()
+    return idx ^ bits[flip], coef, scale, not flip[0].any()
+
+
 def apply_matrix(
     amps: np.ndarray, n_qubits: int, targets: tuple[int, ...], mat: np.ndarray
 ) -> np.ndarray:
     """Apply a k-qubit unitary to amplitudes of shape (..., 2**n_qubits).
 
     Leading axes of ``amps`` are batch axes.  ``mat`` acts on k = 1 or 2
-    qubits and is (2**k, 2**k) for a shared matrix or (batch..., 2**k, 2**k)
-    for per-element matrices, whose batch axes must broadcast to those of
-    ``amps``.
+    distinct qubits and is (2**k, 2**k) for a shared matrix or
+    (batch..., 2**k, 2**k) for per-element matrices, whose batch axes must
+    broadcast to those of ``amps``.  Returns a new array; ``amps`` is only
+    read.
+
+    Output amplitude i is the sum over the nonzero entries m[r, c] of its
+    matrix row r of m[r, c] * amps[i with its target bits set to c], each
+    term taken as one gather (``np.take``) and one multiply with the entry
+    on the left; the diagonal term needs no gather.  Every gate kind has at
+    most two nonzero entries per row, so each amplitude costs at most two
+    products and one add.  A shared matrix of 0s and 1s (CNOT, X) is gathered
+    without a multiply; one mixing 1s with other entries (CZ, Z) multiplies
+    its 1s too, which is exact except that a zero part may change sign.  The
+    index tables depend only on the qubit count, the targets and which
+    entries are nonzero (and, for a shared matrix, equal to 1), and are
+    built once per such structure.
     """
     k = len(targets)
-    batch_shape = amps.shape[:-1]
-    off = len(batch_shape)
+    shape = amps.shape
     if k > 2:
         raise ValueError(f"apply_matrix acts on at most 2 qubits, got {k}")
-    if mat.ndim > 2 and mat.shape[:-2] != batch_shape:
-        # raises ValueError when the batch axes do not broadcast
-        mat = np.broadcast_to(mat, batch_shape + mat.shape[-2:])
-    batched = mat.ndim > 2
-    psi = amps.reshape(batch_shape + (2,) * n_qubits)
-    dim = 1 << k
-    axes = [off + t for t in targets]
-    slots = []
-    for j in range(dim):
-        ix = [slice(None)] * (off + n_qubits)
-        for q, ax in enumerate(axes):
-            ix[ax] = (j >> (k - 1 - q)) & 1
-        slots.append(tuple(ix))
-    src = [psi[s] for s in slots]
-    tail = (None,) * (n_qubits - k)
-    out = np.empty_like(psi)
-    for i in range(dim):
-        acc = None
-        owned = False
-        for j in range(dim):
-            if batched:
-                e = mat[..., i, j]
-                if not e.any():
-                    continue
-                term = e[(...,) + tail] * src[j] if tail else e * src[j]
-                fresh = True
-            else:
-                e = mat[i, j]
-                if e == 0:
-                    continue
-                if e == 1:
-                    term, fresh = src[j], False
-                else:
-                    term, fresh = e * src[j], True
-            if acc is None:
-                acc, owned = term, fresh
-            elif owned:
-                acc += term
-            else:
-                acc = acc + term
-                owned = True
-        if acc is None:
-            out[slots[i]] = 0.0
-        else:
-            out[slots[i]] = acc
-    return out.reshape(batch_shape + (1 << n_qubits,))
-
-
-def _check_targets(n_qubits: int, targets: tuple[int, ...]) -> None:
-    for t in targets:
-        if not 0 <= t < n_qubits:
-            raise ValueError(f"target qubit {t} out of range for {n_qubits} qubits")
+    if shape[-1:] != (1 << n_qubits,) or mat.shape[-2:] != (1 << k, 1 << k):
+        raise ValueError(
+            f"amplitudes {shape} and matrix {mat.shape} do not fit {k} of "
+            f"{n_qubits} qubits"
+        )
+    targets = tuple(targets)
+    if mat.ndim > 2:
+        if np.broadcast_shapes(mat.shape[:-2], shape[:-1]) != shape[:-1]:
+            raise ValueError(
+                f"matrix batch axes {mat.shape[:-2]} do not broadcast to {shape[:-1]}"
+            )
+        nonzero = mat.any(axis=tuple(range(mat.ndim - 2)))
+        plan = _gather_plan(n_qubits, targets, nonzero.tobytes(), None)
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+    else:
+        plan = _gather_plan(
+            n_qubits, targets, (mat != 0).tobytes(), (mat == 1).tobytes()
+        )
+        flat = mat.ravel()
+    gather, coef, scale, diag = plan
+    if diag:
+        out = np.multiply(flat.take(coef[0], axis=-1), amps) if scale else amps.copy()
+    else:
+        out = amps.take(gather[0], axis=-1)
+        if scale:
+            np.multiply(flat.take(coef[0], axis=-1), out, out=out)
+    for j in range(1, len(gather)):
+        term = amps.take(gather[j], axis=-1)
+        if scale:
+            np.multiply(flat.take(coef[j], axis=-1), term, out=term)
+        out += term
+    return out
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """New state with the gate's unitary applied."""
-    _check_targets(state.n_qubits, gate.targets)
     mat = gate_matrix(gate.kind, gate.angles)
     amps = apply_matrix(state.amplitudes, state.n_qubits, gate.targets, mat)
     return Statevector(state.n_qubits, amps)

@@ -388,3 +388,11 @@ def test_angle_ref_validation():
         Circuit("bad", 2, (CircuitOp("H", (3,)),), 0, 0)
     with pytest.raises(ValueError):
         Circuit("bad", 2, (CircuitOp("RY", (0,), (AngleRef("trainable", 5),)),), 1, 0)
+
+
+def test_circuit_op_rejects_duplicate_targets():
+    # a CNOT on (1, 1) once built and ran as a wrong state
+    with pytest.raises(ValueError, match="duplicate"):
+        CircuitOp("CNOT", (1, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        Circuit("dup", 2, (CircuitOp("H", (0,)), CircuitOp("CNOT", (1, 1))), 0, 0)

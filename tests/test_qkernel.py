@@ -12,6 +12,7 @@ from qweather.qkernel import (
     fidelity_kernel,
     fidelity_kernel_matrix,
     kernel_to_csv,
+    ovr_decision,
     ovr_predict,
     ovr_train,
     rbf_kernel_matrix,
@@ -121,10 +122,8 @@ def test_two_point_training_closed_form():
     assert set(model.support_indices.tolist()) == {0, 1}
     assert np.allclose(model.dual_coefficients, [1.0, 1.0], atol=1e-6)
     assert model.bias == pytest.approx(0.0, abs=1e-9)
-    for i, label in [(0, 1), (1, -1)]:
-        got, decision = svm_predict(model, K[i])
-        assert got == label
-        assert decision == pytest.approx(0.9 * label, abs=1e-6)
+    assert svm_predict(model, K).tolist() == [1, -1]
+    assert svm_decision(model, K) == pytest.approx([0.9, -0.9], abs=1e-6)
 
 
 def test_two_point_labels_stable_under_small_kernel_noise():
@@ -132,8 +131,7 @@ def test_two_point_labels_stable_under_small_kernel_noise():
     base = svm_train(np.array([[1.0, 0.1], [0.1, 1.0]]), y, C=1.0, tol=1e-3)
     noisy = np.array([[1.0, 0.1 + 5e-4], [0.1 + 5e-4, 1.0]])
     model = svm_train(noisy, y, C=1.0, tol=1e-3)
-    for i in range(2):
-        assert svm_predict(model, noisy[i])[0] == svm_predict(base, noisy[i])[0]
+    assert np.array_equal(svm_predict(model, noisy), svm_predict(base, noisy))
 
 
 def _clusters(rng, centers, n_per, spread=0.3):
@@ -174,9 +172,7 @@ def test_free_support_vector_sits_on_margin():
     alpha = full_alpha(model, len(y))
     free_pos = np.flatnonzero((alpha > 1e-6) & (alpha < 1.0 - 1e-6) & (y > 0))
     assert free_pos.size > 0
-    for i in free_pos:
-        _, decision = svm_predict(model, km.entries[i])
-        assert decision >= 1 - 2 * tol
+    assert np.all(svm_decision(model, km.entries[free_pos]) >= 1 - 2 * tol)
 
 
 def test_zero_kernel_row_predicts_bias_sign():
@@ -184,9 +180,8 @@ def test_zero_kernel_row_predicts_bias_sign():
     model = svm_train(K, np.array([1.0, -1.0]), C=1.0)
     # both alphas sit at C, so the bias is the midpoint of [-0.1, 0.1]
     assert model.bias == pytest.approx(0.0, abs=1e-12)
-    label, decision = svm_predict(model, np.zeros(2))
-    assert decision == pytest.approx(model.bias)
-    assert label == (1 if model.bias >= 0 else -1)
+    assert svm_decision(model, np.zeros(2)) == pytest.approx([model.bias])
+    assert svm_predict(model, np.zeros(2)).tolist() == [1 if model.bias >= 0 else -1]
 
 
 def test_smo_matches_brute_force_dual():
@@ -243,10 +238,8 @@ def test_ovr_two_class_matches_binary():
     km = rbf_kernel_matrix(X, gamma=0.7)
     binary = svm_train(km, np.where(y == 1, 1.0, -1.0), C=1.0)
     multi = ovr_train(km, y, C=1.0)
-    for i in range(len(y)):
-        b_label = 1 if svm_decision(binary, km.entries[i])[0] >= 0 else 0
-        m_label, _ = ovr_predict(multi, km.entries[i])
-        assert m_label == b_label
+    b_labels = np.where(svm_decision(binary, km.entries) >= 0, 1, 0)
+    assert np.array_equal(ovr_predict(multi, km.entries), b_labels)
 
 
 def test_ovr_three_clusters_accuracy():
@@ -255,8 +248,7 @@ def test_ovr_three_clusters_accuracy():
     km = rbf_kernel_matrix(X, gamma=0.5)
     model = ovr_train(km, y, C=10.0)
     assert model.classes == (0, 1, 2)
-    preds = [ovr_predict(model, km.entries[i])[0] for i in range(len(y))]
-    assert np.array_equal(preds, y)
+    assert np.array_equal(ovr_predict(model, km.entries), y)
 
 
 def test_ovr_tie_goes_to_lowest_class():
@@ -272,9 +264,9 @@ def test_ovr_tie_goes_to_lowest_class():
         kkt_gap=0.0,
     )
     model = OvrModel(classes=(0, 1, 2), models=(stub, stub, stub))
-    label, decisions = ovr_predict(model, np.array([0.4, 0.1]))
-    assert np.allclose(decisions, decisions[0])
-    assert label == 0
+    decisions = ovr_decision(model, np.array([0.4, 0.1]))
+    assert np.all(decisions == decisions[0, 0])
+    assert ovr_predict(model, np.array([0.4, 0.1])).tolist() == [0]
 
 
 def test_ovr_requires_two_classes():

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from conftest import same_bytes
+from scipy.linalg import expm, qr
 
+from qweather.autodiff import _GENERATORS
 from qweather.qsim import (
+    GATE_ARITY,
     MAX_QUBITS,
     Gate,
     apply_gate,
@@ -253,8 +258,22 @@ def test_batched_apply_matches_loop():
         ((0, 1, 2), np.eye(8, dtype=complex)),
         ((1,), np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))),
         ((1,), np.broadcast_to(np.eye(2, dtype=complex), (2, 7, 2, 2))),
+        ((1, 1), gate_matrix("CNOT")),
+        ((-1,), gate_matrix("H")),
+        ((3,), gate_matrix("H")),
+        ((0, 3), gate_matrix("CZ")),
+        ((0, 1), gate_matrix("H")),
     ],
-    ids=["three_qubits", "batch_mismatch", "batch_wider_than_amplitudes"],
+    ids=[
+        "three_qubits",
+        "batch_mismatch",
+        "batch_wider_than_amplitudes",
+        "duplicate_targets",
+        "negative_target",
+        "target_out_of_range",
+        "second_target_out_of_range",
+        "matrix_of_other_arity",
+    ],
 )
 def test_apply_matrix_rejects_unsupported_inputs(targets, mat):
     amps = np.zeros((7, 8), dtype=complex)
@@ -293,3 +312,155 @@ def test_gate_inverse_composes_to_identity():
         m = gate_matrix(g.kind, g.angles)
         mi = gate_matrix(g.inverse().kind, g.inverse().angles)
         assert np.allclose(mi @ m, np.eye(m.shape[0]), atol=1e-12)
+
+
+def _slot_loop_reference(amps, n_qubits, targets, mat):
+    """The per-slot loop ``apply_matrix`` ran before its gather kernel."""
+    k = len(targets)
+    batch_shape = amps.shape[:-1]
+    off = len(batch_shape)
+    if mat.ndim > 2 and mat.shape[:-2] != batch_shape:
+        mat = np.broadcast_to(mat, batch_shape + mat.shape[-2:])
+    batched = mat.ndim > 2
+    psi = amps.reshape(batch_shape + (2,) * n_qubits)
+    dim = 1 << k
+    axes = [off + t for t in targets]
+    slots = []
+    for j in range(dim):
+        ix = [slice(None)] * (off + n_qubits)
+        for q, ax in enumerate(axes):
+            ix[ax] = (j >> (k - 1 - q)) & 1
+        slots.append(tuple(ix))
+    src = [psi[s] for s in slots]
+    tail = (None,) * (n_qubits - k)
+    out = np.empty_like(psi)
+    for i in range(dim):
+        acc = None
+        owned = False
+        for j in range(dim):
+            if batched:
+                e = mat[..., i, j]
+                if not e.any():
+                    continue
+                term = e[(...,) + tail] * src[j] if tail else e * src[j]
+                fresh = True
+            else:
+                e = mat[i, j]
+                if e == 0:
+                    continue
+                if e == 1:
+                    term, fresh = src[j], False
+                else:
+                    term, fresh = e * src[j], True
+            if acc is None:
+                acc, owned = term, fresh
+            elif owned:
+                acc += term
+            else:
+                acc = acc + term
+                owned = True
+        if acc is None:
+            out[slots[i]] = 0.0
+        else:
+            out[slots[i]] = acc
+    return out.reshape(batch_shape + (1 << n_qubits,))
+
+
+def _random_amps(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _matches_reference(amps, n, targets, mat):
+    got = apply_matrix(amps, n, targets, mat)
+    want = _slot_loop_reference(amps, n, targets, mat)
+    if amps.ndim == 1 and len(targets) == n:
+        # with no batch axis and every qubit a target, the loop's slots were
+        # numpy scalars, whose product rounds without the array loop's fused
+        # multiply-add: complex entries (RZZ) differ in the last bit
+        return np.allclose(got, want, rtol=0, atol=1e-15)
+    return same_bytes(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_matrix_matches_slot_loop_bytes(n):
+    rng = np.random.default_rng(60 + n)
+    # batch shape, per-row matrix batch shape; (2, 7) takes a (7,) batch
+    # of matrices the way circuit_vjp un-applies a gate from psi and lambda
+    batches = [((), None), ((1,), (1,)), ((7,), (7,)), ((2, 7), (7,))]
+    for kind, (n_angles, n_targets) in GATE_ARITY.items():
+        for targets in itertools.permutations(range(n), n_targets):
+            for batch, mat_batch in batches:
+                amps = _random_amps(rng, batch + (1 << n,))
+                shared = gate_matrix(kind, tuple(rng.uniform(-np.pi, np.pi, n_angles)))
+                assert _matches_reference(amps, n, targets, shared), (kind, targets, batch)
+                if n_angles and mat_batch:
+                    angles = rng.uniform(-np.pi, np.pi, (n_angles,) + mat_batch)
+                    per_row = gate_matrix(kind, tuple(angles))
+                    assert _matches_reference(amps, n, targets, per_row), (
+                        kind, targets, batch, "per row"
+                    )
+    for kind, generator in _GENERATORS.items():
+        for targets in itertools.permutations(range(n), len(generator).bit_length() - 1):
+            amps = _random_amps(rng, (7, 1 << n))
+            assert _matches_reference(amps, n, targets, generator), (kind, targets)
+
+
+def test_apply_matrix_exact_zeros_keep_their_sign():
+    # signed zeros survive bytewise, except where a shared matrix mixes unit
+    # and other entries (CZ, and the Z and ZZ generators): its unit entries
+    # are multiplied too, and 1 * (a + bi) flips the sign of a zero part
+    rng = np.random.default_rng(70)
+    n = 3
+    mixed_units = {"CZ"}
+    for kind, (n_angles, n_targets) in GATE_ARITY.items():
+        for targets in itertools.permutations(range(n), n_targets):
+            amps = np.empty((5, 1 << n), dtype=complex)
+            amps.real = rng.choice([0.0, -0.0], amps.shape)
+            amps.imag = rng.choice([0.0, -0.0], amps.shape)
+            amps[:, rng.integers(1 << n)] = 0.6 - 0.8j
+            for angles in (rng.uniform(-np.pi, np.pi, n_angles), np.zeros(n_angles)):
+                mat = gate_matrix(kind, tuple(angles))
+                got = apply_matrix(amps, n, targets, mat)
+                want = _slot_loop_reference(amps, n, targets, mat)
+                if kind in mixed_units:
+                    assert np.array_equal(got, want)
+                else:
+                    assert same_bytes(got, want), (kind, targets, angles)
+
+
+def test_apply_matrix_dense_unitary_matches_slot_loop():
+    # rows with four entries: more than any gate kind has
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        u, _ = qr(_random_amps(rng, (4, 4)))
+        per_row = np.stack([qr(_random_amps(rng, (4, 4)))[0] for _ in range(7)])
+        amps = _random_amps(rng, (7, 16))
+        for targets in [(0, 1), (3, 1), (2, 0)]:
+            for mat in (u, per_row):
+                got = apply_matrix(amps, 4, targets, mat)
+                want = _slot_loop_reference(amps, 4, targets, mat)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "targets,mat",
+    [
+        ((1,), gate_matrix("RZ", (0.3,))),
+        ((1,), gate_matrix("RZ", (0.0,))),
+        ((2, 0), gate_matrix("CNOT")),
+        ((0,), gate_matrix("H")),
+        ((1,), gate_matrix("RY", (np.linspace(-1, 1, 7),))),
+        ((0, 2), gate_matrix("RZZ", (np.linspace(-1, 1, 7),))),
+    ],
+    ids=["diagonal", "identity", "permutation", "two_terms", "per_row", "per_row_diagonal"],
+)
+def test_apply_matrix_returns_a_fresh_array(targets, mat):
+    # run_circuit_batch(..., state=) hands in a read-only broadcast view
+    rng = np.random.default_rng(72)
+    state = _random_amps(rng, (1, 8))
+    for amps in (np.broadcast_to(state, (7, 8)), np.repeat(state, 7, axis=0)):
+        before = amps.copy()
+        out = apply_matrix(amps, 3, targets, mat)
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, amps)
+        assert same_bytes(amps, before)

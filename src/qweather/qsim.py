@@ -340,7 +340,8 @@ def z_expectations(amps: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
     """<Z_q> for each q in ``qubits`` over amplitudes of shape (..., 2**n);
     shape (..., len(qubits))."""
     probs = np.abs(amps) ** 2
-    return np.stack([probs @ z_signs(n_qubits, q) for q in qubits], axis=-1)
+    columns = [probs @ z_signs(n_qubits, q) for q in qubits]
+    return np.stack(columns, axis=-1) if columns else np.zeros(probs.shape[:-1] + (0,))
 
 
 def probabilities(state: Statevector) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qweather import autodiff
 from qweather.autodiff import (
     GradientRequest,
     circuit_vjp,
@@ -20,6 +21,7 @@ from qweather.circuits import (
     build_zz_feature_map,
     run_circuit_batch,
 )
+from qweather.qsim import apply_matrix
 
 RY_ONLY = Circuit(
     "single_ry", 1, (CircuitOp("RY", (0,), (AngleRef("trainable", 0),)),), 1, 0
@@ -149,32 +151,107 @@ def _contracted_param_shift(circuit, theta, xs, qubits, weights):
     return d_params, d_inputs
 
 
-@pytest.mark.parametrize(
-    "circuit",
-    [
-        build_reuploading_ising(3, 2),
-        build_reuploading_sel(3, 4),
-        _zz_map_then_ry(3),
-        build_qlstm_vqc(4, 2),
-        build_real_amplitudes(3, 2),
-    ],
-    ids=lambda c: c.name,
+def _trainable(slot, transform="identity", scale=1.0):
+    return (AngleRef("trainable", slot, transform, scale),)
+
+
+# One shared run between per-row steps holds H, CZ, a two-qubit rotation of
+# each kind on the wrap-around pair (2, 0), an arctan-squashed, scaled
+# trainable angle, and slots that two gates share.
+SHARED_MIX = Circuit(
+    "shared_mix",
+    3,
+    (
+        CircuitOp("RY", (0,), (AngleRef("input", 0),)),
+        CircuitOp("RY", (1,), (AngleRef("input", 1),)),
+        CircuitOp("RX", (0,), _trainable(0, "arctan", 1.7)),
+        CircuitOp("H", (1,)),
+        CircuitOp("RXX", (2, 0), _trainable(1)),
+        CircuitOp("CZ", (1, 2)),
+        CircuitOp("RYY", (2, 0), _trainable(0, "arctan", 1.7)),
+        CircuitOp("RZZ", (2, 0), _trainable(2, scale=-0.6)),
+        CircuitOp("RZ", (2,), (AngleRef("input", 2, "arctan"),)),
+        CircuitOp("R3", (1,), _trainable(3) + _trainable(4) + _trainable(1)),
+        CircuitOp("CNOT", (0, 2)),
+    ),
+    5,
+    3,
 )
-def test_vjp_matches_contracted_param_shift(circuit):
+
+# Its first shared run opens the sweep, so the pair is never moved past it.
+TRAINABLE_FIRST = Circuit(
+    "trainable_first",
+    3,
+    (
+        CircuitOp("RY", (0,), _trainable(0)),
+        CircuitOp("CNOT", (0, 1)),
+        CircuitOp("RX", (2,), _trainable(1)),
+        CircuitOp("RY", (1,), (AngleRef("input", 0),)),
+        CircuitOp("RZ", (2,), (AngleRef("input", 1, scale=0.8),)),
+        CircuitOp("CNOT", (2, 0)),
+        CircuitOp("RY", (2,), _trainable(2)),
+    ),
+    3,
+    2,
+)
+
+
+def _vjp_case(circuit, rows=4, qubits=None, id=None):
+    if qubits is None:
+        qubits = (0, 2) if circuit.n_qubits > 3 else (0, 1, 2)
+    return pytest.param(circuit, rows, qubits, id=id or circuit.name)
+
+
+@pytest.mark.parametrize(
+    "circuit, rows, qubits",
+    [
+        _vjp_case(build_reuploading_ising(3, 2)),
+        _vjp_case(build_reuploading_sel(3, 4)),
+        _vjp_case(_zz_map_then_ry(3)),
+        _vjp_case(build_qlstm_vqc(4, 2)),
+        _vjp_case(build_real_amplitudes(3, 2)),
+        _vjp_case(build_qlstm_vqc(4, 2), rows=1, id="qlstm_vqc(4,2)-1row"),
+        _vjp_case(build_reuploading_ising(3, 2), rows=200, id="reuploading_ising(3,2)-200rows"),
+        _vjp_case(SHARED_MIX),
+        _vjp_case(TRAINABLE_FIRST),
+        _vjp_case(build_qlstm_vqc(4, 1), qubits=(), id="qlstm_vqc(4,1)-no-readout"),
+    ],
+)
+def test_vjp_matches_contracted_param_shift(circuit, rows, qubits):
     rng = np.random.default_rng(34)
-    qubits = (0, 2) if circuit.n_qubits > 3 else (0, 1, 2)
     theta = rng.normal(size=circuit.n_trainable)
-    xs = rng.uniform(-2.0, 2.0, size=(4, circuit.n_inputs))
-    weights = rng.normal(size=(4, len(qubits)))
+    xs = rng.uniform(-2.0, 2.0, size=(rows, circuit.n_inputs))
+    weights = rng.normal(size=(rows, len(qubits)))
     states = run_circuit_batch(circuit, theta, xs)
     d_params, d_inputs = circuit_vjp(circuit, theta, xs, states, qubits, weights)
     ref_params, ref_inputs = _contracted_param_shift(
         circuit, theta, xs, qubits, weights
     )
     assert d_params.shape == (circuit.n_trainable,)
-    assert d_inputs.shape == (4, circuit.n_inputs)
+    assert d_inputs.shape == (rows, circuit.n_inputs)
     assert np.max(np.abs(d_params - ref_params), initial=0.0) < 1e-10
     assert np.max(np.abs(d_inputs - ref_inputs), initial=0.0) < 1e-10
+
+
+def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
+    """qlstm_vqc(4,2) has 8 input rotations and, after them, one shared run,
+    which is swept on a d x d matrix: apply_matrix sees only the 8 generator
+    products on psi and 7 un-applies on the psi/lambda pair (the first
+    rotation is never un-applied), none of them for the shared run."""
+    circuit = build_qlstm_vqc(4, 2)
+    rng = np.random.default_rng(36)
+    theta = rng.normal(size=circuit.n_trainable)
+    xs = rng.uniform(-2.0, 2.0, size=(5, circuit.n_inputs))
+    states = run_circuit_batch(circuit, theta, xs)
+    rows = []
+
+    def counting(amps, *args):
+        rows.append(amps.shape[:-1])
+        return apply_matrix(amps, *args)
+
+    monkeypatch.setattr(autodiff, "apply_matrix", counting)
+    circuit_vjp(circuit, theta, xs, states, (0, 1), np.ones((5, 2)))
+    assert sorted(rows) == [(2, 5)] * 7 + [(5,)] * 8
 
 
 def test_vjp_rejects_misshapen_weights():
@@ -201,6 +278,7 @@ def test_expectation_batch_matches_scalar():
     xs = rng.normal(size=(4, 3))
     vals = expectation_batch(circuit, theta, xs, qubits=(0, 1, 2))
     assert vals.shape == (4, 3)
+    assert expectation_batch(circuit, theta, xs, qubits=()).shape == (4, 0)
     for s in range(4):
         for q in range(3):
             assert vals[s, q] == pytest.approx(

@@ -7,9 +7,9 @@ parameter and every raw input, with no per-sample Jacobian.  The forward
 sweep is the one training already ran: QLSTM, QGRU and QNN training keep
 the final states of each gate circuit's forward pass (the tape) and hand
 them to ``circuit_vjp``, which runs only the reverse sweep.  Steps with an
-input angle are swept per row; each run of steps whose angles all rows
-share is contracted to one d x d matrix first, which moves the gradients
-only in the last bits.
+input angle are swept per row; unless the circuit is wide next to the
+batch, each run of steps whose angles all rows share is contracted to one
+d x d matrix first, which moves the gradients only in the last bits.
 
 Parameter shift and central finite differences stay as the test oracles.
 Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
@@ -21,6 +21,7 @@ occurrence times the angle transform's chain-rule factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -197,42 +198,37 @@ def _rotation_sweep(circuit: Circuit):
     return sweep
 
 
-def _embed(mat: np.ndarray, n_qubits: int, targets) -> np.ndarray:
-    """Dense 2**n operator of a k-qubit matrix on ``targets``, the first
-    target its most significant bit: (2, 0) embeds unlike (0, 2)."""
-    k = len(targets)
+@lru_cache(maxsize=None)
+def _embedded(kind: str, n_qubits: int, targets) -> np.ndarray:
+    """Dense 2**n operator of a rotation's Pauli generator, or of a fixed
+    (self-inverse) gate, on ``targets``, the first target its most
+    significant bit: (2, 0) embeds unlike (0, 2)."""
+    mat = _GENERATORS[kind] if kind in _GENERATORS else gate_matrix(kind)
     idx = np.arange(1 << n_qubits)
-    shifts = [n_qubits - 1 - t for t in targets]
-    sub = sum((idx >> s & 1) << (k - 1 - q) for q, s in enumerate(shifts))
+    shifts = [n_qubits - 1 - t for t in targets][::-1]
+    sub = sum((idx >> s & 1) << q for q, s in enumerate(shifts))
     rest = idx & ~sum(1 << s for s in shifts)
     return np.where(rest[:, None] == rest[None, :], mat[sub[:, None], sub[None, :]], 0)
 
 
-def _vjp_plan(circuit: Circuit):
-    """(steps, dense) runs of ``_rotation_sweep(circuit)`` from the first
-    rotation on, kept on the circuit (hashing one to key a cache is slow).
-    A maximal stretch of steps with the same angles for every row that holds
-    a rotation is a shared run, with ``dense`` each step's generator or fixed
-    (self-inverse) gate as a 2**n matrix; other steps run alone, per row."""
-    plan = circuit.__dict__.get("_vjp_plan")
-    if plan is None:
-        n, sweep = circuit.n_qubits, _rotation_sweep(circuit)
-        first = next((j for j, s in enumerate(sweep) if s[2] is not None), len(sweep))
-        plan = []
-        for shared, group in groupby(
-            sweep[first:], lambda s: s[2] is None or s[2].slot_kind == "trainable"
-        ):
-            steps = list(group)
-            if shared and any(ref is not None for _, _, ref in steps):
-                dense = [
-                    _embed(gate_matrix(k) if ref is None else _GENERATORS[k], n, t)
-                    for k, t, ref in steps
-                ]
-                plan.append((steps, dense))
-            else:
-                plan += [([step], None) for step in steps]
-        circuit.__dict__["_vjp_plan"] = plan
-    return plan
+def _vjp_runs(circuit: Circuit, contract: bool):
+    """(shared, steps) runs of ``_rotation_sweep(circuit)`` from its first
+    rotation on.  With ``contract``, a maximal stretch of steps whose angles
+    all rows share (fixed gates and trainable rotations) that holds a
+    rotation is one shared run; every other step is a per-row run of one."""
+    sweep = _rotation_sweep(circuit)
+    first = next((j for j, s in enumerate(sweep) if s[2] is not None), len(sweep))
+    runs = []
+    for shared, group in groupby(
+        sweep[first:],
+        lambda s: contract and (s[2] is None or s[2].slot_kind == "trainable"),
+    ):
+        steps = list(group)
+        if shared and any(ref is not None for _, _, ref in steps):
+            runs.append((True, steps))
+        else:
+            runs += [(False, [step]) for step in steps]
+    return runs
 
 
 def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
@@ -253,12 +249,11 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
     chain rule through ``angle_partials`` carries it to parameters and
     inputs.
 
-    Steps with an input angle are swept per row.  A run of steps with the
-    same angles for every row is swept on the d x d matrix
-    R = sum_b psi_b lambda_b^H: a rotation's gradient is Im Tr(P R) and a
-    gate G is un-applied as R <- G^-1 R G; the pair then moves past the run
-    as one product with the run's inverse.  Summing over rows first moves
-    the gradients in the last bits.
+    Steps with an input angle are swept per row.  If d * d <= 8 B (d = 2**n,
+    B rows), a run of steps that all rows share is swept on the d x d
+    R = sum_b psi_b lambda_b^H: a rotation's gradient is Im Tr(P R), a gate
+    G is un-applied as R <- G^-1 R G, and the pair moves past the run as one
+    product; summing over rows first moves gradients in the last bits.
     """
     theta = _theta_array(circuit, params).ravel()
     x = np.atleast_2d(_input_array(circuit, inputs))
@@ -279,30 +274,33 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
     pair = np.stack([psi, (w @ signs) * psi])
     d_params = np.zeros(circuit.n_trainable)
     d_inputs = np.zeros(x.shape)
-    eye = np.eye(1 << n)
-    runs = _vjp_plan(circuit)
+    d = 1 << n
+    # a shared gate costs two d x d products, a per-row one a few passes over
+    # the B x d pair: contracting pays off while d * d <= 8 B (measured at
+    # d = 8 to 128), so a wide circuit on few rows is swept per row
+    runs = _vjp_runs(circuit, d * d <= 8 * x.shape[0])
     for j in range(len(runs) - 1, -1, -1):
-        steps, dense = runs[j]
-        if dense is None:
+        shared, steps = runs[j]
+        if not shared:
             (kind, targets, ref), = steps
             angle = ()
             if ref is not None:
                 angle = (angle_values(ref, theta, x),)
                 p_psi = apply_matrix(pair[0], n, targets, _GENERATORS[kind])
                 overlap = np.einsum("bi,bi->b", pair[1].conj(), p_psi).imag
-                for _, idx, factor in angle_partials(ref, theta, x):
-                    d_inputs[:, idx] += factor * overlap
+                for slot_kind, idx, factor in angle_partials(ref, theta, x):
+                    if slot_kind == "trainable":
+                        d_params[idx] += np.sum(factor * overlap)
+                    else:
+                        d_inputs[:, idx] += factor * overlap
             if j > 0:
                 inverse = gate_matrix(kind, tuple(-a for a in angle))
                 pair = apply_matrix(pair, n, targets, inverse)
             continue
         r = pair[0].T @ pair[1].conj()
-        v = eye
-        # R is needed only down to the run's first rotation
-        lo = next(i for i, (_, _, ref) in enumerate(steps) if ref is not None)
-        for i in range(len(steps) - 1, -1, -1):
-            ref = steps[i][2]
-            gate = dense[i]
+        eye = v = np.eye(d)
+        for kind, targets, ref in reversed(steps):
+            gate = _embedded(kind, n, targets)
             if ref is not None:
                 angle = angle_values(ref, theta, x)
                 # Tr(P R) = vdot(P, R) as P is Hermitian
@@ -311,10 +309,8 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
                     d_params[idx] += factor * overlap
                 # the inverse exp(i*a*P/2) = cos(a/2) + i*sin(a/2)*P, as P @ P = 1
                 gate = np.cos(angle / 2) * eye + (1j * np.sin(angle / 2)) * gate
-            if i > lo:
-                r = gate @ r @ gate.conj().T
-            if j > 0:
-                v = gate @ v
+            r = gate @ r @ gate.conj().T
+            v = gate @ v
         if j > 0:
             pair = pair @ v.T
     return d_params, d_inputs

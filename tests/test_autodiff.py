@@ -196,7 +196,7 @@ TRAINABLE_FIRST = Circuit(
 )
 
 
-def _vjp_case(circuit, rows=4, qubits=None, id=None):
+def _vjp_case(circuit, rows=40, qubits=None, id=None):
     if qubits is None:
         qubits = (0, 2) if circuit.n_qubits > 3 else (0, 1, 2)
     return pytest.param(circuit, rows, qubits, id=id or circuit.name)
@@ -213,6 +213,7 @@ def _vjp_case(circuit, rows=4, qubits=None, id=None):
         _vjp_case(build_qlstm_vqc(4, 2), rows=1, id="qlstm_vqc(4,2)-1row"),
         _vjp_case(build_reuploading_ising(3, 2), rows=200, id="reuploading_ising(3,2)-200rows"),
         _vjp_case(SHARED_MIX),
+        _vjp_case(SHARED_MIX, rows=4, id="shared_mix-4rows"),
         _vjp_case(TRAINABLE_FIRST),
         _vjp_case(build_qlstm_vqc(4, 1), qubits=(), id="qlstm_vqc(4,1)-no-readout"),
     ],
@@ -235,13 +236,13 @@ def test_vjp_matches_contracted_param_shift(circuit, rows, qubits):
 
 def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
     """qlstm_vqc(4,2) has 8 input rotations and, after them, one shared run,
-    which is swept on a d x d matrix: apply_matrix sees only the 8 generator
-    products on psi and 7 un-applies on the psi/lambda pair (the first
-    rotation is never un-applied), none of them for the shared run."""
+    which is swept on a d x d matrix at 32 rows or more: apply_matrix sees
+    only the 8 generator products on psi and 7 un-applies on the psi/lambda
+    pair (the first rotation is never un-applied), none for the shared run."""
     circuit = build_qlstm_vqc(4, 2)
     rng = np.random.default_rng(36)
     theta = rng.normal(size=circuit.n_trainable)
-    xs = rng.uniform(-2.0, 2.0, size=(5, circuit.n_inputs))
+    xs = rng.uniform(-2.0, 2.0, size=(32, circuit.n_inputs))
     states = run_circuit_batch(circuit, theta, xs)
     rows = []
 
@@ -250,8 +251,30 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
         return apply_matrix(amps, *args)
 
     monkeypatch.setattr(autodiff, "apply_matrix", counting)
-    circuit_vjp(circuit, theta, xs, states, (0, 1), np.ones((5, 2)))
-    assert sorted(rows) == [(2, 5)] * 7 + [(5,)] * 8
+    circuit_vjp(circuit, theta, xs, states, (0, 1), np.ones((32, 2)))
+    assert sorted(rows) == [(2, 32)] * 7 + [(32,)] * 8
+
+
+def test_vjp_sweeps_wide_circuit_on_few_rows_per_row(monkeypatch):
+    """A 2**10 x 2**10 matrix per shared gate would cost far more than the
+    3-row pair, so no dense gate is built and every step is swept per row."""
+
+    def no_dense(*args):
+        raise AssertionError("dense gate built for a wide circuit")
+
+    monkeypatch.setattr(autodiff, "_embedded", no_dense)
+    circuit = build_reuploading_sel(10, 4)
+    rng = np.random.default_rng(37)
+    theta = rng.normal(size=circuit.n_trainable)
+    xs = rng.uniform(-2.0, 2.0, size=(3, circuit.n_inputs))
+    weights = rng.normal(size=(3, 2))
+    states = run_circuit_batch(circuit, theta, xs)
+    d_params, d_inputs = circuit_vjp(circuit, theta, xs, states, (0, 9), weights)
+    ref_params, ref_inputs = _contracted_param_shift(
+        circuit, theta, xs, (0, 9), weights
+    )
+    assert np.max(np.abs(d_params - ref_params)) < 1e-10
+    assert np.max(np.abs(d_inputs - ref_inputs)) < 1e-10
 
 
 def test_vjp_rejects_misshapen_weights():

@@ -77,6 +77,7 @@ class GradientRequest:
 
 
 def _normalize_observable(observable, n_qubits):
+    """(qubits, weights) of the observable's Z terms."""
     if isinstance(observable, (int, np.integer)):
         terms = [(int(observable), 1.0)]
     else:
@@ -84,22 +85,14 @@ def _normalize_observable(observable, n_qubits):
     for q, _ in terms:
         if not 0 <= q < n_qubits:
             raise ValueError(f"observable qubit {q} out of range")
-    return terms
-
-
-def _expectations(amps, n_qubits, terms):
-    probs = np.abs(amps) ** 2
-    out = np.zeros(amps.shape[:-1])
-    for q, w in terms:
-        out = out + w * (probs @ z_signs(n_qubits, q))
-    return out
+    return [q for q, _ in terms], np.array([w for _, w in terms])
 
 
 def expectation(circuit: Circuit, params, inputs, observable=0) -> float:
     """Analytic expectation of a (weighted) Z observable after the circuit."""
-    terms = _normalize_observable(observable, circuit.n_qubits)
+    qubits, weights = _normalize_observable(observable, circuit.n_qubits)
     amps = run_circuit_batch(circuit, params, inputs)
-    return float(_expectations(amps, circuit.n_qubits, terms))
+    return float(z_expectations(amps, circuit.n_qubits, qubits) @ weights)
 
 
 def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
@@ -131,7 +124,7 @@ def param_shift_grad(req: GradientRequest) -> np.ndarray:
     circuit = req.circuit
     theta = _theta_array(circuit, req.params).ravel()
     x = _input_array(circuit, req.inputs).ravel()
-    terms = _normalize_observable(req.observable, circuit.n_qubits)
+    qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
     kind = "trainable" if req.wrt == "trainable" else "input"
     n_slots = circuit.n_trainable if kind == "trainable" else circuit.n_inputs
     occs = _relevant_occurrences(circuit, kind)
@@ -146,7 +139,7 @@ def param_shift_grad(req: GradientRequest) -> np.ndarray:
         s[2 * j + 1] = -np.pi / 2
         shifts[(i, pos)] = s
     amps = run_circuit_batch(circuit, theta, x, shifts)
-    e = _expectations(amps, circuit.n_qubits, terms)
+    e = z_expectations(amps, circuit.n_qubits, qubits) @ weights
     for j, (_, _, ref) in enumerate(occs):
         de_dangle = 0.5 * (e[2 * j] - e[2 * j + 1])
         for part_kind, idx, factor in angle_partials(ref, theta, x):
@@ -162,7 +155,7 @@ def finite_diff_grad(req: GradientRequest, h: float = 1e-5) -> np.ndarray:
     circuit = req.circuit
     theta = _theta_array(circuit, req.params).ravel()
     x = _input_array(circuit, req.inputs).ravel()
-    terms = _normalize_observable(req.observable, circuit.n_qubits)
+    qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
     n_slots = circuit.n_trainable if req.wrt == "trainable" else circuit.n_inputs
     if n_slots == 0:
         return np.zeros(0)
@@ -177,7 +170,7 @@ def finite_diff_grad(req: GradientRequest, h: float = 1e-5) -> np.ndarray:
         amps = run_circuit_batch(circuit, base, x)
     else:
         amps = run_circuit_batch(circuit, theta, base)
-    e = _expectations(amps, circuit.n_qubits, terms)
+    e = z_expectations(amps, circuit.n_qubits, qubits) @ weights
     return (e[0::2] - e[1::2]) / (2 * h)
 
 

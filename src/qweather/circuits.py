@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import (
-    GATE_ARITY,
     Gate,
     Statevector,
+    _check_gate_shape,
     apply_gate,
     apply_matrix,
     gate_matrix,
@@ -62,19 +62,7 @@ class CircuitOp:
     angles: tuple[AngleRef, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_angles, n_targets = GATE_ARITY[self.kind]
-        if len(self.angles) != n_angles:
-            raise ValueError(
-                f"{self.kind} takes {n_angles} angle(s), got {len(self.angles)}"
-            )
-        if len(self.targets) != n_targets:
-            raise ValueError(
-                f"{self.kind} acts on {n_targets} qubit(s), got {len(self.targets)}"
-            )
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate target qubits {self.targets}")
+        _check_gate_shape(self.kind, self.targets, self.angles)
 
 
 @dataclass(frozen=True)
@@ -102,23 +90,6 @@ class Circuit:
                     )
                 if ref.partner is not None and ref.partner >= self.n_inputs:
                     raise ValueError(f"input slot {ref.partner} out of range")
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Trainable angles in radians for one circuit template."""
-
-    values: tuple[float, ...]
-    layout: str
-
-
-def param_vector(circuit: Circuit, values) -> ParamVector:
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size != circuit.n_trainable:
-        raise ValueError(
-            f"{circuit.name} takes {circuit.n_trainable} parameters, got {arr.size}"
-        )
-    return ParamVector(tuple(arr.tolist()), circuit.name)
 
 
 def angle_values(ref: AngleRef, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,12 +144,6 @@ def parameterized_occurrences(circuit: Circuit):
 
 
 def _theta_array(circuit: Circuit, params) -> np.ndarray:
-    if isinstance(params, ParamVector):
-        if params.layout != circuit.name:
-            raise ValueError(
-                f"parameter layout {params.layout!r} does not match {circuit.name!r}"
-            )
-        params = params.values
     arr = np.asarray(params, dtype=float)
     if arr.shape[-1:] != (circuit.n_trainable,):
         if not (circuit.n_trainable == 0 and arr.size == 0):
@@ -264,9 +229,7 @@ def bind_circuit(circuit: Circuit, params, inputs) -> list[Gate]:
 
 def bind_and_run(circuit: Circuit, params, inputs) -> Statevector:
     """Apply the bound circuit to |0...0>."""
-    state = new_state(circuit.n_qubits) if circuit.n_qubits else None
-    if circuit.n_qubits < 1:
-        raise ValueError("circuit must have at least one qubit")
+    state = new_state(circuit.n_qubits)
     for gate in bind_circuit(circuit, params, inputs):
         state = apply_gate(state, gate)
     return state
@@ -357,11 +320,6 @@ def build_reuploading_sel(n_qubits: int = 4, n_layers: int = 4) -> Circuit:
         n_trainable=k,
         n_inputs=n,
     )
-
-
-def sel_cnot_ranges(n_qubits: int, n_layers: int) -> list[int]:
-    """Per-layer CNOT ranges of the strongly entangling template."""
-    return [(layer % (n_qubits - 1)) + 1 for layer in range(1, n_layers + 1)]
 
 
 def build_zz_feature_map(n_features: int, reps: int = 1) -> Circuit:

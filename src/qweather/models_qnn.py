@@ -339,11 +339,6 @@ class DenseBaseline:
     task: str
     params: np.ndarray
 
-    @property
-    def n_params(self) -> int:
-        (d, h, o), (bh, bo) = self.layer_sizes, self.bias_flags
-        return d * h + (h if bh else 0) + h * o + (o if bo else 0)
-
 
 def build_dense_baseline(budget: int, input_dim: int, task: str, seed=None):
     """Single-hidden-layer tanh network hitting the parameter budget exactly."""

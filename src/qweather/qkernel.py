@@ -9,7 +9,6 @@ multiclass goes one-vs-rest with ties broken toward the lowest class.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +18,6 @@ from .circuits import Circuit, run_circuit_batch
 
 class IllConditionedKernelError(Exception):
     """Kernel matrix is not positive semidefinite within tolerance."""
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    entries: np.ndarray
-    source: str
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-def _fingerprint(X: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:12]
 
 
 def embed_states(X, feature_map: Circuit) -> np.ndarray:
@@ -55,14 +40,6 @@ def fidelity_kernel(Xa, Xb, feature_map: Circuit) -> np.ndarray:
     return np.abs(amps_a.conj() @ amps_b.T) ** 2
 
 
-def fidelity_kernel_matrix(X, feature_map: Circuit) -> KernelMatrix:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    amps = embed_states(X, feature_map)
-    entries = np.abs(amps.conj() @ amps.T) ** 2
-    source = f"{feature_map.name}|{_fingerprint(X)}"
-    return KernelMatrix(entries=entries, source=source)
-
-
 def rbf_kernel(Xa, Xb, gamma: float) -> np.ndarray:
     Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
@@ -83,25 +60,6 @@ def default_gamma(X) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def rbf_kernel_matrix(X, gamma: float | None = None) -> KernelMatrix:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if gamma is None:
-        gamma = default_gamma(X)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    entries = rbf_kernel(X, X, gamma)
-    source = f"rbf(gamma={gamma:.6g})|{_fingerprint(X)}"
-    return KernelMatrix(entries=entries, source=source)
-
-
-def kernel_to_csv(km: KernelMatrix, path) -> None:
-    """Row-major CSV dump with the source descriptor as the header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# source={km.source}\n")
-        for row in km.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 @dataclass(frozen=True)
 class SvmModel:
     dual_coefficients: np.ndarray
@@ -113,12 +71,6 @@ class SvmModel:
     n_train: int
     n_iter: int
     kkt_gap: float
-
-
-def _as_entries(kernel) -> np.ndarray:
-    if isinstance(kernel, KernelMatrix):
-        return kernel.entries
-    return np.asarray(kernel, dtype=float)
 
 
 def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3, label_map=(-1, 1)):
@@ -137,7 +89,7 @@ def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3, label_map=(-1, 1)):
 
 def _checked(kernel, y, C):
     """The kernel entries and float labels, once every input check passes."""
-    K = _as_entries(kernel)
+    K = np.asarray(kernel, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
     if K.shape != (n, n):

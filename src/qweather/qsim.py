@@ -43,6 +43,20 @@ _CNOT = np.array(
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
+def _check_gate_shape(kind, targets, angles):
+    """Raise ValueError unless ``kind`` is known and takes as many angles
+    and distinct targets as given."""
+    if kind not in GATE_ARITY:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    n_angles, n_targets = GATE_ARITY[kind]
+    if len(angles) != n_angles:
+        raise ValueError(f"{kind} takes {n_angles} angle(s), got {len(angles)}")
+    if len(targets) != n_targets:
+        raise ValueError(f"{kind} acts on {n_targets} qubit(s), got {len(targets)}")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target qubits {targets}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """A concrete gate: kind, bound angles (radians) and target qubits."""
@@ -52,19 +66,7 @@ class Gate:
     angles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_angles, n_targets = GATE_ARITY[self.kind]
-        if len(self.angles) != n_angles:
-            raise ValueError(
-                f"{self.kind} takes {n_angles} angle(s), got {len(self.angles)}"
-            )
-        if len(self.targets) != n_targets:
-            raise ValueError(
-                f"{self.kind} acts on {n_targets} qubit(s), got {len(self.targets)}"
-            )
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate target qubits {self.targets}")
+        _check_gate_shape(self.kind, self.targets, self.angles)
         if any(t < 0 for t in self.targets):
             raise ValueError(f"negative target qubit in {self.targets}")
 
@@ -92,9 +94,6 @@ class Statevector:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
 
 
 def new_state(n_qubits: int) -> Statevector:
@@ -328,14 +327,6 @@ def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def expectation_z(state: Statevector, qubit: int) -> float:
-    """Analytic <Z_qubit>, no sampling."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    probs = np.abs(state.amplitudes) ** 2
-    return float(probs @ z_signs(state.n_qubits, qubit))
-
-
 def z_expectations(amps: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
     """<Z_q> for each q in ``qubits`` over amplitudes of shape (..., 2**n);
     shape (..., len(qubits))."""
@@ -347,12 +338,3 @@ def z_expectations(amps: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
 def probabilities(state: Statevector) -> np.ndarray:
     """Computational-basis probabilities |amplitude_b|**2."""
     return np.abs(state.amplitudes) ** 2
-
-
-def inner_product(a: Statevector, b: Statevector) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

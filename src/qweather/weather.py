@@ -118,22 +118,11 @@ class Dataset:
     def n_rows(self) -> int:
         return len(self.time)
 
-    @property
-    def feature_names(self) -> list:
-        return [c for c in self.columns if c != self.target_name]
-
     def feature_matrix(self, names) -> np.ndarray:
         return np.column_stack([self.columns[n] for n in names])
 
     def target(self) -> np.ndarray:
         return np.asarray(self.columns[self.target_name])
-
-    def rows(self, start: int, stop: int) -> "Dataset":
-        return replace(
-            self,
-            time=self.time[start:stop],
-            columns={k: v[start:stop] for k, v in self.columns.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -308,17 +297,6 @@ def bin_target(values, mode: str) -> np.ndarray:
         lo, hi = TERNARY_BOUNDARIES_K
         return np.where(values >= hi, 2, np.where(values >= lo, 1, 0)).astype(int)
     raise ValueError(f"unknown binning mode {mode!r}")
-
-
-def chrono_split(dataset: Dataset, train_fraction: float = 0.8):
-    """(train, test) split preserving time order; train gets floor(n*f) rows."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n = dataset.n_rows
-    n_train = int(math.floor(n * train_fraction))
-    if n < 2 or n_train < 1 or n - n_train < 1:
-        raise ValueError(f"cannot split {n} rows at fraction {train_fraction}")
-    return dataset.rows(0, n_train), dataset.rows(n_train, n)
 
 
 def _month_stamp(i: int, start_year: int = 1940) -> str:

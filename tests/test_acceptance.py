@@ -34,7 +34,6 @@ from qweather.models_recurrent import (
 from qweather.optim import cobyla_minimize
 from qweather.qkernel import (
     fidelity_kernel,
-    fidelity_kernel_matrix,
     rbf_kernel,
     svm_decision,
     svm_train,
@@ -163,7 +162,7 @@ def test_criterion_03_kernel_properties():
     rng = np.random.default_rng(23)
     fm = build_z_feature_map(4, 1)
     X = rng.uniform(0.0, 1.0, (30, 4))
-    K = fidelity_kernel_matrix(X, fm).entries
+    K = fidelity_kernel(X, X, fm)
     sym = float(np.abs(K - K.T).max())
     diag = float(np.abs(np.diag(K) - 1.0).max())
     lam_min = float(np.linalg.eigvalsh(K).min())

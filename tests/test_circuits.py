@@ -17,11 +17,9 @@ from qweather.circuits import (
     build_reuploading_sel,
     build_z_feature_map,
     build_zz_feature_map,
-    param_vector,
     run_circuit_batch,
-    sel_cnot_ranges,
 )
-from qweather.qsim import inner_product, probabilities
+from qweather.qsim import probabilities
 
 ALL_TEMPLATES = [
     build_reuploading_ising(3, 2),
@@ -84,7 +82,6 @@ def test_sel_references_each_input_layers_times():
 
 
 def test_sel_cnot_ranges_for_4_qubits_4_layers():
-    assert sel_cnot_ranges(4, 4) == [2, 3, 1, 2]
     circuit = build_reuploading_sel(4, 4)
     ranges = []
     for op in circuit.ops:
@@ -167,15 +164,15 @@ def test_z_map_fidelity_is_cos_squared():
     circuit = build_z_feature_map(1, 1)
     rng = np.random.default_rng(7)
     for x in rng.uniform(0, np.pi, size=8):
-        a = bind_and_run(circuit, [], [x])
-        assert abs(inner_product(a, a)) == pytest.approx(1.0, abs=1e-12)
+        a = bind_and_run(circuit, [], [x]).amplitudes
+        assert abs(np.vdot(a, a)) == pytest.approx(1.0, abs=1e-12)
         for xp in rng.uniform(0, np.pi, size=4):
-            b = bind_and_run(circuit, [], [xp])
-            fid = abs(inner_product(a, b)) ** 2
+            b = bind_and_run(circuit, [], [xp]).amplitudes
+            fid = abs(np.vdot(a, b)) ** 2
             assert fid == pytest.approx(np.cos(x - xp) ** 2, abs=1e-12)
-    a = bind_and_run(circuit, [], [0.0])
-    b = bind_and_run(circuit, [], [np.pi / 2])
-    assert abs(inner_product(a, b)) ** 2 == pytest.approx(0.0, abs=1e-12)
+    a = bind_and_run(circuit, [], [0.0]).amplitudes
+    b = bind_and_run(circuit, [], [np.pi / 2]).amplitudes
+    assert abs(np.vdot(a, b)) ** 2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_output_norm_is_one_on_all_templates():
@@ -356,15 +353,11 @@ def test_angle_partials_match_finite_differences():
                 assert d == pytest.approx(fd, abs=1e-6)
 
 
-def test_param_vector_validation():
+def test_bind_rejects_wrong_param_length():
     circuit = build_real_amplitudes(2, 0)
-    pv = param_vector(circuit, [0.1, 0.2])
-    assert pv.layout == circuit.name
-    with pytest.raises(ValueError):
-        param_vector(circuit, [0.1])
-    other = param_vector(build_real_amplitudes(3, 0), [0.1, 0.2, 0.3])
-    with pytest.raises(ValueError):
-        bind_and_run(circuit, other, [])
+    for params in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError):
+            bind_and_run(circuit, params, [])
 
 
 def test_bind_rejects_wrong_input_length():

@@ -5,17 +5,14 @@ from scipy.optimize import minimize
 from qweather.circuits import build_z_feature_map, build_zz_feature_map
 from qweather.qkernel import (
     IllConditionedKernelError,
-    KernelMatrix,
     OvrModel,
     SvmModel,
     default_gamma,
     fidelity_kernel,
-    fidelity_kernel_matrix,
-    kernel_to_csv,
     ovr_decision,
     ovr_predict,
     ovr_train,
-    rbf_kernel_matrix,
+    rbf_kernel,
     svm_decision,
     svm_predict,
     svm_train,
@@ -49,33 +46,33 @@ def test_fidelity_diagonal_and_duplicates():
     rng = np.random.default_rng(91)
     X = rng.uniform(0, 1, size=(10, 4))
     X[7] = X[2]
-    km = fidelity_kernel_matrix(X, build_zz_feature_map(4, 1))
-    assert np.allclose(np.diag(km.entries), 1.0, atol=1e-12)
-    assert km.entries[2, 7] == pytest.approx(1.0, abs=1e-12)
+    K = fidelity_kernel(X, X, build_zz_feature_map(4, 1))
+    assert np.allclose(np.diag(K), 1.0, atol=1e-12)
+    assert K[2, 7] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_feature_z_map_entry_is_cos_squared():
     X = np.array([[0.3], [0.3 + np.pi / 4]])
-    km = fidelity_kernel_matrix(X, build_z_feature_map(1, 1))
-    assert km.entries[0, 1] == pytest.approx(0.5, abs=1e-12)
+    K = fidelity_kernel(X, X, build_z_feature_map(1, 1))
+    assert K[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fidelity_kernel_invariants():
     rng = np.random.default_rng(92)
     X = rng.uniform(0, 1, size=(25, 4))
-    km = fidelity_kernel_matrix(X, build_zz_feature_map(4, 1))
-    assert np.max(np.abs(km.entries - km.entries.T)) < 1e-10
-    assert np.all(km.entries >= 0) and np.all(km.entries <= 1 + 1e-12)
-    assert float(np.linalg.eigvalsh(km.entries).min()) > -1e-8
-    assert km.source.startswith("zz_feature_map(4,1)|")
+    K = fidelity_kernel(X, X, build_zz_feature_map(4, 1))
+    assert np.max(np.abs(K - K.T)) < 1e-10
+    assert np.all(K >= 0) and np.all(K <= 1 + 1e-12)
+    assert float(np.linalg.eigvalsh(K).min()) > -1e-8
 
 
 def test_fidelity_kernel_row_order_equivariance():
     rng = np.random.default_rng(93)
     X = rng.uniform(0, 1, size=(8, 4))
     perm = rng.permutation(8)
-    k1 = fidelity_kernel_matrix(X, build_zz_feature_map(4, 1)).entries
-    k2 = fidelity_kernel_matrix(X[perm], build_zz_feature_map(4, 1)).entries
+    fm = build_zz_feature_map(4, 1)
+    k1 = fidelity_kernel(X, X, fm)
+    k2 = fidelity_kernel(X[perm], X[perm], fm)
     assert np.allclose(k2, k1[np.ix_(perm, perm)], atol=1e-12)
 
 
@@ -83,18 +80,19 @@ def test_fidelity_cross_kernel_matches_matrix():
     rng = np.random.default_rng(94)
     X = rng.uniform(0, 1, size=(6, 4))
     fm = build_zz_feature_map(4, 1)
-    km = fidelity_kernel_matrix(X, fm)
     cross = fidelity_kernel(X[:2], X, fm)
-    assert np.allclose(cross, km.entries[:2], atol=1e-12)
+    assert np.allclose(cross, fidelity_kernel(X, X, fm)[:2], atol=1e-12)
 
 
 def test_fidelity_rejects_wrong_dimension():
+    X = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        fidelity_kernel_matrix(np.zeros((3, 2)), build_zz_feature_map(4, 1))
+        fidelity_kernel(X, X, build_zz_feature_map(4, 1))
 
 
 def test_rbf_kernel_values():
-    km = rbf_kernel_matrix(np.array([[0.0], [1.0], [2.0]]), gamma=1.0)
+    X = np.array([[0.0], [1.0], [2.0]])
+    K = rbf_kernel(X, X, 1.0)
     expected = np.array(
         [
             [1.0, np.e**-1, np.e**-4],
@@ -102,17 +100,15 @@ def test_rbf_kernel_values():
             [np.e**-4, np.e**-1, 1.0],
         ]
     )
-    assert np.allclose(km.entries, expected, atol=1e-12)
+    assert np.allclose(K, expected, atol=1e-12)
     d = np.sqrt(np.log(2.0) / 0.7)
-    km2 = rbf_kernel_matrix(np.array([[0.0], [d]]), gamma=0.7)
-    assert km2.entries[0, 1] == pytest.approx(0.5, abs=1e-12)
+    X2 = np.array([[0.0], [d]])
+    assert rbf_kernel(X2, X2, 0.7)[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rbf_default_gamma():
     X = np.array([[0.0, 1.0], [2.0, 3.0]])
     assert default_gamma(X) == pytest.approx(1.0 / (2 * X.var()))
-    with pytest.raises(ValueError):
-        rbf_kernel_matrix(X, gamma=0.0)
 
 
 def test_two_point_training_closed_form():
@@ -146,9 +142,9 @@ def test_separable_rbf_training_accuracy():
     rng = np.random.default_rng(95)
     X, y01 = _clusters(rng, [(-2.0, -2.0), (2.0, 2.0)], 10)
     y = np.where(y01 == 1, 1.0, -1.0)
-    km = rbf_kernel_matrix(X, gamma=0.5)
-    model = svm_train(km, y, C=10.0)
-    preds = np.sign(svm_decision(model, km.entries))
+    K = rbf_kernel(X, X, 0.5)
+    model = svm_train(K, y, C=10.0)
+    preds = np.sign(svm_decision(model, K))
     assert np.all(preds == y)
 
 
@@ -156,9 +152,9 @@ def test_separable_large_c_satisfies_margins():
     rng = np.random.default_rng(96)
     X, y01 = _clusters(rng, [(-2.0, -2.0), (2.0, 2.0)], 8)
     y = np.where(y01 == 1, 1.0, -1.0)
-    km = rbf_kernel_matrix(X, gamma=0.5)
-    model = svm_train(km, y, C=1e4, tol=1e-4)
-    decisions = svm_decision(model, km.entries)
+    K = rbf_kernel(X, X, 0.5)
+    model = svm_train(K, y, C=1e4, tol=1e-4)
+    decisions = svm_decision(model, K)
     assert np.all(y * decisions >= 1 - 1e-3)
 
 
@@ -166,13 +162,13 @@ def test_free_support_vector_sits_on_margin():
     rng = np.random.default_rng(97)
     X, y01 = _clusters(rng, [(-1.0, -1.0), (1.0, 1.0)], 10, spread=0.6)
     y = np.where(y01 == 1, 1.0, -1.0)
-    km = rbf_kernel_matrix(X, gamma=0.5)
+    K = rbf_kernel(X, X, 0.5)
     tol = 1e-3
-    model = svm_train(km, y, C=1.0, tol=tol)
+    model = svm_train(K, y, C=1.0, tol=tol)
     alpha = full_alpha(model, len(y))
     free_pos = np.flatnonzero((alpha > 1e-6) & (alpha < 1.0 - 1e-6) & (y > 0))
     assert free_pos.size > 0
-    assert np.all(svm_decision(model, km.entries[free_pos]) >= 1 - 2 * tol)
+    assert np.all(svm_decision(model, K[free_pos]) >= 1 - 2 * tol)
 
 
 def test_zero_kernel_row_predicts_bias_sign():
@@ -193,12 +189,12 @@ def test_smo_matches_brute_force_dual():
         y = local.choice([-1.0, 1.0], size=n)
         if np.unique(y).size < 2:
             y[0] = -y[1]
-        cases.append((rbf_kernel_matrix(X, gamma=0.8).entries, y, 1.0))
+        cases.append((rbf_kernel(X, X, 0.8), y, 1.0))
     # a larger set with overlapping classes, where C = 0.5 holds alphas at C
     local = np.random.default_rng(36)
     X = local.normal(size=(36, 2))
     y = np.where(X[:, 0] + 0.8 * local.normal(size=36) > 0, 1.0, -1.0)
-    cases.append((rbf_kernel_matrix(X, gamma=0.5).entries, y, 0.5))
+    cases.append((rbf_kernel(X, X, 0.5), y, 0.5))
     for K, y, C in cases:
         model = svm_train(K, y, C=C, tol=1e-5)
         alpha = full_alpha(model, len(y))
@@ -235,20 +231,20 @@ def test_svm_predict_rejects_wrong_row_length():
 def test_ovr_two_class_matches_binary():
     rng = np.random.default_rng(99)
     X, y = _clusters(rng, [(-1.5, 0.0), (1.5, 0.0)], 12, spread=0.8)
-    km = rbf_kernel_matrix(X, gamma=0.7)
-    binary = svm_train(km, np.where(y == 1, 1.0, -1.0), C=1.0)
-    multi = ovr_train(km, y, C=1.0)
-    b_labels = np.where(svm_decision(binary, km.entries) >= 0, 1, 0)
-    assert np.array_equal(ovr_predict(multi, km.entries), b_labels)
+    K = rbf_kernel(X, X, 0.7)
+    binary = svm_train(K, np.where(y == 1, 1.0, -1.0), C=1.0)
+    multi = ovr_train(K, y, C=1.0)
+    b_labels = np.where(svm_decision(binary, K) >= 0, 1, 0)
+    assert np.array_equal(ovr_predict(multi, K), b_labels)
 
 
 def test_ovr_three_clusters_accuracy():
     rng = np.random.default_rng(100)
     X, y = _clusters(rng, [(-3.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 8)
-    km = rbf_kernel_matrix(X, gamma=0.5)
-    model = ovr_train(km, y, C=10.0)
+    K = rbf_kernel(X, X, 0.5)
+    model = ovr_train(K, y, C=10.0)
     assert model.classes == (0, 1, 2)
-    assert np.array_equal(ovr_predict(model, km.entries), y)
+    assert np.array_equal(ovr_predict(model, K), y)
 
 
 def test_ovr_tie_goes_to_lowest_class():
@@ -277,7 +273,7 @@ def test_ovr_requires_two_classes():
 def test_ovr_checks_the_kernel_once(monkeypatch):
     rng = np.random.default_rng(101)
     X, y = _clusters(rng, [(-3.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 6)
-    km = rbf_kernel_matrix(X, gamma=0.5)
+    K = rbf_kernel(X, X, 0.5)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -286,7 +282,7 @@ def test_ovr_checks_the_kernel_once(monkeypatch):
         return eigvalsh(K)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    model = ovr_train(km, y, C=10.0)
+    model = ovr_train(K, y, C=10.0)
     assert len(model.models) == 3
     assert calls == [(18, 18)]
 
@@ -301,13 +297,3 @@ def test_ovr_train_validation():
     with pytest.raises(IllConditionedKernelError):
         ovr_train(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]))
 
-
-def test_kernel_csv_export(tmp_path):
-    km = KernelMatrix(entries=np.array([[1.0, 0.25], [0.25, 1.0]]), source="demo|abc")
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(km, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# source=demo|abc"
-    assert len(lines) == 3
-    row = [float(v) for v in lines[1].split(",")]
-    assert row == [1.0, 0.25]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -12,11 +13,10 @@ from qweather.qsim import (
     Gate,
     apply_gate,
     apply_matrix,
-    expectation_z,
     gate_matrix,
-    inner_product,
     new_state,
     probabilities,
+    z_expectations,
     z_signs,
 )
 
@@ -194,7 +194,8 @@ def test_expectation_z_after_ry_is_cos_theta():
     rng = np.random.default_rng(44)
     for theta in rng.uniform(-np.pi, np.pi, size=10):
         sv = apply_gate(new_state(1), Gate("RY", (0,), (theta,)))
-        assert expectation_z(sv, 0) == pytest.approx(np.cos(theta), abs=1e-12)
+        (z,) = z_expectations(sv.amplitudes, 1, [0])
+        assert z == pytest.approx(np.cos(theta), abs=1e-12)
 
 
 def test_expectation_z_matches_probability_weighted_signs():
@@ -202,10 +203,14 @@ def test_expectation_z_matches_probability_weighted_signs():
     n = 4
     sv = run(new_state(n), _random_circuit(rng, n, 25))
     probs = probabilities(sv)
+    got = z_expectations(sv.amplitudes, n, range(n))
+    assert np.allclose(got, [probs @ z_signs(n, q) for q in range(n)], atol=1e-12)
+    # against <psi|Z_q|psi> with Z_q embedded densely, qubit 0 the leading factor
     for q in range(n):
-        assert expectation_z(sv, q) == pytest.approx(
-            float(probs @ z_signs(n, q)), abs=1e-12
-        )
+        factors = [Z if k == q else np.eye(2) for k in range(n)]
+        dense = functools.reduce(np.kron, factors)
+        want = np.vdot(sv.amplitudes, dense @ sv.amplitudes).real
+        assert got[q] == pytest.approx(want, abs=1e-12)
 
 
 def test_z_signs_msb_layout():
@@ -219,19 +224,6 @@ def test_probabilities_sum_to_one():
     probs = probabilities(sv)
     assert np.all(probs >= 0)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_inner_product_is_conjugate_symmetric():
-    rng = np.random.default_rng(47)
-    a = run(new_state(3), _random_circuit(rng, 3, 15))
-    b = run(new_state(3), _random_circuit(rng, 3, 15))
-    assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-    assert inner_product(a, a) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_inner_product_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(new_state(2), new_state(3))
 
 
 def test_batched_apply_matches_loop():

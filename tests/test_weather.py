@@ -11,7 +11,6 @@ from qweather.weather import (
     EmptySelectionError,
     UndefinedCorrelationError,
     bin_target,
-    chrono_split,
     correlation_report,
     load_csv,
     pearson,
@@ -195,30 +194,6 @@ def test_binning_validation():
         bin_target(np.array([290.0]), "five-way")
     with pytest.warns(UserWarning):
         bin_target(np.array([100.0]), "binary")
-
-
-def test_chrono_split_sizes():
-    ds = synth_generate(seed=5, n_months=120)
-    train, test = chrono_split(ds, 0.8)
-    assert train.n_rows == 96 and test.n_rows == 24
-    assert train.time[-1] < test.time[0]
-
-
-def test_chrono_split_floor_arithmetic():
-    ds = synth_generate(seed=5, n_months=1021)
-    train, test = chrono_split(ds, 0.8)
-    assert train.n_rows == 816 and test.n_rows == 205
-
-
-def test_chrono_split_validation():
-    ds = synth_generate(seed=5, n_months=24)
-    with pytest.raises(ValueError):
-        chrono_split(ds, 0.0)
-    with pytest.raises(ValueError):
-        chrono_split(ds, 1.0)
-    one = ds.rows(0, 1)
-    with pytest.raises(ValueError):
-        chrono_split(one, 0.8)
 
 
 def test_synth_is_deterministic():

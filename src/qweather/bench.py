@@ -236,33 +236,12 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
     )
 
 
-def _quantum_cell(cell):
-    details = {"circuit": cell.circuit.name, "n_circuit_params": cell.n_circuit_params}
-    return cell, details
-
-
-def _qlstm(cfg, n_feats):
-    return _quantum_cell(build_qlstm(n_feats, n_qubits=4, n_layers=cfg.n_layers))
-
-
-def _qgru(cfg, n_feats):
-    return _quantum_cell(build_qgru(n_feats, n_qubits=4, n_layers=cfg.n_layers))
-
-
-def _classical_cell(model):
-    return model, {"hidden_size": model.hidden_size}
-
-
-def _lstm(cfg, n_feats):
-    return _classical_cell(build_classical_lstm(n_feats, hidden_size=8))
-
-
-def _gru(cfg, n_feats):
-    return _classical_cell(build_classical_gru(n_feats, hidden_size=16))
-
-
 def _fit_recurrent(build, cfg, X_train, y_train):
-    model, details = build(cfg, X_train.shape[2])
+    model = build(cfg, X_train.shape[2])
+    if hasattr(model, "circuit"):
+        details = dict(circuit=model.circuit.name, n_circuit_params=model.n_circuit_params)
+    else:
+        details = {"hidden_size": model.hidden_size}
     model, history = train_sequence_model(
         model, X_train, y_train, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed
     )
@@ -315,18 +294,24 @@ MODELS = {
     "svc": ModelSpec(_CLASSIFY, partial(_fit_kernel_machine, _rbf), scaling="minmax"),
     "nn": ModelSpec(_ANY_TASK, _fit_nn, epochs=300, lr=0.05),
     "qlstm": ModelSpec(
-        _REGRESS, partial(_fit_recurrent, _qlstm), epochs=50, lr=0.05, n_layers=2,
-        windows=True,
+        _REGRESS,
+        partial(_fit_recurrent, lambda cfg, d: build_qlstm(d, 4, cfg.n_layers)),
+        epochs=50, lr=0.05, n_layers=2, windows=True,
     ),
     "qgru": ModelSpec(
-        _REGRESS, partial(_fit_recurrent, _qgru), epochs=20, lr=0.05, n_layers=2,
-        windows=True,
+        _REGRESS,
+        partial(_fit_recurrent, lambda cfg, d: build_qgru(d, 4, cfg.n_layers)),
+        epochs=20, lr=0.05, n_layers=2, windows=True,
     ),
     "lstm": ModelSpec(
-        _REGRESS, partial(_fit_recurrent, _lstm), epochs=150, lr=0.02, windows=True
+        _REGRESS,
+        partial(_fit_recurrent, lambda cfg, d: build_classical_lstm(d, 8)),
+        epochs=150, lr=0.02, windows=True,
     ),
     "gru": ModelSpec(
-        _REGRESS, partial(_fit_recurrent, _gru), epochs=150, lr=0.02, windows=True
+        _REGRESS,
+        partial(_fit_recurrent, lambda cfg, d: build_classical_gru(d, 16)),
+        epochs=150, lr=0.02, windows=True,
     ),
 }
 

@@ -19,7 +19,9 @@ from them and no circuit is simulated twice in a step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -59,9 +61,8 @@ def make_windows(features, target, window: int = 4, stride: int = 1):
 class _QuantumCell:
     """Recurrent cell whose gates are variational circuits.
 
-    The hidden state is a per-qubit readout, so hidden_size always equals
-    n_qubits.  Parameters are one flat vector: one circuit block per gate,
-    then the shared input map (weights and bias), then the scalar head.
+    The hidden state is a per-qubit readout, so hidden_size is n_qubits.
+    The parameter vector follows ``_layout``.
     """
 
     kind: ClassVar[str]
@@ -69,17 +70,16 @@ class _QuantumCell:
     circuit: Circuit
     input_dim: int
     n_qubits: int
-    hidden_size: int
     n_layers: int
     params: np.ndarray
 
     def __post_init__(self):
-        if self.hidden_size != self.n_qubits:
-            raise ValueError("hidden_size must equal n_qubits")
-        if len(self.params) != _quantum_param_count(
-            self.gates, self.input_dim, self.n_qubits, self.n_layers
-        ):
+        if len(self.params) != _slices(*_layout_key(self))[1]:
             raise ValueError("parameter vector has the wrong length")
+
+    @property
+    def hidden_size(self) -> int:
+        return self.n_qubits
 
     @property
     def n_circuit_params(self) -> int:
@@ -121,112 +121,129 @@ class ClassicalRnnBaseline:
             raise ValueError("parameter vector has the wrong length")
 
 
-def _affine_sizes(input_dim, n_qubits):
-    # shared input map (input_dim + hidden) -> n_qubits, then head n_qubits -> 1
-    in_dim = input_dim + n_qubits
-    return in_dim * n_qubits, n_qubits, n_qubits, 1
+def _layout(kind, input_dim, hidden_size, per_circuit):
+    """(name, shape) blocks of a cell's parameter vector, in vector order.
+
+    A quantum cell holds one row of circuit angles per gate, then the
+    shared input map [x; h] -> circuit inputs; a classical cell holds its
+    gates' input and hidden weights and biases, stacked by gate.  Every
+    layout ends with the scalar head.
+    """
+    hs = hidden_size
+    if kind in ("qlstm", "qgru"):
+        n_gates = len(QLSTM_GATES if kind == "qlstm" else QGRU_GATES)
+        blocks = [("thetas", (n_gates, per_circuit))]
+        blocks += [("W", (input_dim + hs, hs)), ("b", (hs,))]
+    else:
+        rows = (4 if kind == "lstm" else 3) * hs
+        blocks = [("W_ih", (rows, input_dim)), ("W_hh", (rows, hs))]
+        blocks += [("b_ih", (rows,)), ("b_hh", (rows,))]
+    return blocks + [("head_w", (hs,)), ("head_b", ())]
 
 
-def _quantum_param_count(gates, input_dim, n_qubits, n_layers) -> int:
-    per_vqc = 3 * n_qubits * n_layers
-    return len(gates) * per_vqc + sum(_affine_sizes(input_dim, n_qubits))
+@lru_cache(maxsize=None)
+def _slices(kind, input_dim, hidden_size, per_circuit):
+    """((name, slice, shape), ...) of ``_layout`` and the vector length."""
+    table, k = [], 0
+    for name, shape in _layout(kind, input_dim, hidden_size, per_circuit):
+        n = math.prod(shape)
+        table.append((name, slice(k, k + n), shape))
+        k += n
+    return tuple(table), k
+
+
+def _layout_key(model):
+    # the arguments of _layout that describe ``model``
+    per_circuit = model.circuit.n_trainable if isinstance(model, _QuantumCell) else 0
+    return model.kind, model.input_dim, model.hidden_size, per_circuit
+
+
+def _unpack(model):
+    """The model's parameter blocks by name, as views of its vector."""
+    table, _ = _slices(*_layout_key(model))
+    return {name: model.params[s].reshape(shape) for name, s, shape in table}
+
+
+def _flat(model, blocks):
+    """Blocks named as in the model's layout, packed into one vector."""
+    table, _ = _slices(*_layout_key(model))
+    return np.concatenate([np.ravel(blocks[name]) for name, _, _ in table])
 
 
 def qlstm_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
-    return _quantum_param_count(QLSTM_GATES, input_dim, n_qubits, n_layers)
+    # three angles per qubit per layer in each gate circuit
+    return _slices("qlstm", input_dim, n_qubits, 3 * n_qubits * n_layers)[1]
 
 
 def qgru_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
-    return _quantum_param_count(QGRU_GATES, input_dim, n_qubits, n_layers)
+    return _slices("qgru", input_dim, n_qubits, 3 * n_qubits * n_layers)[1]
 
 
 def classical_param_count(kind, input_dim, hidden_size) -> int:
-    gates = 4 if kind == "lstm" else 3
-    recur = gates * ((input_dim + hidden_size) * hidden_size + 2 * hidden_size)
-    return recur + hidden_size + 1
+    return _slices(kind, input_dim, hidden_size, 0)[1]
 
 
 def count_params(model) -> int:
     return int(model.params.size)
 
 
-def _init_quantum_params(input_dim, n_qubits, n_vqc_blocks, per_vqc, seed):
-    w_n, b_n, hw_n, hb_n = _affine_sizes(input_dim, n_qubits)
-    total = n_vqc_blocks * per_vqc + w_n + b_n + hw_n + hb_n
+def _initial_params(key, seed):
+    """Zeros, or seeded uniform draws in vector order.
+
+    Quantum cells draw their circuit angles in +-INIT_ANGLE first, then
+    everything else in +-1/sqrt(input_dim + n_qubits); classical cells draw
+    the whole vector in +-1/sqrt(hidden_size).
+    """
+    kind, input_dim, hidden_size, _ = key
+    table, n = _slices(*key)
     if seed is None:
-        return np.zeros(total)
+        return np.zeros(n)
     rng = np.random.default_rng(seed)
-    angles = rng.uniform(-INIT_ANGLE, INIT_ANGLE, size=n_vqc_blocks * per_vqc)
-    bound = 1.0 / np.sqrt(input_dim + n_qubits)
-    affine = rng.uniform(-bound, bound, size=w_n + b_n + hw_n + hb_n)
-    return np.concatenate([angles, affine])
+    if kind in ("lstm", "gru"):
+        bound = 1.0 / np.sqrt(hidden_size)
+        return rng.uniform(-bound, bound, size=n)
+    k = table[0][1].stop
+    angles = rng.uniform(-INIT_ANGLE, INIT_ANGLE, size=k)
+    bound = 1.0 / np.sqrt(input_dim + hidden_size)
+    return np.concatenate([angles, rng.uniform(-bound, bound, size=n - k)])
+
+
+def _build_quantum(cls, input_dim, n_qubits, n_layers, seed):
+    circuit = build_qlstm_vqc(n_qubits, n_layers)
+    key = (cls.kind, input_dim, n_qubits, circuit.n_trainable)
+    return cls(circuit, input_dim, n_qubits, n_layers, _initial_params(key, seed))
 
 
 def build_qlstm(
     input_dim: int, n_qubits: int = 4, n_layers: int = 2, seed=None
 ) -> QlstmCell:
-    circuit = build_qlstm_vqc(n_qubits, n_layers)
-    params = _init_quantum_params(
-        input_dim, n_qubits, len(QLSTM_GATES), circuit.n_trainable, seed
-    )
-    return QlstmCell(circuit, input_dim, n_qubits, n_qubits, n_layers, params)
+    return _build_quantum(QlstmCell, input_dim, n_qubits, n_layers, seed)
 
 
 def build_qgru(
     input_dim: int, n_qubits: int = 4, n_layers: int = 2, seed=None
 ) -> QgruCell:
-    circuit = build_qlstm_vqc(n_qubits, n_layers)
-    params = _init_quantum_params(
-        input_dim, n_qubits, len(QGRU_GATES), circuit.n_trainable, seed
-    )
-    return QgruCell(circuit, input_dim, n_qubits, n_qubits, n_layers, params)
+    return _build_quantum(QgruCell, input_dim, n_qubits, n_layers, seed)
 
 
 def build_classical_lstm(input_dim: int, hidden_size: int = 8, seed=None):
-    n = classical_param_count("lstm", input_dim, hidden_size)
-    params = _init_classical(n, hidden_size, seed)
+    params = _initial_params(("lstm", input_dim, hidden_size, 0), seed)
     return ClassicalRnnBaseline("lstm", input_dim, hidden_size, params)
 
 
 def build_classical_gru(input_dim: int, hidden_size: int = 16, seed=None):
-    n = classical_param_count("gru", input_dim, hidden_size)
-    params = _init_classical(n, hidden_size, seed)
+    params = _initial_params(("gru", input_dim, hidden_size, 0), seed)
     return ClassicalRnnBaseline("gru", input_dim, hidden_size, params)
 
 
-def _init_classical(n, hidden_size, seed):
-    if seed is None:
-        return np.zeros(n)
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(hidden_size)
-    return rng.uniform(-bound, bound, size=n)
-
-
-def _head(model):
-    # every parameter layout ends with the scalar head: hidden_size weights, then the bias
-    hs = model.hidden_size
-    return model.params[-hs - 1 : -1], model.params[-1]
-
-
-def _unpack_quantum(cell):
-    per = cell.circuit.n_trainable
-    p = cell.params
-    thetas = {g: p[i * per : (i + 1) * per] for i, g in enumerate(cell.gates)}
-    k = len(cell.gates) * per
-    in_dim = cell.input_dim + cell.hidden_size
-    W = p[k : k + in_dim * cell.n_qubits].reshape(in_dim, cell.n_qubits)
-    k += in_dim * cell.n_qubits
-    b = p[k : k + cell.n_qubits]
-    return thetas, W, b
-
-
-def _gate_readout(cell: _QuantumCell, thetas, name, inputs, tape):
+def _gate_readout(cell: _QuantumCell, p, name, inputs, tape):
     """Per-qubit <Z> of gate circuit ``name`` on ``inputs``.
 
     Its final states go into ``tape[name]``; backpropagation hands them to
     ``circuit_vjp`` in place of a second forward sweep.
     """
-    tape[name] = run_circuit_batch(cell.circuit, thetas[name], inputs)
+    theta = p["thetas"][cell.gates.index(name)]
+    tape[name] = run_circuit_batch(cell.circuit, theta, inputs)
     return z_expectations(tape[name], cell.n_qubits, range(cell.n_qubits))
 
 
@@ -240,26 +257,25 @@ def qlstm_step(cell: QlstmCell, x_t, h, c):
     intermediate that backpropagation through time reads, the gate
     circuits' final states (``tape``) among them.
     """
-    thetas, W, b = _unpack_quantum(cell)
+    p = _unpack(cell)
     tape = {}
     u = np.concatenate([x_t, h], axis=1)
-    v = u @ W + b
-    f = _sigmoid(_gate_readout(cell, thetas, "forget", v, tape))
-    i = _sigmoid(_gate_readout(cell, thetas, "input", v, tape))
-    g = np.tanh(_gate_readout(cell, thetas, "update", v, tape))
-    o = _sigmoid(_gate_readout(cell, thetas, "output", v, tape))
+    v = u @ p["W"] + p["b"]
+    f = _sigmoid(_gate_readout(cell, p, "forget", v, tape))
+    i = _sigmoid(_gate_readout(cell, p, "input", v, tape))
+    g = np.tanh(_gate_readout(cell, p, "update", v, tape))
+    o = _sigmoid(_gate_readout(cell, p, "output", v, tape))
     c_next = f * c + i * g
     s = np.tanh(c_next)
     u2 = o * s
-    h_next = _gate_readout(cell, thetas, "hidden", u2, tape)
+    h_next = _gate_readout(cell, p, "hidden", u2, tape)
     record = dict(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2, tape=tape)
     return (h_next, c_next), record
 
 
 def _qlstm_readout(cell: QlstmCell, rec):
     # the readout circuit's states join the last step's tape
-    thetas, _, _ = _unpack_quantum(cell)
-    return _gate_readout(cell, thetas, "readout", rec["u2"], rec["tape"])
+    return _gate_readout(cell, _unpack(cell), "readout", rec["u2"], rec["tape"])
 
 
 def qgru_step(cell: QgruCell, x_t, h):
@@ -268,40 +284,25 @@ def qgru_step(cell: QgruCell, x_t, h):
     The candidate gate sees the input map of u2 = [x_t; r*h], reusing the
     same affine map that feeds the reset and update gates.
     """
-    thetas, W, b = _unpack_quantum(cell)
+    p = _unpack(cell)
     tape = {}
     u = np.concatenate([x_t, h], axis=1)
-    v = u @ W + b
-    r = _sigmoid(_gate_readout(cell, thetas, "reset", v, tape))
-    z = _sigmoid(_gate_readout(cell, thetas, "update", v, tape))
+    v = u @ p["W"] + p["b"]
+    r = _sigmoid(_gate_readout(cell, p, "reset", v, tape))
+    z = _sigmoid(_gate_readout(cell, p, "update", v, tape))
     u2 = np.concatenate([x_t, r * h], axis=1)
-    v2 = u2 @ W + b
-    g = np.tanh(_gate_readout(cell, thetas, "candidate", v2, tape))
+    v2 = u2 @ p["W"] + p["b"]
+    g = np.tanh(_gate_readout(cell, p, "candidate", v2, tape))
     h_next = (1.0 - z) * h + z * g
     record = dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h, tape=tape)
     return (h_next,), record
 
 
-def _unpack_classical(model):
-    gates = 4 if model.kind == "lstm" else 3
-    d, hs = model.input_dim, model.hidden_size
-    p = model.params
-    k = 0
-    W_ih = p[k : k + gates * hs * d].reshape(gates * hs, d)
-    k += gates * hs * d
-    W_hh = p[k : k + gates * hs * hs].reshape(gates * hs, hs)
-    k += gates * hs * hs
-    b_ih = p[k : k + gates * hs]
-    k += gates * hs
-    b_hh = p[k : k + gates * hs]
-    return W_ih, W_hh, b_ih, b_hh
-
-
 def lstm_step(model: ClassicalRnnBaseline, x_t, h, c):
     """One step: (x_t, h, c) -> ((h', c'), record) with gates in i, f, g, o order."""
-    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
+    p = _unpack(model)
     hs = model.hidden_size
-    pre = x_t @ W_ih.T + b_ih + h @ W_hh.T + b_hh
+    pre = x_t @ p["W_ih"].T + p["b_ih"] + h @ p["W_hh"].T + p["b_hh"]
     i = _sigmoid(pre[:, 0:hs])
     f = _sigmoid(pre[:, hs : 2 * hs])
     g = np.tanh(pre[:, 2 * hs : 3 * hs])
@@ -314,10 +315,10 @@ def lstm_step(model: ClassicalRnnBaseline, x_t, h, c):
 
 def gru_step(model: ClassicalRnnBaseline, x_t, h):
     """One step: (x_t, h) -> ((h',), record) with h' = (1 - z)*n + z*h."""
-    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
+    p = _unpack(model)
     hs = model.hidden_size
-    gi = x_t @ W_ih.T + b_ih
-    gh = h @ W_hh.T + b_hh
+    gi = x_t @ p["W_ih"].T + p["b_ih"]
+    gh = h @ p["W_hh"].T + p["b_hh"]
     r = _sigmoid(gi[:, 0:hs] + gh[:, 0:hs])
     z = _sigmoid(gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs])
     n = np.tanh(gi[:, 2 * hs :] + r * gh[:, 2 * hs :])
@@ -325,35 +326,51 @@ def gru_step(model: ClassicalRnnBaseline, x_t, h):
     return (h_next,), dict(x=x_t, h_prev=h, r=r, z=z, n=n, gh_n=gh[:, 2 * hs :])
 
 
-def _qlstm_backward(cell: QlstmCell, steps, q, dy):
-    thetas, W, b = _unpack_quantum(cell)
-    head_w, _ = _head(cell)
-    per = cell.circuit.n_trainable
+def _backward_start(model, head_in, dy):
+    """(blocks, gradient blocks, gradient at the head's input).
+
+    The gradient blocks are zero except the head's, which are filled in.
+    """
+    p = _unpack(model)
+    g = {name: np.zeros(block.shape) for name, block in p.items()}
+    g["head_w"][...] = head_in.T @ dy
+    g["head_b"][...] = dy.sum()
+    return p, g, dy[:, None] * p["head_w"][None, :]
+
+
+def _gate_vjp(cell: _QuantumCell, p, g, rec, name, inputs, weights):
+    """Adjoint VJP of gate circuit ``name`` from its taped states.
+
+    Adds the angle gradient into the gate's row of ``g["thetas"]`` and
+    returns the gradient with respect to ``inputs``.
+    """
+    j = cell.gates.index(name)
     qubits = tuple(range(cell.n_qubits))
+    d_theta, d_inputs = circuit_vjp(
+        cell.circuit, p["thetas"][j], inputs, rec["tape"][name], qubits, weights
+    )
+    g["thetas"][j] += d_theta
+    return d_inputs
+
+
+def _input_map_vjp(p, g, u, dv):
+    """Backward through v = u @ W + b: adds into W's and b's gradients, returns du."""
+    g["W"] += u.T @ dv
+    g["b"] += dv.sum(axis=0)
+    return dv @ p["W"].T
+
+
+def _qlstm_backward(cell: QlstmCell, steps, q, dy):
+    p, g, dq = _backward_start(cell, q, dy)
     B, T = dy.size, len(steps)
-    grad_theta = {name: np.zeros(per) for name in QLSTM_GATES}
-
-    def vjp(name, rec, inputs, weights):
-        d_theta, d_inputs = circuit_vjp(
-            cell.circuit, thetas[name], inputs, rec["tape"][name], qubits, weights
-        )
-        grad_theta[name] += d_theta
-        return d_inputs
-
-    grad_W = np.zeros_like(W)
-    grad_b = np.zeros_like(b)
-    grad_head_w = q.T @ dy
-    grad_head_b = dy.sum()
-
-    dq = dy[:, None] * head_w[None, :]
-    du2 = vjp("readout", steps[-1], steps[-1]["u2"], dq)
-    dh = np.zeros((B, cell.hidden_size))
+    du2 = _gate_vjp(cell, p, g, steps[-1], "readout", steps[-1]["u2"], dq)
     dc = np.zeros((B, cell.hidden_size))
     for t in range(T - 1, -1, -1):
         rec = steps[t]
-        du2_t = du2 if t == T - 1 else vjp("hidden", rec, rec["u2"], dh)
-        do = du2_t * rec["s"]
-        dc = dc + du2_t * rec["o"] * (1.0 - rec["s"] ** 2)
+        if t < T - 1:  # u2 feeds the readout at the last step, the hidden circuit before
+            du2 = _gate_vjp(cell, p, g, rec, "hidden", rec["u2"], dh)
+        do = du2 * rec["s"]
+        dc = dc + du2 * rec["o"] * (1.0 - rec["s"] ** 2)
         df = dc * rec["c_prev"]
         di = dc * rec["g"]
         dg = dc * rec["i"]
@@ -366,77 +383,35 @@ def _qlstm_backward(cell: QlstmCell, steps, q, dy):
         }
         dv = np.zeros((B, cell.n_qubits))
         for name in ("forget", "input", "update", "output"):
-            dv += vjp(name, rec, rec["v"], dz[name])
-        grad_W += rec["u"].T @ dv
-        grad_b += dv.sum(axis=0)
-        du = dv @ W.T
-        dh = du[:, cell.input_dim :]
-    return np.concatenate(
-        [grad_theta[name] for name in QLSTM_GATES]
-        + [grad_W.ravel(), grad_b, grad_head_w, [grad_head_b]]
-    )
+            dv += _gate_vjp(cell, p, g, rec, name, rec["v"], dz[name])
+        dh = _input_map_vjp(p, g, rec["u"], dv)[:, cell.input_dim :]
+    return _flat(cell, g)
 
 
 def _qgru_backward(cell: QgruCell, steps, h, dy):
-    thetas, W, b = _unpack_quantum(cell)
-    head_w, _ = _head(cell)
-    per = cell.circuit.n_trainable
-    qubits = tuple(range(cell.n_qubits))
-    T = len(steps)
-    grad_theta = {name: np.zeros(per) for name in QGRU_GATES}
-
-    def vjp(name, rec, inputs, weights):
-        d_theta, d_inputs = circuit_vjp(
-            cell.circuit, thetas[name], inputs, rec["tape"][name], qubits, weights
-        )
-        grad_theta[name] += d_theta
-        return d_inputs
-
-    grad_W = np.zeros_like(W)
-    grad_b = np.zeros_like(b)
-    grad_head_w = h.T @ dy
-    grad_head_b = dy.sum()
-    dh = dy[:, None] * head_w[None, :]
-    for t in range(T - 1, -1, -1):
-        rec = steps[t]
+    p, g, dh = _backward_start(cell, h, dy)
+    for rec in reversed(steps):
         dz = dh * (rec["g"] - rec["h_prev"])
         dg = dh * rec["z"]
         dh_prev = dh * (1.0 - rec["z"])
         dzg = dg * (1.0 - rec["g"] ** 2)
-        dv2 = vjp("candidate", rec, rec["v2"], dzg)
-        grad_W += rec["u2"].T @ dv2
-        grad_b += dv2.sum(axis=0)
-        du2 = dv2 @ W.T
-        drh = du2[:, cell.input_dim :]
+        dv2 = _gate_vjp(cell, p, g, rec, "candidate", rec["v2"], dzg)
+        drh = _input_map_vjp(p, g, rec["u2"], dv2)[:, cell.input_dim :]
         dr = drh * rec["h_prev"]
         dh_prev = dh_prev + drh * rec["r"]
         dzr = dr * rec["r"] * (1.0 - rec["r"])
         dzz = dz * rec["z"] * (1.0 - rec["z"])
-        dv = vjp("reset", rec, rec["v"], dzr) + vjp("update", rec, rec["v"], dzz)
-        grad_W += rec["u"].T @ dv
-        grad_b += dv.sum(axis=0)
-        du = dv @ W.T
-        dh = dh_prev + du[:, cell.input_dim :]
-    return np.concatenate(
-        [grad_theta[name] for name in QGRU_GATES]
-        + [grad_W.ravel(), grad_b, grad_head_w, [grad_head_b]]
-    )
+        dv = _gate_vjp(cell, p, g, rec, "reset", rec["v"], dzr) + _gate_vjp(
+            cell, p, g, rec, "update", rec["v"], dzz
+        )
+        dh = dh_prev + _input_map_vjp(p, g, rec["u"], dv)[:, cell.input_dim :]
+    return _flat(cell, g)
 
 
 def _lstm_backward(model: ClassicalRnnBaseline, steps, h, dy):
-    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
-    head_w, _ = _head(model)
-    B, T = dy.size, len(steps)
-    g_W_ih = np.zeros_like(W_ih)
-    g_W_hh = np.zeros_like(W_hh)
-    g_b_ih = np.zeros_like(b_ih)
-    g_b_hh = np.zeros_like(b_hh)
-    g_head_w = h.T @ dy
-    g_head_b = dy.sum()
-    dh = dy[:, None] * head_w[None, :]
-    dc = np.zeros((B, model.hidden_size))
-    for t in range(T - 1, -1, -1):
-        rec = steps[t]
+    p, g, dh = _backward_start(model, h, dy)
+    dc = np.zeros((dy.size, model.hidden_size))
+    for rec in reversed(steps):
         do = dh * rec["s"]
         dc = dc + dh * rec["o"] * (1.0 - rec["s"] ** 2)
         df = dc * rec["c_prev"]
@@ -452,29 +427,17 @@ def _lstm_backward(model: ClassicalRnnBaseline, steps, h, dy):
             ],
             axis=1,
         )
-        g_W_ih += dpre.T @ rec["x"]
-        g_W_hh += dpre.T @ rec["h_prev"]
-        g_b_ih += dpre.sum(axis=0)
-        g_b_hh += dpre.sum(axis=0)
-        dh = dpre @ W_hh
-    return np.concatenate(
-        [g_W_ih.ravel(), g_W_hh.ravel(), g_b_ih, g_b_hh, g_head_w, [g_head_b]]
-    )
+        g["W_ih"] += dpre.T @ rec["x"]
+        g["W_hh"] += dpre.T @ rec["h_prev"]
+        g["b_ih"] += dpre.sum(axis=0)
+        g["b_hh"] += dpre.sum(axis=0)
+        dh = dpre @ p["W_hh"]
+    return _flat(model, g)
 
 
 def _gru_backward(model: ClassicalRnnBaseline, steps, h, dy):
-    W_ih, W_hh, b_ih, b_hh = _unpack_classical(model)
-    head_w, _ = _head(model)
-    T = len(steps)
-    g_W_ih = np.zeros_like(W_ih)
-    g_W_hh = np.zeros_like(W_hh)
-    g_b_ih = np.zeros_like(b_ih)
-    g_b_hh = np.zeros_like(b_hh)
-    g_head_w = h.T @ dy
-    g_head_b = dy.sum()
-    dh = dy[:, None] * head_w[None, :]
-    for t in range(T - 1, -1, -1):
-        rec = steps[t]
+    p, g, dh = _backward_start(model, h, dy)
+    for rec in reversed(steps):
         dz = dh * (rec["h_prev"] - rec["n"])
         dn = dh * (1.0 - rec["z"])
         dh_prev = dh * rec["z"]
@@ -484,14 +447,12 @@ def _gru_backward(model: ClassicalRnnBaseline, steps, h, dy):
         dpre_z = dz * rec["z"] * (1.0 - rec["z"])
         gi_rows = np.concatenate([dpre_r, dpre_z, dpre_n], axis=1)
         gh_rows = np.concatenate([dpre_r, dpre_z, dpre_n * rec["r"]], axis=1)
-        g_W_ih += gi_rows.T @ rec["x"]
-        g_W_hh += gh_rows.T @ rec["h_prev"]
-        g_b_ih += gi_rows.sum(axis=0)
-        g_b_hh += gh_rows.sum(axis=0)
-        dh = dh_prev + gh_rows @ W_hh
-    return np.concatenate(
-        [g_W_ih.ravel(), g_W_hh.ravel(), g_b_ih, g_b_hh, g_head_w, [g_head_b]]
-    )
+        g["W_ih"] += gi_rows.T @ rec["x"]
+        g["W_hh"] += gh_rows.T @ rec["h_prev"]
+        g["b_ih"] += gi_rows.sum(axis=0)
+        g["b_hh"] += gh_rows.sum(axis=0)
+        dh = dh_prev + gh_rows @ p["W_hh"]
+    return _flat(model, g)
 
 
 def _cell_ops(model):
@@ -520,8 +481,8 @@ def _run(model, X):
         state, rec = step(model, X[:, t], *state)
         steps.append(rec)
     head_in = state[0] if readout is None else readout(model, steps[-1])
-    head_w, head_b = _head(model)
-    return steps, head_in, head_in @ head_w + head_b
+    p = _unpack(model)
+    return steps, head_in, head_in @ p["head_w"] + p["head_b"]
 
 
 def sequence_forward(model, X) -> np.ndarray:
@@ -551,14 +512,6 @@ def sequence_loss_and_grad(model, X, y):
     return float(np.mean(resid**2)), backward(model, steps, head_in, dy)
 
 
-def _reinitialized(model, seed):
-    if isinstance(model, _QuantumCell):
-        build = build_qlstm if model.kind == "qlstm" else build_qgru
-        return build(model.input_dim, model.n_qubits, model.n_layers, seed=seed)
-    params = _init_classical(model.params.size, model.hidden_size, seed)
-    return replace(model, params=params)
-
-
 def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01, seed=None):
     """Adam on next-step MSE; targets are expected already scaled.
 
@@ -572,7 +525,7 @@ def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01,
     if X.ndim != 3 or X.shape[0] == 0:
         raise ValueError("windows must be a non-empty (batch, steps, features) array")
     if seed is not None:
-        model = _reinitialized(model, seed)
+        model = replace(model, params=_initial_params(_layout_key(model), seed))
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []
@@ -607,7 +560,7 @@ def recurrent_from_json(text: str):
         n_qubits, n_layers = doc["n_qubits"], doc["n_layers"]
         cls = QlstmCell if kind == "qlstm" else QgruCell
         circuit = build_qlstm_vqc(n_qubits, n_layers)
-        return cls(circuit, doc["input_dim"], n_qubits, n_qubits, n_layers, values)
+        return cls(circuit, doc["input_dim"], n_qubits, n_layers, values)
     if kind in ("lstm", "gru"):
         return ClassicalRnnBaseline(kind, doc["input_dim"], doc["hidden_size"], values)
     raise ValueError(f"unknown model kind {kind!r}")

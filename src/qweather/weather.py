@@ -250,7 +250,8 @@ def select_features(
             raise ValueError("top_k must be >= 1")
         chosen = ranking[:top_k]
     if not chosen:
-        raise EmptySelectionError(f"no feature passed threshold {threshold}")
+        rule = f"threshold {threshold}" if top_k is None else f"top_k={top_k}"
+        raise EmptySelectionError(f"no feature passed {rule}")
     return chosen
 
 

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import same_bytes
 
 from qweather.autodiff import expectation_batch
+from qweather.models_qnn import INIT_ANGLE
 from qweather.models_recurrent import (
     ClassicalRnnBaseline,
     QgruCell,
@@ -29,6 +31,7 @@ from qweather.models_recurrent import (
     sequence_loss_and_grad,
     train_sequence_model,
 )
+from qweather.models_recurrent import _flat, _unpack
 
 
 def _seq_loss(model, X, y):
@@ -70,19 +73,83 @@ class TestParamCounts:
         assert count_params(build_qlstm(4)) < count_params(build_classical_lstm(4, 8))
         assert count_params(build_qgru(4)) < count_params(build_classical_gru(4, 16))
 
-    def test_hidden_size_must_match_qubits(self):
-        cell = build_qlstm(input_dim=2, n_qubits=2, n_layers=1)
-        with pytest.raises(ValueError):
-            QlstmCell(cell.circuit, 2, 2, 3, 1, cell.params)
-
     def test_param_length_checked(self):
         cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1)
         with pytest.raises(ValueError):
-            QgruCell(cell.circuit, 2, 2, 2, 1, cell.params[:-1])
+            QgruCell(cell.circuit, 2, 2, 1, cell.params[:-1])
         with pytest.raises(ValueError):
             ClassicalRnnBaseline("lstm", 4, 8, np.zeros(456))
         with pytest.raises(ValueError):
             ClassicalRnnBaseline("rnn", 4, 8, np.zeros(457))
+
+
+def _angles_then_affine(n_angles, n, bound, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-INIT_ANGLE, INIT_ANGLE, size=n_angles)
+    return np.concatenate([angles, rng.uniform(-bound, bound, size=n - n_angles)])
+
+
+def _one_bound(n, bound, seed):
+    return np.random.default_rng(seed).uniform(-bound, bound, size=n)
+
+
+# (build, parameter count, (name, shape) blocks in vector order, seeded draws)
+LAYOUTS = {
+    "qlstm": (
+        lambda seed=None: build_qlstm(4, seed=seed),
+        185,
+        [("thetas", (6, 24)), ("W", (8, 4)), ("b", (4,)), ("head_w", (4,)), ("head_b", ())],
+        lambda seed: _angles_then_affine(144, 185, 1 / np.sqrt(8), seed),
+    ),
+    "qgru": (
+        lambda seed=None: build_qgru(4, seed=seed),
+        113,
+        [("thetas", (3, 24)), ("W", (8, 4)), ("b", (4,)), ("head_w", (4,)), ("head_b", ())],
+        lambda seed: _angles_then_affine(72, 113, 1 / np.sqrt(8), seed),
+    ),
+    "lstm": (
+        lambda seed=None: build_classical_lstm(4, 8, seed=seed),
+        457,
+        [
+            ("W_ih", (32, 4)), ("W_hh", (32, 8)), ("b_ih", (32,)), ("b_hh", (32,)),
+            ("head_w", (8,)), ("head_b", ()),
+        ],
+        lambda seed: _one_bound(457, 1 / np.sqrt(8), seed),
+    ),
+    "gru": (
+        lambda seed=None: build_classical_gru(4, 16, seed=seed),
+        1073,
+        [
+            ("W_ih", (48, 4)), ("W_hh", (48, 16)), ("b_ih", (48,)), ("b_hh", (48,)),
+            ("head_w", (16,)), ("head_b", ()),
+        ],
+        lambda seed: _one_bound(1073, 1 / np.sqrt(16), seed),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", LAYOUTS)
+class TestLayout:
+    def test_flat_of_unpack_is_the_vector(self, kind):
+        model = LAYOUTS[kind][0](seed=3)
+        assert same_bytes(_flat(model, _unpack(model)), model.params)
+
+    def test_blocks_tile_the_vector_in_order(self, kind):
+        build, count, blocks, _ = LAYOUTS[kind]
+        assert count_params(build()) == count
+        model = replace(build(), params=np.arange(count, dtype=float))
+        views = _unpack(model)
+        assert [(name, view.shape) for name, view in views.items()] == blocks
+        assert all(np.shares_memory(view, model.params) for view in views.values())
+        # every index once, in vector order: no gap and no overlap
+        covered = np.concatenate([view.ravel() for view in views.values()])
+        assert np.array_equal(covered, np.arange(count))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_build_draws_in_order(self, kind, seed):
+        build, _, _, draws = LAYOUTS[kind]
+        assert same_bytes(build(seed=seed).params, draws(seed))
+        assert not build().params.any()
 
 
 class TestWindows:

@@ -121,6 +121,15 @@ def test_select_features_top_k_and_tie_order():
         select_features(report, threshold=0.5, top_k=2)
 
 
+def test_empty_selection_names_the_rule_given():
+    # a report holding only the target has no feature to rank
+    report = CorrelationReport("t", {"t": 1.0})
+    with pytest.raises(EmptySelectionError, match="top_k=2"):
+        select_features(report, top_k=2)
+    with pytest.raises(EmptySelectionError, match="threshold 0.5"):
+        select_features(report, threshold=0.5)
+
+
 def _tiny_dataset():
     return Dataset(
         time=("2020-01-01", "2020-02-01", "2020-03-01"),

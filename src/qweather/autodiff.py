@@ -9,7 +9,10 @@ the final states of each gate circuit's forward pass (the tape) and hand
 them to ``circuit_vjp``, which runs only the reverse sweep.  Steps with an
 input angle are swept per row; unless the circuit is wide next to the
 batch, each run of steps whose angles all rows share is contracted to one
-d x d matrix first, which moves the gradients only in the last bits.
+d x d matrix first, which moves the gradients only in the last bits.  A
+recurrent cell's gate group, several circuits on the same inputs with
+their own angles, is one stacked call: its circuits are swept side by side
+until no trainable angle is left to reverse, then as one.
 
 Parameter shift and central finite differences stay as the test oracles.
 Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
@@ -235,6 +238,13 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
     shape (n_trainable,), and ``d_inputs`` = dL/dinputs, shape
     (n_samples, n_inputs).
 
+    G circuits that read the same inputs with their own angles (a gate
+    group of a recurrent cell) are one call: ``params`` is (G, n_trainable),
+    ``states`` (G, n_samples, 2**n) as from ``run_circuit_batch(circuit,
+    params[:, None, :], inputs[None])``, and ``weights`` (G, n_samples,
+    len(qubits)).  L then also sums over the G circuits: ``d_params`` is
+    (G, n_trainable) and ``d_inputs`` (n_samples, n_inputs).
+
     The forward states are the tape: training keeps them from its forward
     pass, so no gate is applied twice.  lambda = sum_q w_bq Z_q psi; the
     reverse sweep un-applies every gate from psi and lambda, and just after
@@ -244,66 +254,94 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
 
     Steps with an input angle are swept per row.  If d * d <= 8 B (d = 2**n,
     B rows), a run of steps that all rows share is swept on the d x d
-    R = sum_b psi_b lambda_b^H: a rotation's gradient is Im Tr(P R), a gate
-    G is un-applied as R <- G^-1 R G, and the pair moves past the run as one
-    product; summing over rows first moves gradients in the last bits.
+    R = sum_b psi_b lambda_b^H, one per circuit: a rotation's gradient is
+    Im Tr(P R), a gate G is un-applied as R <- G^-1 R G, and the pair moves
+    past the run as one product; summing over rows first moves gradients in
+    the last bits.  G stacked circuits are swept side by side up to the
+    merge point: going backwards, the point after which no remaining step
+    has a trainable angle.  Before it every circuit's psi is the same and
+    dL/da is linear in lambda, so the sweep goes on with one psi and the sum
+    of the G lambdas, and the steps there run once, not G times.
     """
-    theta = _theta_array(circuit, params).ravel()
+    theta = _theta_array(circuit, params)
     x = np.atleast_2d(_input_array(circuit, inputs))
     n = circuit.n_qubits
+    d = 1 << n
+    if theta.ndim > 2:
+        raise ValueError(f"params must be 1-D or 2-D, got shape {theta.shape}")
+    # () + (B,) for one circuit, (G,) + (B,) for G stacked ones
+    rows = theta.shape[:-1] + x.shape[:1]
     psi = np.asarray(states)
-    if psi.shape != (x.shape[0], 1 << n):
-        raise ValueError(
-            f"states must have shape {(x.shape[0], 1 << n)}, got {psi.shape}"
-        )
+    if psi.shape != rows + (d,):
+        raise ValueError(f"states must have shape {rows + (d,)}, got {psi.shape}")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (x.shape[0], len(qubits)):
+    if w.shape != rows + (len(qubits),):
         raise ValueError(
-            f"weights must have shape {(x.shape[0], len(qubits))}, got {w.shape}"
+            f"weights must have shape {rows + (len(qubits),)}, got {w.shape}"
         )
-    signs = np.reshape([z_signs(n, q) for q in qubits], (len(qubits), 1 << n))
+    signs = np.reshape([z_signs(n, q) for q in qubits], (len(qubits), d))
     # psi and lambda side by side: one apply_matrix call un-applies a gate
     # from both
     pair = np.stack([psi, (w @ signs) * psi])
-    d_params = np.zeros(circuit.n_trainable)
+    d_params = np.zeros(theta.shape)
     d_inputs = np.zeros(x.shape)
-    d = 1 << n
     # a shared gate costs two d x d products, a per-row one a few passes over
     # the B x d pair: contracting pays off while d * d <= 8 B (measured at
     # d = 8 to 128), so a wide circuit on few rows is swept per row
     runs = _vjp_runs(circuit, d * d <= 8 * x.shape[0])
+    # stacked angles broadcast against the pair's rows in per-row steps and
+    # against d x d matrices in shared runs; runs[:first] hold no trainable
+    # angle, so there the stacked circuits apply the same gates
+    theta_rows, theta_mats, first = theta, theta, 0
+    if theta.ndim == 2:
+        theta_rows, theta_mats = theta[:, None, :], theta[:, None, None, :]
+        first = next(
+            (
+                j
+                for j, (_, steps) in enumerate(runs)
+                if any(r is not None and r.slot_kind == "trainable" for *_, r in steps)
+            ),
+            len(runs),
+        )
     for j in range(len(runs) - 1, -1, -1):
+        if j == first - 1:
+            # the merge point: one psi, the sum of the lambdas
+            pair = np.stack([pair[0, 0], pair[1].sum(axis=0)])
         shared, steps = runs[j]
         if not shared:
             (kind, targets, ref), = steps
             angle = ()
             if ref is not None:
-                angle = (angle_values(ref, theta, x),)
+                angle = (angle_values(ref, theta_rows, x),)
                 p_psi = apply_matrix(pair[0], n, targets, _GENERATORS[kind])
-                overlap = np.einsum("bi,bi->b", pair[1].conj(), p_psi).imag
-                for slot_kind, idx, factor in angle_partials(ref, theta, x):
+                overlap = np.einsum("...i,...i->...", pair[1].conj(), p_psi).imag
+                for slot_kind, idx, factor in angle_partials(ref, theta_rows, x):
+                    term = factor * overlap
                     if slot_kind == "trainable":
-                        d_params[idx] += np.sum(factor * overlap)
+                        d_params[..., idx] += np.sum(term, axis=-1)
                     else:
-                        d_inputs[:, idx] += factor * overlap
+                        d_inputs[:, idx] += term if term.ndim == 1 else term.sum(axis=0)
             if j > 0:
                 inverse = gate_matrix(kind, tuple(-a for a in angle))
                 pair = apply_matrix(pair, n, targets, inverse)
             continue
-        r = pair[0].T @ pair[1].conj()
+        r = pair[0].mT @ pair[1].conj()
         eye = v = np.eye(d)
         for kind, targets, ref in reversed(steps):
             gate = _embedded(kind, n, targets)
             if ref is not None:
-                angle = angle_values(ref, theta, x)
+                angle = angle_values(ref, theta_mats, x)
                 # Tr(P R) = vdot(P, R) as P is Hermitian
-                overlap = np.vdot(gate, r).imag
+                if r.ndim == 2:
+                    overlap = np.vdot(gate, r).imag
+                else:
+                    overlap = np.array([np.vdot(gate, m) for m in r]).imag
                 for _, idx, factor in angle_partials(ref, theta, x):
-                    d_params[idx] += factor * overlap
+                    d_params[..., idx] += factor * overlap
                 # the inverse exp(i*a*P/2) = cos(a/2) + i*sin(a/2)*P, as P @ P = 1
                 gate = np.cos(angle / 2) * eye + (1j * np.sin(angle / 2)) * gate
-            r = gate @ r @ gate.conj().T
+            r = gate @ r @ gate.conj().mT
             v = gate @ v
         if j > 0:
-            pair = pair @ v.T
+            pair = pair @ v.mT
     return d_params, d_inputs

@@ -12,8 +12,12 @@ Prediction and training run the same loop over the steps; training then
 hands the step records to the cell's backward function (backpropagation
 through time, with an adjoint vector-Jacobian product through each gate
 circuit) and takes full-batch Adam steps on next-step mean squared error.
-The records keep each gate circuit's final states, so the adjoint starts
-from them and no circuit is simulated twice in a step.
+The gates that read the same input map form a gate group (the quantum
+LSTM's forget, input, update and output gates; the quantum GRU's reset and
+update gates), which runs as one stacked circuit call forward and one
+adjoint sweep backward.  The records hold one tape entry per gate group or
+lone gate circuit, its final states, so the adjoint starts from them and
+no circuit is simulated twice in a step.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from .qsim import z_expectations
 
 QLSTM_GATES = ("forget", "input", "update", "output", "hidden", "readout")
 QGRU_GATES = ("reset", "update", "candidate")
+# The gate groups: gates whose circuits read the same input map v, run as
+# one stacked circuit call and swept back as one adjoint sweep.
+_QLSTM_GROUP = QLSTM_GATES[:4]
+_QGRU_GROUP = QGRU_GATES[:2]
 
 
 def make_windows(features, target, window: int = 4, stride: int = 1):
@@ -134,10 +142,12 @@ def _layout(kind, input_dim, hidden_size, per_circuit):
         n_gates = len(QLSTM_GATES if kind == "qlstm" else QGRU_GATES)
         blocks = [("thetas", (n_gates, per_circuit))]
         blocks += [("W", (input_dim + hs, hs)), ("b", (hs,))]
-    else:
+    elif kind in ("lstm", "gru"):
         rows = (4 if kind == "lstm" else 3) * hs
         blocks = [("W_ih", (rows, input_dim)), ("W_hh", (rows, hs))]
         blocks += [("b_ih", (rows,)), ("b_hh", (rows,))]
+    else:
+        raise ValueError(f"unknown recurrent model kind {kind!r}")
     return blocks + [("head_w", (hs,)), ("head_b", ())]
 
 
@@ -236,15 +246,27 @@ def build_classical_gru(input_dim: int, hidden_size: int = 16, seed=None):
     return ClassicalRnnBaseline("gru", input_dim, hidden_size, params)
 
 
-def _gate_readout(cell: _QuantumCell, p, name, inputs, tape):
-    """Per-qubit <Z> of gate circuit ``name`` on ``inputs``.
+def _gate_rows(cell: _QuantumCell, gates):
+    """Row of ``thetas`` of one gate name, or rows of a tuple of names."""
+    if isinstance(gates, str):
+        return cell.gates.index(gates)
+    return [cell.gates.index(name) for name in gates]
 
-    Its final states go into ``tape[name]``; backpropagation hands them to
+
+def _gate_readout(cell: _QuantumCell, p, gates, inputs, tape):
+    """Per-qubit <Z> of gate circuit ``gates`` on ``inputs``, (B, n_qubits).
+
+    ``gates`` is one gate name or a gate group, a tuple of the G names
+    whose circuits read the same inputs; a group runs as one stacked
+    circuit call and returns (G, B, n_qubits).  The final states go into
+    one tape entry, ``tape[gates]``; backpropagation hands them to
     ``circuit_vjp`` in place of a second forward sweep.
     """
-    theta = p["thetas"][cell.gates.index(name)]
-    tape[name] = run_circuit_batch(cell.circuit, theta, inputs)
-    return z_expectations(tape[name], cell.n_qubits, range(cell.n_qubits))
+    theta = p["thetas"][_gate_rows(cell, gates)]
+    if theta.ndim == 2:
+        theta, inputs = theta[:, None, :], inputs[None]
+    tape[gates] = run_circuit_batch(cell.circuit, theta, inputs)
+    return z_expectations(tape[gates], cell.n_qubits, range(cell.n_qubits))
 
 
 def qlstm_step(cell: QlstmCell, x_t, h, c):
@@ -261,10 +283,8 @@ def qlstm_step(cell: QlstmCell, x_t, h, c):
     tape = {}
     u = np.concatenate([x_t, h], axis=1)
     v = u @ p["W"] + p["b"]
-    f = _sigmoid(_gate_readout(cell, p, "forget", v, tape))
-    i = _sigmoid(_gate_readout(cell, p, "input", v, tape))
-    g = np.tanh(_gate_readout(cell, p, "update", v, tape))
-    o = _sigmoid(_gate_readout(cell, p, "output", v, tape))
+    f, i, g, o = _gate_readout(cell, p, _QLSTM_GROUP, v, tape)
+    f, i, g, o = _sigmoid(f), _sigmoid(i), np.tanh(g), _sigmoid(o)
     c_next = f * c + i * g
     s = np.tanh(c_next)
     u2 = o * s
@@ -288,8 +308,7 @@ def qgru_step(cell: QgruCell, x_t, h):
     tape = {}
     u = np.concatenate([x_t, h], axis=1)
     v = u @ p["W"] + p["b"]
-    r = _sigmoid(_gate_readout(cell, p, "reset", v, tape))
-    z = _sigmoid(_gate_readout(cell, p, "update", v, tape))
+    r, z = _sigmoid(_gate_readout(cell, p, _QGRU_GROUP, v, tape))
     u2 = np.concatenate([x_t, r * h], axis=1)
     v2 = u2 @ p["W"] + p["b"]
     g = np.tanh(_gate_readout(cell, p, "candidate", v2, tape))
@@ -338,16 +357,18 @@ def _backward_start(model, head_in, dy):
     return p, g, dy[:, None] * p["head_w"][None, :]
 
 
-def _gate_vjp(cell: _QuantumCell, p, g, rec, name, inputs, weights):
-    """Adjoint VJP of gate circuit ``name`` from its taped states.
+def _gate_vjp(cell: _QuantumCell, p, g, rec, gates, inputs, weights):
+    """Adjoint VJP of gate circuit ``gates`` from its taped states.
 
-    Adds the angle gradient into the gate's row of ``g["thetas"]`` and
-    returns the gradient with respect to ``inputs``.
+    ``gates`` is a name or a group as in ``_gate_readout``, and
+    ``weights`` is shaped like its readout.  One reverse sweep adds the
+    angle gradients into the gates' rows of ``g["thetas"]`` and returns the
+    gradient with respect to ``inputs``, summed over a group's gates.
     """
-    j = cell.gates.index(name)
+    j = _gate_rows(cell, gates)
     qubits = tuple(range(cell.n_qubits))
     d_theta, d_inputs = circuit_vjp(
-        cell.circuit, p["thetas"][j], inputs, rec["tape"][name], qubits, weights
+        cell.circuit, p["thetas"][j], inputs, rec["tape"][gates], qubits, weights
     )
     g["thetas"][j] += d_theta
     return d_inputs
@@ -375,15 +396,15 @@ def _qlstm_backward(cell: QlstmCell, steps, q, dy):
         di = dc * rec["g"]
         dg = dc * rec["i"]
         dc = dc * rec["f"]
-        dz = {
-            "forget": df * rec["f"] * (1.0 - rec["f"]),
-            "input": di * rec["i"] * (1.0 - rec["i"]),
-            "update": dg * (1.0 - rec["g"] ** 2),
-            "output": do * rec["o"] * (1.0 - rec["o"]),
-        }
-        dv = np.zeros((B, cell.n_qubits))
-        for name in ("forget", "input", "update", "output"):
-            dv += _gate_vjp(cell, p, g, rec, name, rec["v"], dz[name])
+        dz = np.stack(
+            [
+                df * rec["f"] * (1.0 - rec["f"]),
+                di * rec["i"] * (1.0 - rec["i"]),
+                dg * (1.0 - rec["g"] ** 2),
+                do * rec["o"] * (1.0 - rec["o"]),
+            ]
+        )
+        dv = _gate_vjp(cell, p, g, rec, _QLSTM_GROUP, rec["v"], dz)
         dh = _input_map_vjp(p, g, rec["u"], dv)[:, cell.input_dim :]
     return _flat(cell, g)
 
@@ -401,9 +422,7 @@ def _qgru_backward(cell: QgruCell, steps, h, dy):
         dh_prev = dh_prev + drh * rec["r"]
         dzr = dr * rec["r"] * (1.0 - rec["r"])
         dzz = dz * rec["z"] * (1.0 - rec["z"])
-        dv = _gate_vjp(cell, p, g, rec, "reset", rec["v"], dzr) + _gate_vjp(
-            cell, p, g, rec, "update", rec["v"], dzz
-        )
+        dv = _gate_vjp(cell, p, g, rec, _QGRU_GROUP, rec["v"], np.stack([dzr, dzz]))
         dh = dh_prev + _input_map_vjp(p, g, rec["u"], dv)[:, cell.input_dim :]
     return _flat(cell, g)
 

@@ -60,14 +60,19 @@ def fresh_forward_vjps(monkeypatch):
 
     The taped states must be the bytes ``run_circuit_batch`` gives, and the
     VJP fed them must be the bytes of the VJP fed a fresh forward sweep.
-    Returns the list of checked calls.
+    Stacked (G, n_trainable) params are simulated as ``params[..., None, :]``,
+    the way a gate group's forward call runs them.  Returns the list of
+    checked calls.
     """
     simulate = qweather.circuits.run_circuit_batch
     original = qweather.autodiff.circuit_vjp
     checked = []
 
     def checking(circuit, params, inputs, states, qubits, weights):
-        fresh = simulate(circuit, params, np.atleast_2d(inputs))
+        theta = np.asarray(params)
+        if theta.ndim == 2:
+            theta = theta[..., None, :]
+        fresh = simulate(circuit, theta, np.atleast_2d(inputs))
         assert same_bytes(states, fresh)
         got = original(circuit, params, inputs, states, qubits, weights)
         want = original(circuit, params, inputs, fresh, qubits, weights)

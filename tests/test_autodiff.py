@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import same_bytes
 
 from qweather import autodiff
 from qweather.autodiff import (
@@ -234,6 +235,56 @@ def test_vjp_matches_contracted_param_shift(circuit, rows, qubits):
     assert np.max(np.abs(d_inputs - ref_inputs), initial=0.0) < 1e-10
 
 
+def _stacked_case(circuit, rows, qubits, n_gates):
+    rng = np.random.default_rng(38)
+    thetas = rng.normal(size=(n_gates, circuit.n_trainable))
+    xs = rng.uniform(-2.0, 2.0, size=(rows, circuit.n_inputs))
+    weights = rng.normal(size=(n_gates, rows, len(qubits)))
+    states = run_circuit_batch(circuit, thetas[:, None, :], xs[None])
+    return thetas, xs, states, weights
+
+
+# qlstm_vqc(4,2) sweeps its shared run on d x d matrices at 156 rows and
+# per row at 8 (d * d > 8 B); the mixed circuits put input steps between
+# trainable ones, so stacked gates meet per-row steps before they merge.
+STACKED_CASES = [
+    _vjp_case(build_qlstm_vqc(4, 2), 156, (0, 1, 2, 3), "qlstm_vqc(4,2)-156rows"),
+    _vjp_case(build_qlstm_vqc(4, 2), 8, (0, 1, 2, 3), "qlstm_vqc(4,2)-8rows"),
+    _vjp_case(SHARED_MIX),
+    _vjp_case(SHARED_MIX, rows=4, id="shared_mix-4rows"),
+    _vjp_case(TRAINABLE_FIRST),
+]
+
+
+@pytest.mark.parametrize("circuit, rows, qubits", STACKED_CASES)
+def test_stacked_vjp_matches_one_call_per_gate(circuit, rows, qubits):
+    thetas, xs, states, weights = _stacked_case(circuit, rows, qubits, 4)
+    d_params, d_inputs = circuit_vjp(circuit, thetas, xs, states, qubits, weights)
+    assert d_params.shape == thetas.shape
+    assert d_inputs.shape == xs.shape
+    separate = [
+        circuit_vjp(circuit, thetas[g], xs, states[g], qubits, weights[g])
+        for g in range(4)
+    ]
+    assert np.max(np.abs(d_params - [p for p, _ in separate])) < 1e-12
+    assert np.max(np.abs(d_inputs - sum(i for _, i in separate))) < 1e-12
+    shifted = [
+        _contracted_param_shift(circuit, thetas[g], xs, qubits, weights[g])
+        for g in range(4)
+    ]
+    assert np.max(np.abs(d_params - [p for p, _ in shifted])) < 1e-10
+    assert np.max(np.abs(d_inputs - sum(i for _, i in shifted))) < 1e-10
+
+
+@pytest.mark.parametrize("circuit, rows, qubits", STACKED_CASES)
+def test_stack_of_one_gives_the_bytes_of_one_call(circuit, rows, qubits):
+    thetas, xs, states, weights = _stacked_case(circuit, rows, qubits, 1)
+    d_params, d_inputs = circuit_vjp(circuit, thetas, xs, states, qubits, weights)
+    one = circuit_vjp(circuit, thetas[0], xs, states[0], qubits, weights[0])
+    assert same_bytes(d_params[0], one[0])
+    assert same_bytes(d_inputs, one[1])
+
+
 def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
     """qlstm_vqc(4,2) has 8 input rotations and, after them, one shared run,
     which is swept on a d x d matrix at 32 rows or more: apply_matrix sees
@@ -292,6 +343,11 @@ def test_vjp_rejects_states_of_another_batch():
     states = run_circuit_batch(circuit, theta, np.zeros((2, 4)))
     with pytest.raises(ValueError):
         circuit_vjp(circuit, theta, np.zeros((3, 4)), states, (0, 1), np.zeros((3, 2)))
+    # a stack of states needs a stack of params
+    with pytest.raises(ValueError):
+        circuit_vjp(
+            circuit, theta, np.zeros((2, 4)), states[None], (0, 1), np.zeros((1, 2, 2))
+        )
 
 
 def test_expectation_batch_matches_scalar():

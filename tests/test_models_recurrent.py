@@ -82,6 +82,10 @@ class TestParamCounts:
         with pytest.raises(ValueError):
             ClassicalRnnBaseline("rnn", 4, 8, np.zeros(457))
 
+    def test_unknown_kind_has_no_count(self):
+        with pytest.raises(ValueError, match="rnn"):
+            classical_param_count("rnn", 4, 8)
+
 
 def _angles_then_affine(n_angles, n, bound, seed):
     rng = np.random.default_rng(seed)
@@ -436,15 +440,16 @@ class TestTraining:
 
     @pytest.mark.parametrize(
         "builder,sweeps_per_step,extra",
-        [(build_qlstm, 5, 1), (build_qgru, 3, 0)],
+        [(build_qlstm, 2, 1), (build_qgru, 2, 0)],
         ids=["qlstm", "qgru"],
     )
     def test_one_epoch_sweeps_each_gate_circuit_once_per_step(
         self, builder, sweeps_per_step, extra, circuit_sweeps
     ):
-        # qlstm: forget, input, update, output and hidden per step, plus the
-        # readout once; qgru: reset, update and candidate per step.  The
-        # backward pass reads the taped states and adds no sweep.
+        # qlstm: the forget/input/update/output group as one stacked call
+        # and hidden per step, plus the readout once; qgru: the reset/update
+        # group and candidate per step.  The backward pass reads the taped
+        # states and adds no sweep.
         X, y = _sine_windows(n_points=20, window=4)
         model = builder(input_dim=1, n_qubits=2, n_layers=1)
         train_sequence_model(model, X, y, epochs=1, seed=5)
@@ -455,8 +460,9 @@ class TestTraining:
         X, y = _sine_windows(n_points=20, window=3)
         model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=6)
         train_sequence_model(model, X, y, epochs=2, seed=6)
-        gates = 5 if model.kind == "qlstm" else 3
-        assert len(fresh_forward_vjps) == 2 * gates * X.shape[1]
+        # per step and epoch: the gate group's one sweep, then hidden (or the
+        # readout at the last step) or candidate
+        assert len(fresh_forward_vjps) == 2 * 2 * X.shape[1]
 
     def test_window_shape_validated(self):
         model = build_qlstm(input_dim=2, n_qubits=2, n_layers=1)

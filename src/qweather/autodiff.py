@@ -8,11 +8,16 @@ sweep is the one training already ran: QLSTM, QGRU and QNN training keep
 the final states of each gate circuit's forward pass (the tape) and hand
 them to ``circuit_vjp``, which runs only the reverse sweep.  Steps with an
 input angle are swept per row; unless the circuit is wide next to the
-batch, each run of steps whose angles all rows share is contracted to one
-d x d matrix first, which moves the gradients only in the last bits.  A
-recurrent cell's gate group, several circuits on the same inputs with
-their own angles, is one stacked call: its circuits are swept side by side
-until no trainable angle is left to reverse, then as one.
+batch, each run of steps whose angles all rows share is taken at once on
+one d x d matrix, which moves the gradients only in the last bits.  What
+that needs is fixed by the trainable angles alone: the private binding
+``_bind(circuit, theta)`` holds each such run's unitary and the matrices
+its rotations' gradients are read off.  Training binds once per parameter
+update, and the forward calls (which apply each run as one product with
+its unitary) and the VJPs of that update share it.  A recurrent cell's
+gate group, several circuits on the same inputs with their own angles, is
+one stacked call: its circuits are swept side by side until no trainable
+angle is left to reverse, then as one.
 
 Parameter shift and central finite differences stay as the test oracles.
 Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
@@ -177,11 +182,11 @@ def finite_diff_grad(req: GradientRequest, h: float = 1e-5) -> np.ndarray:
     return (e[0::2] - e[1::2]) / (2 * h)
 
 
-def _rotation_sweep(circuit: Circuit):
-    """(kind, targets, AngleRef or None) per gate in circuit order, with
+def _rotation_sweep(ops):
+    """(kind, targets, AngleRef or None) per gate of ``ops`` in order, with
     every R3 split into its RZ, RY, RZ rotations."""
     sweep = []
-    for op in circuit.ops:
+    for op in ops:
         if op.kind == "R3":
             a, b, g = op.angles
             sweep += [
@@ -207,27 +212,90 @@ def _embedded(kind: str, n_qubits: int, targets) -> np.ndarray:
     return np.where(rest[:, None] == rest[None, :], mat[sub[:, None], sub[None, :]], 0)
 
 
-def _vjp_runs(circuit: Circuit, contract: bool):
-    """(shared, steps) runs of ``_rotation_sweep(circuit)`` from its first
-    rotation on.  With ``contract``, a maximal stretch of steps whose angles
-    all rows share (fixed gates and trainable rotations) that holds a
-    rotation is one shared run; every other step is a per-row run of one."""
-    sweep = _rotation_sweep(circuit)
-    first = next((j for j, s in enumerate(sweep) if s[2] is not None), len(sweep))
+@dataclass(frozen=True)
+class _Binding:
+    """``circuit`` bound to trainable angles ``theta``, (n_trainable,) or a
+    stacked (G, n_trainable).  ``runs`` holds (start, stop, U, slots, q) per
+    shared run of ops: U is its (G,) d x d unitary, and row i of q, for
+    trainable slot ``slots[i]``, is the flattened sum over the run's
+    rotations k of d(angle_k)/d(theta_i) conj(Q_k).  Q_k = W_k P_k W_k^H,
+    P_k the rotation's Pauli generator and W_k the product of the run's
+    gates after it, gives the angle's gradient Im Tr(Q_k R) for
+    R = sum_b psi_b lambda_b^H at the run's end."""
+
+    circuit: Circuit
+    theta: np.ndarray
+    runs: tuple
+
+
+def _bind(circuit: Circuit, params) -> _Binding:
+    """The binding of ``circuit`` to ``params``.  A shared run is, from the
+    first op with an angle on, a maximal stretch of ops whose angles all rows
+    share (fixed gates and trainable rotations) that holds an angle.  W runs
+    backwards through it on dense gates, W <- W g, and so ends as U."""
+    theta = _theta_array(circuit, params)
+    n, d, ops = circuit.n_qubits, 1 << circuit.n_qubits, circuit.ops
+    eye = np.broadcast_to(np.eye(d, dtype=complex), theta.shape[:-1] + (d, d))
+    first = next((i for i, op in enumerate(ops) if op.angles), len(ops))
     runs = []
     for shared, group in groupby(
-        sweep[first:],
-        lambda s: contract and (s[2] is None or s[2].slot_kind == "trainable"),
+        range(first, len(ops)),
+        lambda i: all(ref.slot_kind == "trainable" for ref in ops[i].angles),
     ):
-        steps = list(group)
-        if shared and any(ref is not None for _, _, ref in steps):
-            runs.append((True, steps))
+        span = list(group)
+        if not (shared and any(ops[i].angles for i in span)):
+            continue
+        w, by_slot = eye, {}
+        start, stop = span[0], span[-1] + 1
+        for kind, targets, ref in reversed(_rotation_sweep(ops[start:stop])):
+            gate = _embedded(kind, n, targets)
+            if ref is None:
+                w = w @ gate
+                continue
+            wp = w @ gate
+            q_k = (wp @ w.conj().mT).conj().reshape(theta.shape[:-1] + (d * d,))
+            for _, idx, factor in angle_partials(ref, theta, None):
+                by_slot[idx] = by_slot.get(idx, 0.0) + factor[..., None] * q_k
+            # W g for g = exp(-i*a*P/2) = cos(a/2) - i*sin(a/2)*P, as P @ P = 1
+            a = np.asarray(angle_values(ref, theta, None))[..., None, None]
+            w = np.cos(a / 2) * w - (1j * np.sin(a / 2)) * wp
+        slots = sorted(by_slot)
+        q = np.stack([by_slot[idx] for idx in slots], axis=-2)
+        runs.append((start, stop, w, np.array(slots), q))
+    return _Binding(circuit, theta, tuple(runs))
+
+
+def _bind_for(circuit: Circuit, params, n_rows: int):
+    """``_bind(circuit, params)``, or None where ``circuit_vjp`` sweeps
+    ``n_rows`` rows per row and would not use it: when d * d > 8 B, so a
+    wide circuit on few rows is swept per row.  The rule was measured at
+    d = 8 to 128 on the per-gate d x d sweep the binding replaced, where a
+    shared gate cost two d x d products and a per-row one a few passes over
+    the B x d pair."""
+    if 1 << 2 * circuit.n_qubits > 8 * n_rows:
+        return None
+    return _bind(circuit, params)
+
+
+def _vjp_plan(circuit: Circuit, bound):
+    """(shared, item) per reverse-sweep item from the first op with an angle
+    on, in circuit order: each run of ``bound`` is one shared item, every
+    other step of ``_rotation_sweep`` a per-row one."""
+    ops = circuit.ops
+    runs = {run[0]: run for run in bound.runs} if bound is not None else {}
+    i = next((i for i, op in enumerate(ops) if op.angles), len(ops))
+    plan = []
+    while i < len(ops):
+        if i in runs:
+            plan.append((True, runs[i]))
+            i = runs[i][1]
         else:
-            runs += [(False, [step]) for step in steps]
-    return runs
+            plan += [(False, step) for step in _rotation_sweep(ops[i : i + 1])]
+            i += 1
+    return plan
 
 
-def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
+def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound=None):
     """Adjoint vector-Jacobian product of the per-sample <Z_q> readout.
 
     ``inputs`` is (n_samples, n_inputs), ``params`` the shared
@@ -253,10 +321,12 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
     inputs.
 
     Steps with an input angle are swept per row.  If d * d <= 8 B (d = 2**n,
-    B rows), a run of steps that all rows share is swept on the d x d
-    R = sum_b psi_b lambda_b^H, one per circuit: a rotation's gradient is
-    Im Tr(P R), a gate G is un-applied as R <- G^-1 R G, and the pair moves
-    past the run as one product; summing over rows first moves gradients in
+    B rows), each shared run of ``bound``, the ``_bind(circuit, params)``
+    its forward pass used (built here if not given), is taken at once on
+    the d x d R = sum_b psi_b lambda_b^H at the run's end, one per circuit:
+    every rotation's gradient is Im Tr(Q_k R), all of them and their chain
+    rule one product with the binding's q, and the pair moves past the run
+    as one product with conj(U); summing over rows first moves gradients in
     the last bits.  G stacked circuits are swept side by side up to the
     merge point: going backwards, the point after which no remaining step
     has a trainable angle.  Before it every circuit's psi is the same and
@@ -279,69 +349,59 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights):
         raise ValueError(
             f"weights must have shape {rows + (len(qubits),)}, got {w.shape}"
         )
+    if bound is None:
+        bound = _bind_for(circuit, theta, x.shape[0])
+    elif bound.circuit != circuit or bound.theta.shape != theta.shape:
+        raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
     signs = np.reshape([z_signs(n, q) for q in qubits], (len(qubits), d))
     # psi and lambda side by side: one apply_matrix call un-applies a gate
     # from both
     pair = np.stack([psi, (w @ signs) * psi])
     d_params = np.zeros(theta.shape)
     d_inputs = np.zeros(x.shape)
-    # a shared gate costs two d x d products, a per-row one a few passes over
-    # the B x d pair: contracting pays off while d * d <= 8 B (measured at
-    # d = 8 to 128), so a wide circuit on few rows is swept per row
-    runs = _vjp_runs(circuit, d * d <= 8 * x.shape[0])
-    # stacked angles broadcast against the pair's rows in per-row steps and
-    # against d x d matrices in shared runs; runs[:first] hold no trainable
-    # angle, so there the stacked circuits apply the same gates
-    theta_rows, theta_mats, first = theta, theta, 0
+    plan = _vjp_plan(circuit, bound)
+    # stacked angles broadcast against the pair's rows in per-row steps;
+    # plan[:first] holds no trainable angle, so there the stacked circuits
+    # apply the same gates
+    theta_rows, first = theta, 0
     if theta.ndim == 2:
-        theta_rows, theta_mats = theta[:, None, :], theta[:, None, None, :]
+        theta_rows = theta[:, None, :]
         first = next(
             (
                 j
-                for j, (_, steps) in enumerate(runs)
-                if any(r is not None and r.slot_kind == "trainable" for *_, r in steps)
+                for j, (shared, item) in enumerate(plan)
+                if shared or (item[2] is not None and item[2].slot_kind == "trainable")
             ),
-            len(runs),
+            len(plan),
         )
-    for j in range(len(runs) - 1, -1, -1):
+    for j in range(len(plan) - 1, -1, -1):
         if j == first - 1:
             # the merge point: one psi, the sum of the lambdas
             pair = np.stack([pair[0, 0], pair[1].sum(axis=0)])
-        shared, steps = runs[j]
-        if not shared:
-            (kind, targets, ref), = steps
-            angle = ()
-            if ref is not None:
-                angle = (angle_values(ref, theta_rows, x),)
-                p_psi = apply_matrix(pair[0], n, targets, _GENERATORS[kind])
-                overlap = np.einsum("...i,...i->...", pair[1].conj(), p_psi).imag
-                for slot_kind, idx, factor in angle_partials(ref, theta_rows, x):
-                    term = factor * overlap
-                    if slot_kind == "trainable":
-                        d_params[..., idx] += np.sum(term, axis=-1)
-                    else:
-                        d_inputs[:, idx] += term if term.ndim == 1 else term.sum(axis=0)
+        shared, item = plan[j]
+        if shared:
+            _, _, u, slots, q = item
+            r = (pair[0].mT @ pair[1].conj()).reshape(pair.shape[1:-2] + (d * d,))
+            # Tr(Q R) = vdot(Q, R) as Q is Hermitian.  einsum, not matmul:
+            # OpenBLAS runs this matrix-vector product on two threads, and
+            # on a busy host their wake-ups cost more than the product
+            d_params[..., slots] += np.einsum("...kx,...x->...k", q, r).imag
             if j > 0:
-                inverse = gate_matrix(kind, tuple(-a for a in angle))
-                pair = apply_matrix(pair, n, targets, inverse)
+                pair = pair @ u.conj()
             continue
-        r = pair[0].mT @ pair[1].conj()
-        eye = v = np.eye(d)
-        for kind, targets, ref in reversed(steps):
-            gate = _embedded(kind, n, targets)
-            if ref is not None:
-                angle = angle_values(ref, theta_mats, x)
-                # Tr(P R) = vdot(P, R) as P is Hermitian
-                if r.ndim == 2:
-                    overlap = np.vdot(gate, r).imag
+        kind, targets, ref = item
+        angle = ()
+        if ref is not None:
+            angle = (angle_values(ref, theta_rows, x),)
+            p_psi = apply_matrix(pair[0], n, targets, _GENERATORS[kind])
+            overlap = np.einsum("...i,...i->...", pair[1].conj(), p_psi).imag
+            for slot_kind, idx, factor in angle_partials(ref, theta_rows, x):
+                term = factor * overlap
+                if slot_kind == "trainable":
+                    d_params[..., idx] += np.sum(term, axis=-1)
                 else:
-                    overlap = np.array([np.vdot(gate, m) for m in r]).imag
-                for _, idx, factor in angle_partials(ref, theta, x):
-                    d_params[..., idx] += factor * overlap
-                # the inverse exp(i*a*P/2) = cos(a/2) + i*sin(a/2)*P, as P @ P = 1
-                gate = np.cos(angle / 2) * eye + (1j * np.sin(angle / 2)) * gate
-            r = gate @ r @ gate.conj().mT
-            v = gate @ v
+                    d_inputs[:, idx] += term if term.ndim == 1 else term.sum(axis=0)
         if j > 0:
-            pair = pair @ v.mT
+            inverse = gate_matrix(kind, tuple(-a for a in angle))
+            pair = apply_matrix(pair, n, targets, inverse)
     return d_params, d_inputs

@@ -5,7 +5,7 @@ for one (model, task) pair, then writes diff-able artifacts: config.json,
 report.json, predictions.csv, loss_history.csv.  Reports are byte-stable
 for a fixed config and seed; wall time is measured but kept out of
 report.json so repeated runs stay identical, landing in timing.json
-instead.
+instead, with the wall time of each stage.
 
 Each model is one ``ModelSpec`` entry in ``MODELS``: the tasks it
 supports, its default knobs, whether it trains on windows or on rows, and
@@ -445,6 +445,8 @@ class ExperimentReport:
     predictions: tuple
     probabilities: tuple | None
     wall_time_s: float
+    # seconds per stage name, in run order; like wall_time_s, not reported
+    stages: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         # wall time deliberately excluded: identical configs must produce
@@ -492,13 +494,18 @@ def report_from_json(text: str) -> ExperimentReport:
     )
 
 
-def _stage(name, fn, *args, **kwargs):
+def _stage(stages, name, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with its errors tagged by the stage name and
+    its wall time added to ``stages[name]``."""
+    start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except PipelineError:
         raise
     except Exception as err:
         raise PipelineError(name, err) from err
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
 
 
 def _load_dataset(data_spec) -> Dataset:
@@ -518,22 +525,22 @@ def _mse(a, b) -> float:
     return float(np.mean((np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) ** 2))
 
 
-def _rows(cfg, dataset, feats, split):
+def _rows(stages, cfg, dataset, feats, split):
     """Feature rows and their temperatures, or class labels."""
-    scaled = _stage("scale", scale, dataset, feats, cfg.scaling, split)
+    scaled = _stage(stages, "scale", scale, dataset, feats, cfg.scaling, split)
     y = dataset.target()
     if cfg.task != "regression":
-        y = _stage("bin", bin_target, y, cfg.task)
+        y = _stage(stages, "bin", bin_target, y, cfg.task)
     return scaled.feature_matrix(feats), y, np.arange(dataset.n_rows), _same
 
 
-def _windows(cfg, dataset, feats, split):
+def _windows(stages, cfg, dataset, feats, split):
     """Windows of past rows and the next temperature, min-max scaled."""
     target = dataset.target_name
-    scaled = _stage("scale", scale, dataset, feats, cfg.scaling, split)
-    scaled = _stage("scale", scale, scaled, [target], "minmax", split)
+    scaled = _stage(stages, "scale", scale, dataset, feats, cfg.scaling, split)
+    scaled = _stage(stages, "scale", scale, scaled, [target], "minmax", split)
     F = scaled.feature_matrix(feats)
-    X, y = _stage("window", make_windows, F, scaled.target(), cfg.window)
+    X, y = _stage(stages, "window", make_windows, F, scaled.target(), cfg.window)
     rows = np.arange(cfg.window, dataset.n_rows)
     if not rows[0] < split <= rows[-1]:
         raise PipelineError(
@@ -547,16 +554,17 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     cfg = normalized(config)
     spec = MODELS[cfg.model]
     started = time.perf_counter()
-    dataset = _stage("ingest", _load_dataset, cfg.data)
-    corr = _stage("correlate", correlation_report, dataset)
-    feats = _stage("select", select_features, corr, **cfg.selection)
+    stages = {}
+    dataset = _stage(stages, "ingest", _load_dataset, cfg.data)
+    corr = _stage(stages, "correlate", correlation_report, dataset)
+    feats = _stage(stages, "select", select_features, corr, **cfg.selection)
     split = int(math.floor(dataset.n_rows * cfg.split_fraction))
     prepare = _windows if spec.windows else _rows
     # rows[i] is the dataset row whose target y[i] is
-    X, y, rows, to_kelvin = prepare(cfg, dataset, feats, split)
+    X, y, rows, to_kelvin = prepare(stages, cfg, dataset, feats, split)
     train = rows < split
     X_train, y_train, X_test, y_test = X[train], y[train], X[~train], y[~train]
-    fitted = _stage("train", spec.fit, cfg, X_train, y_train)
+    fitted = _stage(stages, "train", spec.fit, cfg, X_train, y_train)
     probabilities = None
     if fitted.probabilities is None:
         pred_train, pred_test = fitted.predict(X_train), fitted.predict(X_test)
@@ -599,6 +607,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         predictions=predictions,
         probabilities=probabilities,
         wall_time_s=time.perf_counter() - started,
+        stages=stages,
     )
     if out_dir is not None:
         write_run_artifacts(report, out_dir)
@@ -622,7 +631,8 @@ def write_run_artifacts(report: ExperimentReport, out_dir) -> None:
         for i, value in enumerate(report.loss_history):
             fh.write(f"{i},{_fmt(value)}\n")
     with open(os.path.join(out_dir, "timing.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"wall_time_s": report.wall_time_s}))
+        timing = {"wall_time_s": report.wall_time_s, "stages": report.stages}
+        fh.write(json.dumps(timing))
         fh.write("\n")
 
 

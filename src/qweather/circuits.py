@@ -168,7 +168,7 @@ def _input_array(circuit: Circuit, inputs) -> np.ndarray:
 
 
 def run_circuit_batch(
-    circuit: Circuit, params, inputs, angle_shifts=None, state=None
+    circuit: Circuit, params, inputs, angle_shifts=None, state=None, bound=None
 ) -> np.ndarray:
     """Amplitudes of shape batch + (2**n,) for batched params/inputs.
 
@@ -181,7 +181,16 @@ def run_circuit_batch(
 
     A gate whose angles are the same for every row is built and applied
     as one shared matrix; only angles that vary by row become per-row
-    matrices.
+    matrices.  The amplitudes stay at the batch shape the gates so far have
+    needed: |0...0> is one row, a per-row or stacked matrix widens them
+    (``np.broadcast_to``), and the result is copied out at the full batch
+    shape, so every row sees the same arithmetic as at full width.
+
+    ``bound``, the binding ``autodiff._bind(circuit, theta)`` of the
+    trainable angles, applies each of its shared runs as one product with
+    the run's unitary U, rows @ U^T; ``params`` is then theta, or
+    theta[:, None, :] for a stacked (G, n_trainable) theta, and no angle is
+    shifted.
     """
     theta = _theta_array(circuit, params)
     x = _input_array(circuit, inputs)
@@ -190,18 +199,33 @@ def run_circuit_batch(
     if angle_shifts:
         shapes += [np.shape(s) for s in angle_shifts.values()]
     if state is None:
-        amps = np.zeros(np.broadcast_shapes(*shapes) + (dim,), dtype=complex)
-        amps[..., 0] = 1.0
+        amps = np.zeros(dim, dtype=complex)
+        amps[0] = 1.0
     else:
-        state = np.asarray(state, dtype=complex)
-        if state.shape[-1:] != (dim,):
+        amps = np.asarray(state, dtype=complex)
+        if amps.shape[-1:] != (dim,):
             raise ValueError(
                 f"{circuit.name} acts on {dim} amplitudes, got state shape "
-                f"{state.shape}"
+                f"{amps.shape}"
             )
-        batch_shape = np.broadcast_shapes(*shapes, state.shape[:-1])
-        amps = np.broadcast_to(state, batch_shape + (dim,))
-    for i, op in enumerate(circuit.ops):
+        shapes.append(amps.shape[:-1])
+    full = np.broadcast_shapes(*shapes) + (dim,)
+    runs = {}
+    if bound is not None:
+        want = bound.theta if bound.theta.ndim == 1 else bound.theta[:, None, :]
+        if angle_shifts or bound.circuit != circuit or theta.shape != want.shape:
+            raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
+        runs = {start: (stop, u) for start, stop, u, *_ in bound.runs}
+    i = 0
+    while i < len(circuit.ops):
+        if i in runs:
+            stop, u = runs[i]
+            # a lone (d,) row becomes (1, d): the product keeps a row axis
+            # against a stacked (G, d, d) U
+            amps = np.atleast_2d(amps) @ u.mT
+            i = stop
+            continue
+        op = circuit.ops[i]
         if not op.angles:
             mat = gate_matrix(op.kind)
         else:
@@ -212,7 +236,13 @@ def run_circuit_batch(
                     a = a + angle_shifts[(i, pos)]
                 angles.append(a)
             mat = gate_matrix(op.kind, tuple(angles))
+            if mat.ndim > 2 and mat.shape[:-2] != amps.shape[:-1]:
+                wide = np.broadcast_shapes(amps.shape[:-1], mat.shape[:-2]) + (dim,)
+                amps = np.broadcast_to(amps, wide)
         amps = apply_matrix(amps, circuit.n_qubits, op.targets, mat)
+        i += 1
+    if amps.shape != full:
+        amps = np.broadcast_to(amps, full).copy()
     return amps
 
 

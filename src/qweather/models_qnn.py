@@ -7,8 +7,11 @@ VqcClassifier runs a trainable ansatz behind a feature map and aggregates
 basis-state probabilities by a readout rule (bitstring parity for binary,
 basis index mod n_classes for ternary); it trains derivative-free.  The
 feature map reads only inputs, so a fit simulates it once and every COBYLA
-evaluation runs the ansatz from those cached states.  QNN training keeps
-its forward states for ``circuit_vjp``.
+evaluation runs the ansatz from those cached states; it runs every gate on
+its own, so its float arithmetic stays that of the per-gate path.  QNN
+training binds its circuit to each epoch's angles once, runs the forward
+pass under that binding and keeps the forward states for ``circuit_vjp``,
+which reuses the binding.
 Every classifier here gives class probabilities from one batch function,
 and its labels are their argmax, ties going to the lowest class.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import circuit_vjp, expectation_batch
+from .autodiff import _bind_for, circuit_vjp, expectation_batch
 from .circuits import (
     Circuit,
     build_qlstm_vqc,
@@ -158,8 +161,10 @@ def qnn_predict(model: QnnModel, X):
 
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     n = X.shape[0]
+    # one binding of the epoch's angles serves the forward pass and the VJP;
     # the forward states are the tape circuit_vjp reverses
-    psi = run_circuit_batch(model.circuit, model.params, X)
+    bound = _bind_for(model.circuit, model.params, n)
+    psi = run_circuit_batch(model.circuit, model.params, X, bound=bound)
     z = z_expectations(psi, model.circuit.n_qubits, model.readout)
     if model.task == "regression":
         resid = z[:, 0] - y_enc
@@ -176,7 +181,9 @@ def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
             -np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None)))
         )
         dl_dz = (p - onehot) / n
-    grad, _ = circuit_vjp(model.circuit, model.params, X, psi, model.readout, dl_dz)
+    grad, _ = circuit_vjp(
+        model.circuit, model.params, X, psi, model.readout, dl_dz, bound=bound
+    )
     return loss, grad
 
 

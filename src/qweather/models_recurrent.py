@@ -17,7 +17,11 @@ LSTM's forget, input, update and output gates; the quantum GRU's reset and
 update gates), which runs as one stacked circuit call forward and one
 adjoint sweep backward.  The records hold one tape entry per gate group or
 lone gate circuit, its final states, so the adjoint starts from them and
-no circuit is simulated twice in a step.
+no circuit is simulated twice in a step.  A pass over the windows binds
+each gate group or lone gate circuit to its angles once
+(``autodiff._bind``): every step's forward call applies each shared run of
+gates as one product with the binding's unitary, and every adjoint sweep of
+that gate reads the same binding.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import circuit_vjp
+from .autodiff import _bind_for, circuit_vjp
 from .circuits import Circuit, build_qlstm_vqc, run_circuit_batch
 from .models_qnn import INIT_ANGLE, _sigmoid
 from .optim import adam_init, adam_step
@@ -253,23 +257,29 @@ def _gate_rows(cell: _QuantumCell, gates):
     return [cell.gates.index(name) for name in gates]
 
 
-def _gate_readout(cell: _QuantumCell, p, gates, inputs, tape):
+def _gate_readout(cell: _QuantumCell, p, gates, inputs, rec):
     """Per-qubit <Z> of gate circuit ``gates`` on ``inputs``, (B, n_qubits).
 
     ``gates`` is one gate name or a gate group, a tuple of the G names
     whose circuits read the same inputs; a group runs as one stacked
-    circuit call and returns (G, B, n_qubits).  The final states go into
-    one tape entry, ``tape[gates]``; backpropagation hands them to
+    circuit call and returns (G, B, n_qubits).  The circuit runs under its
+    binding ``rec["bound"][gates]``, made on first use (None where
+    ``circuit_vjp`` would sweep per row), and its final states go into one
+    tape entry, ``rec["tape"][gates]``; backpropagation hands both to
     ``circuit_vjp`` in place of a second forward sweep.
     """
     theta = p["thetas"][_gate_rows(cell, gates)]
+    bound = rec["bound"]
+    if gates not in bound:
+        bound[gates] = _bind_for(cell.circuit, theta, inputs.shape[0])
     if theta.ndim == 2:
         theta, inputs = theta[:, None, :], inputs[None]
-    tape[gates] = run_circuit_batch(cell.circuit, theta, inputs)
-    return z_expectations(tape[gates], cell.n_qubits, range(cell.n_qubits))
+    states = run_circuit_batch(cell.circuit, theta, inputs, bound=bound[gates])
+    rec["tape"][gates] = states
+    return z_expectations(states, cell.n_qubits, range(cell.n_qubits))
 
 
-def qlstm_step(cell: QlstmCell, x_t, h, c):
+def qlstm_step(cell: QlstmCell, x_t, h, c, bound=None):
     """One step: (x_t, h, c) -> ((h', c'), record).
 
     Shapes are batched: x_t (B, input_dim), h and c (B, hidden_size).
@@ -277,44 +287,47 @@ def qlstm_step(cell: QlstmCell, x_t, h, c):
     u = [x_t; h]; c' = f*c + i*g and the projection circuit turns
     u2 = o*tanh(c') into the next hidden state.  The record holds every
     intermediate that backpropagation through time reads, the gate
-    circuits' final states (``tape``) among them.
+    circuits' final states (``tape``) and bindings among them.  ``bound``
+    is the dict of bindings to use and fill, one per gate group or lone gate
+    circuit; a pass hands every step the same one.
     """
     p = _unpack(cell)
-    tape = {}
+    rec = dict(tape={}, bound={} if bound is None else bound)
     u = np.concatenate([x_t, h], axis=1)
     v = u @ p["W"] + p["b"]
-    f, i, g, o = _gate_readout(cell, p, _QLSTM_GROUP, v, tape)
+    f, i, g, o = _gate_readout(cell, p, _QLSTM_GROUP, v, rec)
     f, i, g, o = _sigmoid(f), _sigmoid(i), np.tanh(g), _sigmoid(o)
     c_next = f * c + i * g
     s = np.tanh(c_next)
     u2 = o * s
-    h_next = _gate_readout(cell, p, "hidden", u2, tape)
-    record = dict(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2, tape=tape)
-    return (h_next, c_next), record
+    h_next = _gate_readout(cell, p, "hidden", u2, rec)
+    rec.update(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2)
+    return (h_next, c_next), rec
 
 
 def _qlstm_readout(cell: QlstmCell, rec):
     # the readout circuit's states join the last step's tape
-    return _gate_readout(cell, _unpack(cell), "readout", rec["u2"], rec["tape"])
+    return _gate_readout(cell, _unpack(cell), "readout", rec["u2"], rec)
 
 
-def qgru_step(cell: QgruCell, x_t, h):
+def qgru_step(cell: QgruCell, x_t, h, bound=None):
     """One step: (x_t, h) -> ((h',), record) with h' = (1 - z)*h + z*g.
 
     The candidate gate sees the input map of u2 = [x_t; r*h], reusing the
-    same affine map that feeds the reset and update gates.
+    same affine map that feeds the reset and update gates.  ``bound`` and
+    the record are as in ``qlstm_step``.
     """
     p = _unpack(cell)
-    tape = {}
+    rec = dict(tape={}, bound={} if bound is None else bound)
     u = np.concatenate([x_t, h], axis=1)
     v = u @ p["W"] + p["b"]
-    r, z = _sigmoid(_gate_readout(cell, p, _QGRU_GROUP, v, tape))
+    r, z = _sigmoid(_gate_readout(cell, p, _QGRU_GROUP, v, rec))
     u2 = np.concatenate([x_t, r * h], axis=1)
     v2 = u2 @ p["W"] + p["b"]
-    g = np.tanh(_gate_readout(cell, p, "candidate", v2, tape))
+    g = np.tanh(_gate_readout(cell, p, "candidate", v2, rec))
     h_next = (1.0 - z) * h + z * g
-    record = dict(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h, tape=tape)
-    return (h_next,), record
+    rec.update(u=u, v=v, u2=u2, v2=v2, r=r, z=z, g=g, h_prev=h)
+    return (h_next,), rec
 
 
 def lstm_step(model: ClassicalRnnBaseline, x_t, h, c):
@@ -358,7 +371,7 @@ def _backward_start(model, head_in, dy):
 
 
 def _gate_vjp(cell: _QuantumCell, p, g, rec, gates, inputs, weights):
-    """Adjoint VJP of gate circuit ``gates`` from its taped states.
+    """Adjoint VJP of gate circuit ``gates`` from its taped states and binding.
 
     ``gates`` is a name or a group as in ``_gate_readout``, and
     ``weights`` is shaped like its readout.  One reverse sweep adds the
@@ -367,8 +380,9 @@ def _gate_vjp(cell: _QuantumCell, p, g, rec, gates, inputs, weights):
     """
     j = _gate_rows(cell, gates)
     qubits = tuple(range(cell.n_qubits))
+    states, bound = rec["tape"][gates], rec["bound"][gates]
     d_theta, d_inputs = circuit_vjp(
-        cell.circuit, p["thetas"][j], inputs, rec["tape"][gates], qubits, weights
+        cell.circuit, p["thetas"][j], inputs, states, qubits, weights, bound=bound
     )
     g["thetas"][j] += d_theta
     return d_inputs
@@ -495,9 +509,11 @@ def _run(model, X):
     step, n_state, readout, _ = _cell_ops(model)
     B, T, _ = X.shape
     state = tuple(np.zeros((B, model.hidden_size)) for _ in range(n_state))
+    # the steps share one dict of bindings: each gate circuit is bound once
+    kwargs = dict(bound={}) if isinstance(model, _QuantumCell) else {}
     steps = []
     for t in range(T):
-        state, rec = step(model, X[:, t], *state)
+        state, rec = step(model, X[:, t], *state, **kwargs)
         steps.append(rec)
     head_in = state[0] if readout is None else readout(model, steps[-1])
     p = _unpack(model)

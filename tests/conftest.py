@@ -58,7 +58,8 @@ def same_bytes(a, b) -> bool:
 def fresh_forward_vjps(monkeypatch):
     """Check every ``circuit_vjp`` call against a freshly simulated forward.
 
-    The taped states must be the bytes ``run_circuit_batch`` gives, and the
+    The taped states must be the bytes ``run_circuit_batch`` gives under the
+    binding the call passes (the bound forward the tape came from), and the
     VJP fed them must be the bytes of the VJP fed a fresh forward sweep.
     Stacked (G, n_trainable) params are simulated as ``params[..., None, :]``,
     the way a gate group's forward call runs them.  Returns the list of
@@ -68,14 +69,14 @@ def fresh_forward_vjps(monkeypatch):
     original = qweather.autodiff.circuit_vjp
     checked = []
 
-    def checking(circuit, params, inputs, states, qubits, weights):
+    def checking(circuit, params, inputs, states, qubits, weights, bound=None):
         theta = np.asarray(params)
         if theta.ndim == 2:
             theta = theta[..., None, :]
-        fresh = simulate(circuit, theta, np.atleast_2d(inputs))
+        fresh = simulate(circuit, theta, np.atleast_2d(inputs), bound=bound)
         assert same_bytes(states, fresh)
-        got = original(circuit, params, inputs, states, qubits, weights)
-        want = original(circuit, params, inputs, fresh, qubits, weights)
+        got = original(circuit, params, inputs, states, qubits, weights, bound)
+        want = original(circuit, params, inputs, fresh, qubits, weights, bound)
         assert all(same_bytes(g, w) for g, w in zip(got, want))
         checked.append(circuit.name)
         return got

@@ -285,6 +285,72 @@ def test_stack_of_one_gives_the_bytes_of_one_call(circuit, rows, qubits):
     assert same_bytes(d_inputs, one[1])
 
 
+def _bound_case(circuit, n_gates):
+    """A bound forward of G stacked circuits (G = 0: one circuit) on 40 rows,
+    with weights on every qubit."""
+    qubits = tuple(range(circuit.n_qubits))
+    thetas, xs, _, weights = _stacked_case(circuit, 40, qubits, max(n_gates, 1))
+    if n_gates == 0:
+        thetas, weights = thetas[0], weights[0]
+    bound = autodiff._bind(circuit, thetas)
+    forward = thetas[:, None, :] if n_gates else thetas
+    inputs = xs[None] if n_gates else xs
+    states = run_circuit_batch(circuit, forward, inputs, bound=bound)
+    return thetas, xs, states, qubits, weights, bound
+
+
+BOUND_CIRCUITS = [
+    build_qlstm_vqc(4, 2),
+    SHARED_MIX,
+    TRAINABLE_FIRST,
+    build_reuploading_sel(3, 4),
+    build_reuploading_ising(3, 2),
+]
+
+
+@pytest.mark.parametrize("n_gates", [0, 1, 4], ids=["one", "G=1", "G=4"])
+@pytest.mark.parametrize("circuit", BOUND_CIRCUITS, ids=lambda c: c.name)
+def test_bound_vjp_matches_contracted_param_shift(circuit, n_gates):
+    thetas, xs, states, qubits, weights, bound = _bound_case(circuit, n_gates)
+    got = circuit_vjp(circuit, thetas, xs, states, qubits, weights, bound)
+    # a binding passed in gives the bytes of the one circuit_vjp builds itself
+    own = circuit_vjp(circuit, thetas, xs, states, qubits, weights)
+    assert all(same_bytes(g, o) for g, o in zip(got, own))
+    stack = np.reshape(thetas, (-1, circuit.n_trainable))
+    lams = np.reshape(weights, (len(stack), len(xs), len(qubits)))
+    shifted = [
+        _contracted_param_shift(circuit, stack[g], xs, qubits, lams[g])
+        for g in range(len(stack))
+    ]
+    ref_params = np.reshape([p for p, _ in shifted], thetas.shape)
+    assert np.max(np.abs(got[0] - ref_params)) < 1e-10
+    assert np.max(np.abs(got[1] - sum(i for _, i in shifted))) < 1e-10
+
+
+@pytest.mark.parametrize("n_gates", [0, 4], ids=["one", "G=4"])
+@pytest.mark.parametrize("circuit", BOUND_CIRCUITS, ids=lambda c: c.name)
+def test_bound_forward_matches_the_per_gate_forward(circuit, n_gates):
+    thetas, xs, states, *_ = _bound_case(circuit, n_gates)
+    forward = thetas[:, None, :] if n_gates else thetas
+    per_gate = run_circuit_batch(circuit, forward, xs[None] if n_gates else xs)
+    assert states.shape == per_gate.shape
+    assert np.max(np.abs(states - per_gate)) < 1e-13
+
+
+def test_binding_must_fit_the_call():
+    circuit = build_qlstm_vqc(4, 1)
+    thetas = np.zeros((2, circuit.n_trainable))
+    xs = np.zeros((3, 4))
+    bound = autodiff._bind(circuit, thetas)
+    with pytest.raises(ValueError):
+        run_circuit_batch(circuit, thetas[0], xs, bound=bound)
+    with pytest.raises(ValueError):
+        run_circuit_batch(build_qlstm_vqc(4, 2), thetas[:, None, :], xs[None], bound=bound)
+    states = run_circuit_batch(circuit, thetas[:, None, :], xs[None], bound=bound)
+    with pytest.raises(ValueError):
+        circuit_vjp(circuit, thetas[:1], xs, states[:1], (0,), np.ones((1, 3, 1)), bound)
+
+
 def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
     """qlstm_vqc(4,2) has 8 input rotations and, after them, one shared run,
     which is swept on a d x d matrix at 32 rows or more: apply_matrix sees
@@ -308,11 +374,12 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
 
 def test_vjp_sweeps_wide_circuit_on_few_rows_per_row(monkeypatch):
     """A 2**10 x 2**10 matrix per shared gate would cost far more than the
-    3-row pair, so no dense gate is built and every step is swept per row."""
+    3-row pair, so no binding is built and every step is swept per row."""
 
     def no_dense(*args):
-        raise AssertionError("dense gate built for a wide circuit")
+        raise AssertionError("binding or dense gate built for a wide circuit")
 
+    monkeypatch.setattr(autodiff, "_bind", no_dense)
     monkeypatch.setattr(autodiff, "_embedded", no_dense)
     circuit = build_reuploading_sel(10, 4)
     rng = np.random.default_rng(37)

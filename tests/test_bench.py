@@ -346,6 +346,25 @@ class TestArtifacts:
         assert doc["config"]["model"] == "svc"
         assert "wall_time" not in json.dumps(doc)
 
+    @pytest.mark.parametrize(
+        "overrides,names",
+        [
+            ({}, ["ingest", "correlate", "select", "scale", "bin", "train"]),
+            (
+                {"model": "gru", "task": "regression", "epochs": 2},
+                ["ingest", "correlate", "select", "scale", "window", "train"],
+            ),
+        ],
+        ids=["rows", "windows"],
+    )
+    def test_timing_holds_the_stages_in_run_order(self, tmp_path, overrides, names):
+        run(tiny_config(**overrides), out_dir=str(tmp_path))
+        timing = json.loads((tmp_path / "timing.json").read_text())
+        assert list(timing) == ["wall_time_s", "stages"]
+        assert list(timing["stages"]) == names
+        assert all(t >= 0.0 for t in timing["stages"].values())
+        assert sum(timing["stages"].values()) <= timing["wall_time_s"]
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         cfg = tiny_config(model="nn", epochs=25)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -278,6 +278,31 @@ def test_shared_params_give_the_bytes_of_tiled_params(circuit, monkeypatch):
     )
 
 
+def test_rows_widen_only_where_a_gate_needs_them(monkeypatch):
+    """A gate group's forward runs its H layer on one row, its input
+    encoding and first CNOT ring on B rows and only the gates from its first
+    trainable one on G x B, with the bytes of a run that starts from a
+    full-width |0...0>."""
+    circuit = build_qlstm_vqc(4, 2)
+    rng = np.random.default_rng(28)
+    thetas = rng.normal(size=(3, 1, circuit.n_trainable))
+    x = rng.uniform(-2.0, 2.0, size=(1, 5, circuit.n_inputs))
+    rows = []
+    apply = circuits_mod.apply_matrix
+
+    def recording(amps, *args):
+        rows.append(amps.shape[:-1])
+        return apply(amps, *args)
+
+    monkeypatch.setattr(circuits_mod, "apply_matrix", recording)
+    amps = run_circuit_batch(circuit, thetas, x)
+    assert rows == [()] * 4 + [(1, 5)] * 12 + [(3, 5)] * 12
+    zero = np.zeros((3, 5, 16), dtype=complex)
+    zero[..., 0] = 1.0
+    assert same_bytes(amps, run_circuit_batch(circuit, thetas, x, state=zero))
+    assert amps.flags.writeable
+
+
 def test_run_from_a_state_continues_the_circuit():
     fmap, ansatz = build_zz_feature_map(3, 1), build_real_amplitudes(3, 3)
     full = _vqc_circuit(3)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import same_bytes
 
-from qweather.autodiff import expectation_batch
+from qweather import autodiff, models_recurrent
+from qweather.autodiff import circuit_vjp, expectation_batch
 from qweather.models_qnn import INIT_ANGLE
 from qweather.models_recurrent import (
     ClassicalRnnBaseline,
@@ -454,6 +455,36 @@ class TestTraining:
         model = builder(input_dim=1, n_qubits=2, n_layers=1)
         train_sequence_model(model, X, y, epochs=1, seed=5)
         assert len(circuit_sweeps) == sweeps_per_step * X.shape[1] + extra
+
+    @pytest.mark.parametrize(
+        "builder,shapes",
+        [(build_qlstm, [(4, 6), (6,), (6,)]), (build_qgru, [(2, 6), (6,)])],
+        ids=["qlstm", "qgru"],
+    )
+    def test_each_pass_binds_each_gate_circuit_once(self, builder, shapes, monkeypatch):
+        # one binding per gate group or lone gate circuit per pass over the
+        # windows, shared by every step's forward call and every VJP
+        bind = autodiff._bind
+        made, used = [], []
+
+        def counted(circuit, params):
+            made.append(bind(circuit, params))
+            return made[-1]
+
+        def vjp(*args, bound=None):
+            used.append(bound)
+            return circuit_vjp(*args, bound=bound)
+
+        monkeypatch.setattr(autodiff, "_bind", counted)
+        monkeypatch.setattr(models_recurrent, "circuit_vjp", vjp)
+        X, y = _sine_windows(n_points=20, window=4)
+        model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=7)
+        train_sequence_model(model, X, y, epochs=1)
+        assert [b.theta.shape for b in made] == shapes
+        assert {id(b) for b in used} == {id(b) for b in made}
+        made.clear()
+        sequence_forward(model, X)
+        assert [b.theta.shape for b in made] == shapes
 
     @pytest.mark.parametrize("builder", [build_qlstm, build_qgru], ids=["qlstm", "qgru"])
     def test_taped_states_are_a_fresh_forward(self, builder, fresh_forward_vjps):

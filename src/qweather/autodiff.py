@@ -36,11 +36,9 @@ import numpy as np
 
 from .circuits import (
     Circuit,
-    _input_array,
-    _theta_array,
+    _slot_array,
     angle_partials,
     angle_values,
-    parameterized_occurrences,
     run_circuit_batch,
 )
 from .qsim import apply_matrix, gate_matrix, z_expectations, z_signs
@@ -110,17 +108,18 @@ def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
 
 
 def _relevant_occurrences(circuit, kind):
-    occs = []
-    for i, pos, ref in parameterized_occurrences(circuit):
-        depends = ref.slot_kind == "trainable" if kind == "trainable" else (
-            ref.slot_kind == "input"
-        )
-        if depends:
-            if circuit.ops[i].kind not in SHIFTABLE_KINDS:
-                raise UnsupportedGateError(
-                    f"gate {circuit.ops[i].kind} has no parameter-shift rule"
-                )
-            occs.append((i, pos, ref))
+    """(op_index, angle_position, AngleRef) of each ``kind`` angle, in order."""
+    occs = [
+        (i, pos, ref)
+        for i, op in enumerate(circuit.ops)
+        for pos, ref in enumerate(op.angles)
+        if ref.slot_kind == kind
+    ]
+    for i, _, _ in occs:
+        if circuit.ops[i].kind not in SHIFTABLE_KINDS:
+            raise UnsupportedGateError(
+                f"gate {circuit.ops[i].kind} has no parameter-shift rule"
+            )
     return occs
 
 
@@ -130,8 +129,8 @@ def param_shift_grad(req: GradientRequest) -> np.ndarray:
     All 2 * n_occurrences shifted circuits run as one batch.
     """
     circuit = req.circuit
-    theta = _theta_array(circuit, req.params).ravel()
-    x = _input_array(circuit, req.inputs).ravel()
+    theta = _slot_array(circuit, req.params, "trainable").ravel()
+    x = _slot_array(circuit, req.inputs, "input").ravel()
     qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
     kind = "trainable" if req.wrt == "trainable" else "input"
     n_slots = circuit.n_trainable if kind == "trainable" else circuit.n_inputs
@@ -161,16 +160,14 @@ def finite_diff_grad(req: GradientRequest, h: float = 1e-5) -> np.ndarray:
     if h <= 0:
         raise ValueError("h must be positive")
     circuit = req.circuit
-    theta = _theta_array(circuit, req.params).ravel()
-    x = _input_array(circuit, req.inputs).ravel()
+    theta = _slot_array(circuit, req.params, "trainable").ravel()
+    x = _slot_array(circuit, req.inputs, "input").ravel()
     qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
     n_slots = circuit.n_trainable if req.wrt == "trainable" else circuit.n_inputs
     if n_slots == 0:
         return np.zeros(0)
-    if req.wrt == "trainable":
-        base = np.broadcast_to(theta, (2 * n_slots, theta.size)).copy()
-    else:
-        base = np.broadcast_to(x, (2 * n_slots, x.size)).copy()
+    shifted = theta if req.wrt == "trainable" else x
+    base = np.broadcast_to(shifted, (2 * n_slots, shifted.size)).copy()
     for k in range(n_slots):
         base[2 * k, k] += h
         base[2 * k + 1, k] -= h
@@ -233,7 +230,7 @@ def _bind(circuit: Circuit, params) -> _Binding:
     first op with an angle on, a maximal stretch of ops whose angles all rows
     share (fixed gates and trainable rotations) that holds an angle.  W runs
     backwards through it on dense gates, W <- W g, and so ends as U."""
-    theta = _theta_array(circuit, params)
+    theta = _slot_array(circuit, params, "trainable")
     n, d, ops = circuit.n_qubits, 1 << circuit.n_qubits, circuit.ops
     eye = np.broadcast_to(np.eye(d, dtype=complex), theta.shape[:-1] + (d, d))
     first = next((i for i, op in enumerate(ops) if op.angles), len(ops))
@@ -333,8 +330,8 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     dL/da is linear in lambda, so the sweep goes on with one psi and the sum
     of the G lambdas, and the steps there run once, not G times.
     """
-    theta = _theta_array(circuit, params)
-    x = np.atleast_2d(_input_array(circuit, inputs))
+    theta = _slot_array(circuit, params, "trainable")
+    x = np.atleast_2d(_slot_array(circuit, inputs, "input"))
     n = circuit.n_qubits
     d = 1 << n
     if theta.ndim > 2:

@@ -47,7 +47,6 @@ from .models_recurrent import (
     build_classical_lstm,
     build_qgru,
     build_qlstm,
-    count_params,
     make_windows,
     sequence_forward,
     train_sequence_model,
@@ -248,7 +247,7 @@ def _fit_recurrent(build, cfg, X_train, y_train):
     details.update(window=cfg.window, lr=cfg.lr)
     return Fitted(
         predict=lambda X: sequence_forward(model, X),
-        n_params=count_params(model),
+        n_params=model.params.size,
         details=details,
         history=history,
     )

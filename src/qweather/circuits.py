@@ -4,10 +4,18 @@ A Circuit is an ordered list of gate slots.  Slots carry either no angles
 (H, CNOT, CZ) or AngleRef angles that point at a trainable parameter or an
 input feature, with an optional nonlinearity applied to the referenced
 value before it becomes the gate angle.
+
+Each template is written as its layer sequence: a layer of one gate kind
+on every qubit, or a ring of range r (q -> (q + r) mod n), whose angles
+come from an input or a trainable angle maker; one running counter numbers
+the trainable slots.  A template circuit's name is its descriptor, e.g.
+'reuploading_sel(4,4)': ``template_name`` writes it and
+``circuit_from_name`` rebuilds the circuit from it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +24,7 @@ from .qsim import (
     Gate,
     Statevector,
     _check_gate_shape,
+    _check_n_qubits,
     apply_gate,
     apply_matrix,
     gate_matrix,
@@ -74,6 +83,7 @@ class Circuit:
     n_inputs: int
 
     def __post_init__(self):
+        _check_n_qubits(self.n_qubits)
         for op in self.ops:
             for t in op.targets:
                 if not 0 <= t < self.n_qubits:
@@ -98,11 +108,7 @@ def angle_values(ref: AngleRef, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         xi = x[..., ref.slot_index]
         xj = x[..., ref.partner]
         return ref.scale * (np.pi - xi) * (np.pi - xj)
-    v = (
-        theta[..., ref.slot_index]
-        if ref.slot_kind == "trainable"
-        else x[..., ref.slot_index]
-    )
+    v = (theta if ref.slot_kind == "trainable" else x)[..., ref.slot_index]
     if ref.transform == "identity":
         return ref.scale * v
     if ref.transform == "arctan":
@@ -119,11 +125,7 @@ def angle_partials(ref: AngleRef, theta: np.ndarray, x: np.ndarray):
             ("input", ref.slot_index, -ref.scale * (np.pi - xj)),
             ("input", ref.partner, -ref.scale * (np.pi - xi)),
         ]
-    v = (
-        theta[..., ref.slot_index]
-        if ref.slot_kind == "trainable"
-        else x[..., ref.slot_index]
-    )
+    v = (theta if ref.slot_kind == "trainable" else x)[..., ref.slot_index]
     if ref.transform == "identity":
         d = ref.scale * np.ones_like(v)
     elif ref.transform == "arctan":
@@ -134,34 +136,16 @@ def angle_partials(ref: AngleRef, theta: np.ndarray, x: np.ndarray):
     return [(ref.slot_kind, ref.slot_index, d)]
 
 
-def parameterized_occurrences(circuit: Circuit):
-    """All (op_index, angle_position, AngleRef) triples, in circuit order."""
-    out = []
-    for i, op in enumerate(circuit.ops):
-        for pos, ref in enumerate(op.angles):
-            out.append((i, pos, ref))
-    return out
-
-
-def _theta_array(circuit: Circuit, params) -> np.ndarray:
-    arr = np.asarray(params, dtype=float)
-    if arr.shape[-1:] != (circuit.n_trainable,):
-        if not (circuit.n_trainable == 0 and arr.size == 0):
+def _slot_array(circuit: Circuit, values, slot_kind: str) -> np.ndarray:
+    """``values`` as floats over (..., n) slots of ``slot_kind``, checked
+    against the circuit; an empty array stands for none."""
+    n = circuit.n_trainable if slot_kind == "trainable" else circuit.n_inputs
+    label = "parameters" if slot_kind == "trainable" else "inputs"
+    arr = np.asarray(values, dtype=float)
+    if arr.shape[-1:] != (n,):
+        if not (n == 0 and arr.size == 0):
             raise ValueError(
-                f"{circuit.name} takes {circuit.n_trainable} parameters, "
-                f"got shape {arr.shape}"
-            )
-        arr = arr.reshape(arr.shape[:-1] + (0,) if arr.ndim else (0,))
-    return arr
-
-
-def _input_array(circuit: Circuit, inputs) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=float)
-    if arr.shape[-1:] != (circuit.n_inputs,):
-        if not (circuit.n_inputs == 0 and arr.size == 0):
-            raise ValueError(
-                f"{circuit.name} takes {circuit.n_inputs} inputs, "
-                f"got shape {arr.shape}"
+                f"{circuit.name} takes {n} {label}, got shape {arr.shape}"
             )
         arr = arr.reshape(arr.shape[:-1] + (0,) if arr.ndim else (0,))
     return arr
@@ -192,8 +176,8 @@ def run_circuit_batch(
     theta[:, None, :] for a stacked (G, n_trainable) theta, and no angle is
     shifted.
     """
-    theta = _theta_array(circuit, params)
-    x = _input_array(circuit, inputs)
+    theta = _slot_array(circuit, params, "trainable")
+    x = _slot_array(circuit, inputs, "input")
     dim = 1 << circuit.n_qubits
     shapes = [theta.shape[:-1], x.shape[:-1]]
     if angle_shifts:
@@ -248,8 +232,8 @@ def run_circuit_batch(
 
 def bind_circuit(circuit: Circuit, params, inputs) -> list[Gate]:
     """Concrete gate list with every angle transform evaluated."""
-    theta = _theta_array(circuit, params).ravel()
-    x = _input_array(circuit, inputs).ravel()
+    theta = _slot_array(circuit, params, "trainable").ravel()
+    x = _slot_array(circuit, inputs, "input").ravel()
     gates = []
     for op in circuit.ops:
         angles = tuple(float(angle_values(ref, theta, x)) for ref in op.angles)
@@ -265,10 +249,63 @@ def bind_and_run(circuit: Circuit, params, inputs) -> Statevector:
     return state
 
 
-def _validate_sizes(name, **sizes):
-    for label, (value, lo) in sizes.items():
-        if int(value) != value or value < lo:
-            raise ValueError(f"{name}: {label} must be an integer >= {lo}")
+def _no_angles(q):
+    return ()
+
+
+class _Template:
+    """A template's ops, laid down layer by layer.
+
+    ``sizes`` are the template's two sizes as ``label=(value, lowest)``, the
+    qubit count first.  Trainable slots come from one running counter and
+    the input angle maker marks the inputs as read, so ``circuit()`` takes
+    both slot counts from what the layers used.
+    """
+
+    def __init__(self, template, **sizes):
+        for label, (value, lo) in sizes.items():
+            if int(value) != value or value < lo:
+                raise ValueError(
+                    f"build_{template}: {label} must be an integer >= {lo}"
+                )
+        values = [value for value, _ in sizes.values()]
+        self.name = template_name(template, *values)
+        self.n = values[0]
+        self.ops = []
+        self.n_trainable = 0
+        self.n_inputs = 0
+
+    def trainable(self, width=1):
+        """Angle maker: the next ``width`` trainable slots for each gate."""
+
+        def angles(q):
+            start = self.n_trainable
+            self.n_trainable += width
+            return tuple(AngleRef("trainable", k) for k in range(start, start + width))
+
+        return angles
+
+    def inputs(self, transform="identity", scale=1.0):
+        """Angle maker: input q, through ``transform``, for qubit q's gate;
+        a template that encodes inputs reads all n of them."""
+        self.n_inputs = self.n
+        return lambda q: (AngleRef("input", q, transform, scale),)
+
+    def layer(self, kind, angles=_no_angles):
+        """One ``kind`` gate on each qubit q, with angles(q)."""
+        for q in range(self.n):
+            self.ops.append(CircuitOp(kind, (q,), angles(q)))
+
+    def ring(self, r=1, kind="CNOT", angles=_no_angles, closed=True):
+        """``kind`` on each pair (q, (q + r) mod n), the ring of range r;
+        an open ring leaves out the last pair, which closes a range-1 ring."""
+        for q in range(self.n if closed else self.n - 1):
+            self.ops.append(CircuitOp(kind, (q, (q + r) % self.n), angles(q)))
+
+    def circuit(self) -> Circuit:
+        return Circuit(
+            self.name, self.n, tuple(self.ops), self.n_trainable, self.n_inputs
+        )
 
 
 def build_reuploading_ising(n_qubits: int = 3, n_layers: int = 2) -> Circuit:
@@ -280,36 +317,15 @@ def build_reuploading_ising(n_qubits: int = 3, n_layers: int = 2) -> Circuit:
     """
     if n_qubits != 3:
         raise ValueError("the Ising reuploading template is defined for 3 qubits")
-    _validate_sizes("build_reuploading_ising", n_layers=(n_layers, 1))
-    n = n_qubits
-    ops = []
-    k = 0
+    t = _Template("reuploading_ising", n_qubits=(n_qubits, 3), n_layers=(n_layers, 1))
     for _ in range(n_layers):
-        for q in range(n):
-            ops.append(CircuitOp("RY", (q,), (AngleRef("input", q),)))
-        for q in range(n):
-            ops.append(CircuitOp("RX", (q,), (AngleRef("trainable", k),)))
-            k += 1
-        for q in range(n):
-            ops.append(CircuitOp("RZ", (q,), (AngleRef("trainable", k),)))
-            k += 1
-        for q in range(n):
-            ops.append(
-                CircuitOp("RZZ", (q, (q + 1) % n), (AngleRef("trainable", k),))
-            )
-            k += 1
-    for q in range(n):
-        ops.append(CircuitOp("RY", (q,), (AngleRef("input", q),)))
-    for q in range(n):
-        ops.append(CircuitOp("RY", (q,), (AngleRef("trainable", k),)))
-        k += 1
-    return Circuit(
-        name=f"reuploading_ising({n_qubits},{n_layers})",
-        n_qubits=n,
-        ops=tuple(ops),
-        n_trainable=k,
-        n_inputs=n,
-    )
+        t.layer("RY", t.inputs())
+        t.layer("RX", t.trainable())
+        t.layer("RZ", t.trainable())
+        t.ring(1, "RZZ", t.trainable())
+    t.layer("RY", t.inputs())
+    t.layer("RY", t.trainable())
+    return t.circuit()
 
 
 def build_reuploading_sel(n_qubits: int = 4, n_layers: int = 4) -> Circuit:
@@ -318,38 +334,12 @@ def build_reuploading_sel(n_qubits: int = 4, n_layers: int = 4) -> Circuit:
     Layer l (1-indexed) encodes inputs with RY, applies a trainable R3 per
     qubit, then a CNOT ring of range (l mod (n-1)) + 1.
     """
-    _validate_sizes(
-        "build_reuploading_sel", n_qubits=(n_qubits, 2), n_layers=(n_layers, 1)
-    )
-    n = n_qubits
-    ops = []
-    k = 0
+    t = _Template("reuploading_sel", n_qubits=(n_qubits, 2), n_layers=(n_layers, 1))
     for layer in range(1, n_layers + 1):
-        for q in range(n):
-            ops.append(CircuitOp("RY", (q,), (AngleRef("input", q),)))
-        for q in range(n):
-            ops.append(
-                CircuitOp(
-                    "R3",
-                    (q,),
-                    (
-                        AngleRef("trainable", k),
-                        AngleRef("trainable", k + 1),
-                        AngleRef("trainable", k + 2),
-                    ),
-                )
-            )
-            k += 3
-        r = (layer % (n - 1)) + 1
-        for q in range(n):
-            ops.append(CircuitOp("CNOT", (q, (q + r) % n)))
-    return Circuit(
-        name=f"reuploading_sel({n_qubits},{n_layers})",
-        n_qubits=n,
-        ops=tuple(ops),
-        n_trainable=k,
-        n_inputs=n,
-    )
+        t.layer("RY", t.inputs())
+        t.layer("R3", t.trainable(3))
+        t.ring((layer % (n_qubits - 1)) + 1)
+    return t.circuit()
 
 
 def build_zz_feature_map(n_features: int, reps: int = 1) -> Circuit:
@@ -358,74 +348,34 @@ def build_zz_feature_map(n_features: int, reps: int = 1) -> Circuit:
     Per repetition: H on all qubits, RZ(2*x_i) per qubit, then for each
     adjacent pair a CNOT-conjugated RZ carrying 2*(pi - x_i)*(pi - x_j).
     """
-    _validate_sizes("build_zz_feature_map", n_features=(n_features, 2), reps=(reps, 1))
-    n = n_features
-    ops = []
+    t = _Template("zz_feature_map", n_features=(n_features, 2), reps=(reps, 1))
     for _ in range(reps):
-        for q in range(n):
-            ops.append(CircuitOp("H", (q,)))
-        for q in range(n):
-            ops.append(CircuitOp("RZ", (q,), (AngleRef("input", q, scale=2.0),)))
-        for q in range(n - 1):
-            ops.append(CircuitOp("CNOT", (q, q + 1)))
-            ops.append(
-                CircuitOp(
-                    "RZ",
-                    (q + 1,),
-                    (AngleRef("input", q, "zz_product", 2.0, partner=q + 1),),
-                )
-            )
-            ops.append(CircuitOp("CNOT", (q, q + 1)))
-    return Circuit(
-        name=f"zz_feature_map({n_features},{reps})",
-        n_qubits=n,
-        ops=tuple(ops),
-        n_trainable=0,
-        n_inputs=n,
-    )
+        t.layer("H")
+        t.layer("RZ", t.inputs(scale=2.0))
+        for q in range(n_features - 1):
+            cnot = CircuitOp("CNOT", (q, q + 1))
+            zz = AngleRef("input", q, "zz_product", 2.0, partner=q + 1)
+            t.ops += [cnot, CircuitOp("RZ", (q + 1,), (zz,)), cnot]
+    return t.circuit()
 
 
 def build_real_amplitudes(n_qubits: int, reps: int = 3) -> Circuit:
     """RY layer, then reps blocks of a linear CNOT chain plus an RY layer."""
-    _validate_sizes("build_real_amplitudes", n_qubits=(n_qubits, 2), reps=(reps, 0))
-    n = n_qubits
-    ops = []
-    k = 0
-    for q in range(n):
-        ops.append(CircuitOp("RY", (q,), (AngleRef("trainable", k),)))
-        k += 1
+    t = _Template("real_amplitudes", n_qubits=(n_qubits, 2), reps=(reps, 0))
+    t.layer("RY", t.trainable())
     for _ in range(reps):
-        for q in range(n - 1):
-            ops.append(CircuitOp("CNOT", (q, q + 1)))
-        for q in range(n):
-            ops.append(CircuitOp("RY", (q,), (AngleRef("trainable", k),)))
-            k += 1
-    return Circuit(
-        name=f"real_amplitudes({n_qubits},{reps})",
-        n_qubits=n,
-        ops=tuple(ops),
-        n_trainable=k,
-        n_inputs=0,
-    )
+        t.ring(closed=False)
+        t.layer("RY", t.trainable())
+    return t.circuit()
 
 
 def build_z_feature_map(n_features: int = 4, reps: int = 1) -> Circuit:
     """First-order feature map: H then RZ(2*x_i) per qubit, no entanglement."""
-    _validate_sizes("build_z_feature_map", n_features=(n_features, 1), reps=(reps, 1))
-    n = n_features
-    ops = []
+    t = _Template("z_feature_map", n_features=(n_features, 1), reps=(reps, 1))
     for _ in range(reps):
-        for q in range(n):
-            ops.append(CircuitOp("H", (q,)))
-        for q in range(n):
-            ops.append(CircuitOp("RZ", (q,), (AngleRef("input", q, scale=2.0),)))
-    return Circuit(
-        name=f"z_feature_map({n_features},{reps})",
-        n_qubits=n,
-        ops=tuple(ops),
-        n_trainable=0,
-        n_inputs=n,
-    )
+        t.layer("H")
+        t.layer("RZ", t.inputs(scale=2.0))
+    return t.circuit()
 
 
 def build_qlstm_vqc(n_qubits: int = 4, n_layers: int = 1) -> Circuit:
@@ -435,38 +385,34 @@ def build_qlstm_vqc(n_qubits: int = 4, n_layers: int = 1) -> Circuit:
     RY(arctan(v_i)) and RZ(arctan(v_i^2)) per qubit.  Each variational
     layer is a CNOT ring followed by an R3 rotation per qubit.
     """
-    _validate_sizes(
-        "build_qlstm_vqc", n_qubits=(n_qubits, 2), n_layers=(n_layers, 1)
-    )
-    n = n_qubits
-    ops = []
-    for q in range(n):
-        ops.append(CircuitOp("H", (q,)))
-    for q in range(n):
-        ops.append(CircuitOp("RY", (q,), (AngleRef("input", q, "arctan"),)))
-    for q in range(n):
-        ops.append(CircuitOp("RZ", (q,), (AngleRef("input", q, "arctan_square"),)))
-    k = 0
+    t = _Template("qlstm_vqc", n_qubits=(n_qubits, 2), n_layers=(n_layers, 1))
+    t.layer("H")
+    t.layer("RY", t.inputs("arctan"))
+    t.layer("RZ", t.inputs("arctan_square"))
     for _ in range(n_layers):
-        for q in range(n):
-            ops.append(CircuitOp("CNOT", (q, (q + 1) % n)))
-        for q in range(n):
-            ops.append(
-                CircuitOp(
-                    "R3",
-                    (q,),
-                    (
-                        AngleRef("trainable", k),
-                        AngleRef("trainable", k + 1),
-                        AngleRef("trainable", k + 2),
-                    ),
-                )
-            )
-            k += 3
-    return Circuit(
-        name=f"qlstm_vqc({n_qubits},{n_layers})",
-        n_qubits=n,
-        ops=tuple(ops),
-        n_trainable=k,
-        n_inputs=n,
-    )
+        t.ring()
+        t.layer("R3", t.trainable(3))
+    return t.circuit()
+
+
+_TEMPLATES = {
+    "reuploading_ising": build_reuploading_ising,
+    "reuploading_sel": build_reuploading_sel,
+    "zz_feature_map": build_zz_feature_map,
+    "real_amplitudes": build_real_amplitudes,
+    "z_feature_map": build_z_feature_map,
+    "qlstm_vqc": build_qlstm_vqc,
+}
+
+
+def template_name(template: str, a: int, b: int) -> str:
+    """The descriptor of ``template`` at sizes (a, b)."""
+    return f"{template}({a},{b})"
+
+
+def circuit_from_name(name: str) -> Circuit:
+    """Rebuild a template circuit from its descriptor."""
+    m = re.fullmatch(r"([a-z_]+)\((\d+),(\d+)\)", name)
+    if not m or m.group(1) not in _TEMPLATES:
+        raise ValueError(f"unknown circuit descriptor {name!r}")
+    return _TEMPLATES[m.group(1)](int(m.group(2)), int(m.group(3)))

@@ -19,7 +19,6 @@ and its labels are their argmax, ties going to the lowest class.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,35 +26,15 @@ import numpy as np
 from .autodiff import _bind_for, circuit_vjp, expectation_batch
 from .circuits import (
     Circuit,
-    build_qlstm_vqc,
     build_real_amplitudes,
-    build_reuploading_ising,
-    build_reuploading_sel,
-    build_z_feature_map,
     build_zz_feature_map,
+    circuit_from_name,
     run_circuit_batch,
 )
 from .optim import adam_init, adam_step, cobyla_minimize
 from .qsim import z_expectations
 
 INIT_ANGLE = np.pi / 8
-
-_TEMPLATE_BUILDERS = {
-    "reuploading_ising": build_reuploading_ising,
-    "reuploading_sel": build_reuploading_sel,
-    "zz_feature_map": build_zz_feature_map,
-    "real_amplitudes": build_real_amplitudes,
-    "z_feature_map": build_z_feature_map,
-    "qlstm_vqc": build_qlstm_vqc,
-}
-
-
-def circuit_from_name(name: str) -> Circuit:
-    """Rebuild a template circuit from its descriptor, e.g. 'reuploading_sel(4,4)'."""
-    m = re.fullmatch(r"([a-z_]+)\((\d+),(\d+)\)", name)
-    if not m or m.group(1) not in _TEMPLATE_BUILDERS:
-        raise ValueError(f"unknown circuit descriptor {name!r}")
-    return _TEMPLATE_BUILDERS[m.group(1)](int(m.group(2)), int(m.group(3)))
 
 
 def init_params(n: int, seed) -> np.ndarray:

@@ -197,10 +197,6 @@ def classical_param_count(kind, input_dim, hidden_size) -> int:
     return _slices(kind, input_dim, hidden_size, 0)[1]
 
 
-def count_params(model) -> int:
-    return int(model.params.size)
-
-
 def _initial_params(key, seed):
     """Zeros, or seeded uniform draws in vector order.
 

@@ -70,10 +70,6 @@ class CobylaResult:
     n_evals: int
     n_iters: int
 
-    def __iter__(self):
-        # unpacks as (x_best, f_best, n_evals)
-        return iter((self.x_best, self.f_best, self.n_evals))
-
 
 def cobyla_minimize(
     objective,

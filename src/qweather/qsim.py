@@ -96,11 +96,15 @@ class Statevector:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
-def new_state(n_qubits: int) -> Statevector:
-    """All-zeros computational basis state |0...0>."""
+def _check_n_qubits(n_qubits) -> int:
     if not 1 <= int(n_qubits) <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    n_qubits = int(n_qubits)
+    return int(n_qubits)
+
+
+def new_state(n_qubits: int) -> Statevector:
+    """All-zeros computational basis state |0...0>."""
+    n_qubits = _check_n_qubits(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
     return Statevector(n_qubits, amps)

@@ -152,7 +152,10 @@ class CorrelationReport:
 def load_csv(path, target_name: str = "t2m"):
     """Parse a dataset; returns (Dataset, IngestionReport).
 
-    Any row with a missing or non-numeric cell is dropped and counted.
+    Any row with a missing or non-numeric cell is dropped and counted.  A
+    header without ``time`` or the target, a repeated column name, or a
+    kept row whose timestamp is not after the previous kept row's is a
+    DataFormatError that names the column or the file line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -161,8 +164,12 @@ def load_csv(path, target_name: str = "t2m"):
         except StopIteration:
             raise DataFormatError("empty file") from None
         header = [h.strip() for h in header]
-        if "time" not in header:
-            raise DataFormatError("missing 'time' column")
+        for name in ("time", target_name):
+            if name not in header:
+                raise DataFormatError(f"missing {name!r} column")
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise DataFormatError(f"column {repeated[0]!r} appears more than once")
         t_idx = header.index("time")
         names = [h for h in header if h != "time"]
         times, rows = [], []
@@ -185,7 +192,13 @@ def load_csv(path, target_name: str = "t2m"):
             if not all(math.isfinite(v) for v in values):
                 dropped += 1
                 continue
-            times.append(raw[t_idx].strip())
+            t = raw[t_idx].strip()
+            if times and t <= times[-1]:
+                raise DataFormatError(
+                    f"line {reader.line_num}: timestamp {t!r} is not after "
+                    f"{times[-1]!r}; timestamps must be strictly increasing"
+                )
+            times.append(t)
             rows.append(values)
     if not rows:
         raise EmptyDatasetError(f"no usable rows in {path}")

@@ -17,9 +17,10 @@ from qweather.circuits import (
     build_reuploading_sel,
     build_z_feature_map,
     build_zz_feature_map,
+    circuit_from_name,
     run_circuit_batch,
 )
-from qweather.qsim import probabilities
+from qweather.qsim import MAX_QUBITS, probabilities
 
 ALL_TEMPLATES = [
     build_reuploading_ising(3, 2),
@@ -122,6 +123,130 @@ def test_real_amplitudes_structure():
     assert kinds == ["RY"] * 3 + ["CNOT"] * 2 + ["RY"] * 3
     assert len([k for k in kinds if k == "CNOT"]) == 2
     assert all(op.kind != "CNOT" for op in build_real_amplitudes(2, 0).ops)
+
+
+def _spell(op):
+    """An op as 'KIND targets angle...': t3 / i3 name a slot, and a
+    transform or scale other than the identity's is written around it."""
+    words = [op.kind, ",".join(map(str, op.targets))]
+    for ref in op.angles:
+        word = f"{ref.slot_kind[0]}{ref.slot_index}"
+        if ref.transform == "zz_product":
+            word = f"zz(i{ref.slot_index},i{ref.partner})"
+        elif ref.transform != "identity":
+            word = f"{ref.transform}({word})"
+        if ref.scale != 1.0:
+            word = f"{ref.scale:g}*{word}"
+        words.append(word)
+    return " ".join(words)
+
+
+# each template's ops at its default size (3 qubits where it has none), one
+# layer per line, in circuit order
+PINNED_OPS = {
+    "reuploading_ising(3,2)": [
+        "RY 0 i0; RY 1 i1; RY 2 i2",
+        "RX 0 t0; RX 1 t1; RX 2 t2",
+        "RZ 0 t3; RZ 1 t4; RZ 2 t5",
+        "RZZ 0,1 t6; RZZ 1,2 t7; RZZ 2,0 t8",
+        "RY 0 i0; RY 1 i1; RY 2 i2",
+        "RX 0 t9; RX 1 t10; RX 2 t11",
+        "RZ 0 t12; RZ 1 t13; RZ 2 t14",
+        "RZZ 0,1 t15; RZZ 1,2 t16; RZZ 2,0 t17",
+        "RY 0 i0; RY 1 i1; RY 2 i2",
+        "RY 0 t18; RY 1 t19; RY 2 t20",
+    ],
+    "reuploading_sel(4,4)": [
+        "RY 0 i0; RY 1 i1; RY 2 i2; RY 3 i3",
+        "R3 0 t0 t1 t2; R3 1 t3 t4 t5; R3 2 t6 t7 t8; R3 3 t9 t10 t11",
+        "CNOT 0,2; CNOT 1,3; CNOT 2,0; CNOT 3,1",
+        "RY 0 i0; RY 1 i1; RY 2 i2; RY 3 i3",
+        "R3 0 t12 t13 t14; R3 1 t15 t16 t17; R3 2 t18 t19 t20; R3 3 t21 t22 t23",
+        "CNOT 0,3; CNOT 1,0; CNOT 2,1; CNOT 3,2",
+        "RY 0 i0; RY 1 i1; RY 2 i2; RY 3 i3",
+        "R3 0 t24 t25 t26; R3 1 t27 t28 t29; R3 2 t30 t31 t32; R3 3 t33 t34 t35",
+        "CNOT 0,1; CNOT 1,2; CNOT 2,3; CNOT 3,0",
+        "RY 0 i0; RY 1 i1; RY 2 i2; RY 3 i3",
+        "R3 0 t36 t37 t38; R3 1 t39 t40 t41; R3 2 t42 t43 t44; R3 3 t45 t46 t47",
+        "CNOT 0,2; CNOT 1,3; CNOT 2,0; CNOT 3,1",
+    ],
+    "zz_feature_map(3,1)": [
+        "H 0; H 1; H 2",
+        "RZ 0 2*i0; RZ 1 2*i1; RZ 2 2*i2",
+        "CNOT 0,1; RZ 1 2*zz(i0,i1); CNOT 0,1",
+        "CNOT 1,2; RZ 2 2*zz(i1,i2); CNOT 1,2",
+    ],
+    "real_amplitudes(3,3)": [
+        "RY 0 t0; RY 1 t1; RY 2 t2",
+        "CNOT 0,1; CNOT 1,2",
+        "RY 0 t3; RY 1 t4; RY 2 t5",
+        "CNOT 0,1; CNOT 1,2",
+        "RY 0 t6; RY 1 t7; RY 2 t8",
+        "CNOT 0,1; CNOT 1,2",
+        "RY 0 t9; RY 1 t10; RY 2 t11",
+    ],
+    "z_feature_map(4,1)": [
+        "H 0; H 1; H 2; H 3",
+        "RZ 0 2*i0; RZ 1 2*i1; RZ 2 2*i2; RZ 3 2*i3",
+    ],
+    "qlstm_vqc(4,1)": [
+        "H 0; H 1; H 2; H 3",
+        "RY 0 arctan(i0); RY 1 arctan(i1); RY 2 arctan(i2); RY 3 arctan(i3)",
+        "RZ 0 arctan_square(i0); RZ 1 arctan_square(i1); "
+        "RZ 2 arctan_square(i2); RZ 3 arctan_square(i3)",
+        "CNOT 0,1; CNOT 1,2; CNOT 2,3; CNOT 3,0",
+        "R3 0 t0 t1 t2; R3 1 t3 t4 t5; R3 2 t6 t7 t8; R3 3 t9 t10 t11",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        build_reuploading_ising(),
+        build_reuploading_sel(),
+        build_zz_feature_map(3),
+        build_real_amplitudes(3),
+        build_z_feature_map(),
+        build_qlstm_vqc(),
+    ],
+    ids=lambda c: c.name,
+)
+def test_template_ops_in_layer_order(circuit):
+    assert "; ".join(map(_spell, circuit.ops)) == "; ".join(PINNED_OPS[circuit.name])
+
+
+TEMPLATE_GRID = [
+    (build, a, b)
+    for build, sizes in [
+        (build_reuploading_ising, [(3, 1), (3, 2), (3, 5)]),
+        (build_reuploading_sel, [(n, b) for n in (2, 3, 4, 7) for b in (1, 2, 5)]),
+        (build_zz_feature_map, [(n, b) for n in (2, 3, 6) for b in (1, 3)]),
+        (build_real_amplitudes, [(n, b) for n in (2, 3, 6) for b in (0, 1, 3)]),
+        (build_z_feature_map, [(n, b) for n in (1, 4, 6) for b in (1, 2)]),
+        (build_qlstm_vqc, [(n, b) for n in (2, 4, 5) for b in (1, 2, 3)]),
+    ]
+    for a, b in sizes
+]
+
+
+@pytest.mark.parametrize(
+    "build,a,b", TEMPLATE_GRID, ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_template_round_trips_through_its_name(build, a, b):
+    circuit = build(a, b)
+    assert circuit.name == f"{build.__name__[len('build_'):]}({a},{b})"
+    assert circuit_from_name(circuit.name) == circuit
+
+
+def test_circuit_qubit_count_is_capped():
+    # the cap is checked when the circuit is built, before any state exists
+    assert Circuit("widest", MAX_QUBITS, (), 0, 0).n_qubits == MAX_QUBITS
+    for n in (0, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 24\]"):
+            Circuit("bad", n, (), 0, 0)
+    with pytest.raises(ValueError, match="n_qubits must be in"):
+        build_reuploading_sel(30, 1)
 
 
 @pytest.mark.parametrize(

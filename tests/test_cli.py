@@ -62,6 +62,21 @@ class TestIngest:
     def test_missing_file_is_data_error(self):
         assert main(["ingest", "--csv", "/nonexistent/a.csv"]) == 3
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("time,t2m\n2020-02,290.0\n2020-01,291.0\n", "line 3: timestamp '2020-01'"),
+            ("time,t2m,t2m,skt\n2020-01,290.0,291.0,1.0\n", "column 't2m' appears"),
+            ("time,skt\n2020-01,290.0\n", "missing 't2m' column"),
+        ],
+        ids=["out_of_order", "repeated_column", "no_target"],
+    )
+    def test_malformed_csv_is_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["ingest", "--csv", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestCorrelate:
     def test_table_and_csv(self, synth_csv, tmp_path, capsys):
@@ -130,6 +145,20 @@ class TestRun:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 3
+
+    def test_csv_without_target_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "notarget.csv"
+        data.write_text("time,skt,sp\n2020-01,290.0,1.0\n2020-02,291.0,2.0\n")
+        doc = {
+            "model": "svc",
+            "task": "binary",
+            "data": {"kind": "csv", "path": str(data)},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 3
+        assert main(["correlate", "--csv", str(data)]) == 3
+        assert "missing 't2m' column" in capsys.readouterr().err
 
     def test_empty_selection_exit_3(self, tmp_path, synth_csv):
         doc = {

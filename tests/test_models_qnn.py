@@ -16,6 +16,7 @@ from qweather.circuits import (
     build_reuploading_sel,
     build_z_feature_map,
     build_zz_feature_map,
+    circuit_from_name,
     run_circuit_batch,
 )
 from qweather.models_qnn import (
@@ -26,7 +27,6 @@ from qweather.models_qnn import (
     build_dense_baseline,
     build_qnn,
     build_vqc_classifier,
-    circuit_from_name,
     dense_forward,
     init_params,
     dense_predict,
@@ -505,6 +505,9 @@ class TestSerialization:
     def test_circuit_from_name_rejects_unknown(self):
         with pytest.raises(ValueError):
             circuit_from_name("mystery(3,2)")
+        for bad in ("reuploading_sel(4)", "reuploading_sel(4,4) ", "qlstm_vqc(-2,1)"):
+            with pytest.raises(ValueError, match="unknown circuit descriptor"):
+                circuit_from_name(bad)
 
     def test_wrong_kind_rejected(self):
         clf = build_vqc_classifier(2, 2, seed=0)

@@ -18,7 +18,6 @@ from qweather.models_recurrent import (
     build_qgru,
     build_qlstm,
     classical_param_count,
-    count_params,
     gru_step,
     lstm_step,
     make_windows,
@@ -56,23 +55,23 @@ class TestParamCounts:
     def test_qlstm_total_count(self):
         assert qlstm_param_count(4, 4, 2) == 185
         cell = build_qlstm(input_dim=4)
-        assert count_params(cell) == 185
+        assert cell.params.size == 185
 
     def test_qgru_total_count(self):
         assert qgru_param_count(4, 4, 2) == 113
-        assert count_params(build_qgru(input_dim=4)) == 113
+        assert build_qgru(input_dim=4).params.size == 113
 
     def test_classical_lstm_count(self):
         assert classical_param_count("lstm", 4, 8) == 457
-        assert count_params(build_classical_lstm(4, 8)) == 457
+        assert build_classical_lstm(4, 8).params.size == 457
 
     def test_classical_gru_count(self):
         assert classical_param_count("gru", 4, 16) == 1073
-        assert count_params(build_classical_gru(4, 16)) == 1073
+        assert build_classical_gru(4, 16).params.size == 1073
 
     def test_quantum_cells_are_smaller_than_baselines(self):
-        assert count_params(build_qlstm(4)) < count_params(build_classical_lstm(4, 8))
-        assert count_params(build_qgru(4)) < count_params(build_classical_gru(4, 16))
+        assert build_qlstm(4).params.size < build_classical_lstm(4, 8).params.size
+        assert build_qgru(4).params.size < build_classical_gru(4, 16).params.size
 
     def test_param_length_checked(self):
         cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1)
@@ -141,7 +140,7 @@ class TestLayout:
 
     def test_blocks_tile_the_vector_in_order(self, kind):
         build, count, blocks, _ = LAYOUTS[kind]
-        assert count_params(build()) == count
+        assert build().params.size == count
         model = replace(build(), params=np.arange(count, dtype=float))
         views = _unpack(model)
         assert [(name, view.shape) for name, view in views.items()] == blocks

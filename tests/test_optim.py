@@ -141,13 +141,11 @@ def test_cobyla_aborts_on_non_finite_value():
     assert err.value.n_evals > 0
 
 
-def test_cobyla_result_unpacks_as_triple():
-    x, fun, evals = cobyla_minimize(
-        lambda v: float(np.sum(v**2)), np.ones(2), max_iters=30
-    )
-    assert fun <= 2.0
-    assert evals >= 3
-    assert x.shape == (2,)
+def test_cobyla_result_fields():
+    res = cobyla_minimize(lambda v: float(np.sum(v**2)), np.ones(2), max_iters=30)
+    assert res.f_best <= 2.0
+    assert res.n_evals >= 3
+    assert res.x_best.shape == (2,)
 
 
 def test_cobyla_argument_validation():

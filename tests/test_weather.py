@@ -63,6 +63,40 @@ def test_load_csv_requires_time_column(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_rejects_timestamps_out_of_order(tmp_path):
+    for name, times in [("swap", ("2020-02", "2020-01")), ("repeat", ("2020-01",) * 2)]:
+        p = write(
+            tmp_path / f"{name}.csv",
+            f"time,t2m,sp\n2019-12,290.0,1\n{times[0]},291.0,2\n{times[1]},292.0,3\n",
+        )
+        with pytest.raises(DataFormatError, match=f"line 4: timestamp '{times[1]}'"):
+            load_csv(p)
+
+
+def test_load_csv_orders_only_kept_rows(tmp_path):
+    # a dropped row's timestamp takes no part in the ordering check
+    p = write(
+        tmp_path / "gap.csv", "time,t2m\n2020-01,290.0\n2020-03,\n2020-02,291.0\n"
+    )
+    ds, report = load_csv(p)
+    assert ds.time == ("2020-01", "2020-02")
+    assert report.rows_dropped == 1
+
+
+def test_load_csv_rejects_repeated_column(tmp_path):
+    p = write(tmp_path / "dup.csv", "time,t2m,t2m,skt\n2020-01,290.0,291.0,1.0\n")
+    with pytest.raises(DataFormatError, match="column 't2m' appears more than once"):
+        load_csv(p)
+
+
+def test_load_csv_requires_target_column(tmp_path):
+    p = write(tmp_path / "notarget.csv", "time,skt,sp\n2020-01,290.0,1.0\n")
+    with pytest.raises(DataFormatError, match="missing 't2m' column"):
+        load_csv(p)
+    ds, _ = load_csv(p, target_name="skt")
+    assert ds.target_name == "skt"
+
+
 def test_load_csv_empty_dataset(tmp_path):
     p = write(tmp_path / "empty.csv", "time,t2m\n2020-01-01,\n")
     with pytest.raises(EmptyDatasetError):

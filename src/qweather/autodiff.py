@@ -6,18 +6,20 @@ give the weighted readout's derivative with respect to every trainable
 parameter and every raw input, with no per-sample Jacobian.  The forward
 sweep is the one training already ran: QLSTM, QGRU and QNN training keep
 the final states of each gate circuit's forward pass (the tape) and hand
-them to ``circuit_vjp``, which runs only the reverse sweep.  Steps with an
-input angle are swept per row; unless the circuit is wide next to the
-batch, each run of steps whose angles all rows share is taken at once on
-one d x d matrix, which moves the gradients only in the last bits.  What
-that needs is fixed by the trainable angles alone: the private binding
-``_bind(circuit, theta)`` holds each such run's unitary and the matrices
-its rotations' gradients are read off.  Training binds once per parameter
-update, and the forward calls (which apply each run as one product with
-its unitary) and the VJPs of that update share it.  A recurrent cell's
-gate group, several circuits on the same inputs with their own angles, is
-one stacked call: its circuits are swept side by side until no trainable
-angle is left to reverse, then as one.
+them to ``circuit_vjp``, which runs only the reverse sweep.  Unless the
+circuit is wide next to the batch, that sweep takes each run of steps whose
+angles all rows share at once on one d x d matrix, which moves the
+gradients only in the last bits, and ends at the product prefix, the
+leading single-qubit gates without a trainable angle, whose input gradients
+come from per-qubit 2 x 2 matrices; only input steps between runs are swept
+per row.  The private binding ``_bind(circuit, theta)`` holds what that
+needs, fixed by the trainable angles alone.  Training binds once per
+parameter update, and the forward calls (which build the prefix from
+per-qubit states and apply each run as one product) and the VJPs of that
+update share it.  A recurrent cell's gate group, several circuits on the
+same inputs with their own angles, is one stacked call: its circuits are
+swept side by side until no trainable angle is left to reverse, then as
+one.
 
 Parameter shift and central finite differences stay as the test oracles.
 Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
@@ -28,7 +30,7 @@ occurrence times the angle transform's chain-rule factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
 
@@ -209,34 +211,63 @@ def _embedded(kind: str, n_qubits: int, targets) -> np.ndarray:
     return np.where(rest[:, None] == rest[None, :], mat[sub[:, None], sub[None, :]], 0)
 
 
+@lru_cache(maxsize=None)
+def _halves(n_qubits: int) -> np.ndarray:
+    """[q, i]: the basis indices whose qubit q reads i, (n, 2, 2**(n-1))."""
+    idx = np.arange(1 << n_qubits).reshape((2,) * n_qubits)
+    return np.stack([np.moveaxis(idx, q, 0).reshape(2, -1) for q in range(n_qubits)])
+
+
 @dataclass(frozen=True)
 class _Binding:
     """``circuit`` bound to trainable angles ``theta``, (n_trainable,) or a
-    stacked (G, n_trainable).  ``runs`` holds (start, stop, U, slots, q) per
-    shared run of ops: U is its (G,) d x d unitary, and row i of q, for
-    trainable slot ``slots[i]``, is the flattened sum over the run's
-    rotations k of d(angle_k)/d(theta_i) conj(Q_k).  Q_k = W_k P_k W_k^H,
-    P_k the rotation's Pauli generator and W_k the product of the run's
-    gates after it, gives the angle's gradient Im Tr(Q_k R) for
-    R = sum_b psi_b lambda_b^H at the run's end."""
+    stacked (G, n_trainable).  The product prefix, the first ``prefix`` ops
+    (those before the first on two qubits or with a trainable or two-input
+    angle), leaves |0...0> a product state; ``layers`` holds its
+    ``_rotation_sweep`` steps as (kind, ref, qubits, slots) per stretch of
+    one kind on a slice of qubits whose angles read a slice of inputs
+    through one transform, ref being that angle at slot 0 (None for a fixed
+    gate).  ``runs`` holds (start, stop, U, slots, q) per shared run of
+    ops: U is its (G,) d x d unitary, and row i of q, for trainable slot
+    ``slots[i]``, is the flattened sum over the run's rotations k of
+    d(angle_k)/d(theta_i) conj(Q_k).  Q_k = W_k P_k W_k^H, P_k the
+    rotation's Pauli generator and W_k the product of the run's gates after
+    it, gives the angle's gradient Im Tr(Q_k R) for R = sum_b psi_b
+    lambda_b^H at the run's end."""
 
     circuit: Circuit
     theta: np.ndarray
     runs: tuple
+    prefix: int
+    layers: tuple
 
 
 def _bind(circuit: Circuit, params) -> _Binding:
-    """The binding of ``circuit`` to ``params``.  A shared run is, from the
-    first op with an angle on, a maximal stretch of ops whose angles all rows
-    share (fixed gates and trainable rotations) that holds an angle.  W runs
+    """The binding of ``circuit`` to ``params``.  A shared run is, after the
+    product prefix, a maximal stretch of ops whose angles all rows share
+    (fixed gates and trainable rotations) that holds an angle.  W runs
     backwards through it on dense gates, W <- W g, and so ends as U."""
     theta = _slot_array(circuit, params, "trainable")
     n, d, ops = circuit.n_qubits, 1 << circuit.n_qubits, circuit.ops
     eye = np.broadcast_to(np.eye(d, dtype=complex), theta.shape[:-1] + (d, d))
-    first = next((i for i, op in enumerate(ops) if op.angles), len(ops))
+    prefix = 0
+    while prefix < len(ops) and len(ops[prefix].targets) == 1 and all(
+        r.slot_kind == "input" and r.partner is None for r in ops[prefix].angles
+    ):
+        prefix += 1
+    layers = []
+    for kind, (q,), ref in _rotation_sweep(ops[:prefix]):
+        head = (kind,) if ref is None else (kind, ref.transform, ref.scale)
+        slot = q if ref is None else ref.slot_index
+        last = layers[-1] if layers else [None] * 4
+        if last[0] == head and (q, slot) == (last[2].stop, last[3].stop):
+            last[2:] = slice(last[2].start, q + 1), slice(last[3].start, slot + 1)
+        else:
+            ref = ref if ref is None else replace(ref, slot_index=0)
+            layers.append([head, ref, slice(q, q + 1), slice(slot, slot + 1)])
     runs = []
     for shared, group in groupby(
-        range(first, len(ops)),
+        range(prefix, len(ops)),
         lambda i: all(ref.slot_kind == "trainable" for ref in ops[i].angles),
     ):
         span = list(group)
@@ -259,7 +290,8 @@ def _bind(circuit: Circuit, params) -> _Binding:
         slots = sorted(by_slot)
         q = np.stack([by_slot[idx] for idx in slots], axis=-2)
         runs.append((start, stop, w, np.array(slots), q))
-    return _Binding(circuit, theta, tuple(runs))
+    layers = tuple((head[0], *rest) for head, *rest in layers)
+    return _Binding(circuit, theta, tuple(runs), prefix, layers)
 
 
 def _bind_for(circuit: Circuit, params, n_rows: int):
@@ -268,19 +300,22 @@ def _bind_for(circuit: Circuit, params, n_rows: int):
     wide circuit on few rows is swept per row.  The rule was measured at
     d = 8 to 128 on the per-gate d x d sweep the binding replaced, where a
     shared gate cost two d x d products and a per-row one a few passes over
-    the B x d pair."""
+    the B x d pair.  It has not been measured again against bound runs and
+    the product prefix."""
     if 1 << 2 * circuit.n_qubits > 8 * n_rows:
         return None
     return _bind(circuit, params)
 
 
 def _vjp_plan(circuit: Circuit, bound):
-    """(shared, item) per reverse-sweep item from the first op with an angle
-    on, in circuit order: each run of ``bound`` is one shared item, every
-    other step of ``_rotation_sweep`` a per-row one."""
+    """(shared, item) per reverse-sweep item, in circuit order, after
+    ``bound``'s product prefix or, unbound, from the first op with an angle
+    on: each run of ``bound`` is one shared item, every other step of
+    ``_rotation_sweep`` a per-row one."""
     ops = circuit.ops
     runs = {run[0]: run for run in bound.runs} if bound is not None else {}
     i = next((i for i, op in enumerate(ops) if op.angles), len(ops))
+    i = bound.prefix if bound is not None else i
     plan = []
     while i < len(ops):
         if i in runs:
@@ -317,18 +352,22 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     chain rule through ``angle_partials`` carries it to parameters and
     inputs.
 
-    Steps with an input angle are swept per row.  If d * d <= 8 B (d = 2**n,
-    B rows), each shared run of ``bound``, the ``_bind(circuit, params)``
-    its forward pass used (built here if not given), is taken at once on
-    the d x d R = sum_b psi_b lambda_b^H at the run's end, one per circuit:
-    every rotation's gradient is Im Tr(Q_k R), all of them and their chain
-    rule one product with the binding's q, and the pair moves past the run
-    as one product with conj(U); summing over rows first moves gradients in
-    the last bits.  G stacked circuits are swept side by side up to the
-    merge point: going backwards, the point after which no remaining step
-    has a trainable angle.  Before it every circuit's psi is the same and
-    dL/da is linear in lambda, so the sweep goes on with one psi and the sum
-    of the G lambdas, and the steps there run once, not G times.
+    If d * d <= 8 B (d = 2**n, B rows), the sweep uses ``bound``, the
+    ``_bind(circuit, params)`` its forward pass used (built here if not
+    given).  Each of its shared runs is taken at once on the d x d
+    R = sum_b psi_b lambda_b^H at the run's end, one per circuit: every
+    rotation's gradient is Im Tr(Q_k R), all of them and their chain rule
+    one product with the binding's q, and the pair moves past the run as one
+    product with conj(U); summing over rows first moves gradients in the
+    last bits.  The sweep ends at the binding's product prefix, gates on
+    one qubit each: with rho_q = Tr_{others} |psi><lambda| per row, a prefix
+    rotation's dL/da is Im Tr(P rho_q), and un-applying its gate g is
+    rho_q <- g^H rho_q g.  Other input steps are swept per row.  G stacked
+    circuits are swept side by side up to the merge point: going backwards,
+    the point after which no remaining step has a trainable angle, at the
+    latest the prefix.  Before it every circuit's psi is the same and dL/da
+    is linear in lambda, so the sweep goes on with one psi and the sum of
+    the G lambdas, and the steps there run once, not G times.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = np.atleast_2d(_slot_array(circuit, inputs, "input"))
@@ -371,6 +410,9 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
             ),
             len(plan),
         )
+    # the sweep ends on the prefix layers from the first with an angle
+    enc = bound.layers if bound is not None else ()
+    enc = enc[next((k for k, l in enumerate(enc) if l[1] is not None), len(enc)) :]
     for j in range(len(plan) - 1, -1, -1):
         if j == first - 1:
             # the merge point: one psi, the sum of the lambdas
@@ -383,7 +425,12 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
             # OpenBLAS runs this matrix-vector product on two threads, and
             # on a busy host their wake-ups cost more than the product
             d_params[..., slots] += np.einsum("...kx,...x->...k", q, r).imag
-            if j > 0:
+            if j == 0 and enc and pair.ndim == 4:
+                # the sweep ends in the prefix, where every circuit's psi is
+                # the same: un-apply one psi and the G lambdas, and merge
+                u = u.conj()
+                pair = np.stack([pair[0, 0] @ u[0], (pair[1] @ u).sum(axis=0)])
+            elif j > 0 or enc:
                 pair = pair @ u.conj()
             continue
         kind, targets, ref = item
@@ -398,7 +445,30 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
                     d_params[..., idx] += np.sum(term, axis=-1)
                 else:
                     d_inputs[:, idx] += term if term.ndim == 1 else term.sum(axis=0)
-        if j > 0:
+        if j > 0 or enc:
             inverse = gate_matrix(kind, tuple(-a for a in angle))
             pair = apply_matrix(pair, n, targets, inverse)
+    if not enc:
+        return d_params, d_inputs
+    if pair.ndim == 4:
+        pair = np.stack([pair[0, 0], pair[1].sum(axis=0)])
+    # rho[b, q] = Tr_{others} |psi_b><lambda_b| per qubit, (B, n, 2, 2)
+    halves = _halves(n)
+    rho = np.einsum("bqit,bqjt->bqij", pair[0][:, halves], pair[1].conj()[:, halves])
+    for k, (kind, ref, qubits, slots) in reversed(list(enumerate(enc))):
+        # ref reads the layer's inputs x[:, slots] as a trailing axis
+        r, xs = rho[:, qubits], x[:, slots, None]
+        if ref is not None:
+            # dL/da = Im<lambda|P|psi> = Im Tr(P rho_q)
+            dl_da = np.einsum("ij,...ji->...", _GENERATORS[kind], r).imag
+            [(_, _, factor)] = angle_partials(ref, None, xs)
+            d_inputs[:, slots] += factor * dl_da
+        if k and kind == "RZ":
+            # g^H rho g only turns rho's off-diagonal phases for g = RZ(a)
+            turn = np.exp(1j * angle_values(ref, None, xs))
+            rho[:, qubits, 0, 1] *= turn
+            rho[:, qubits, 1, 0] *= turn.conj()
+        elif k:
+            g = gate_matrix(kind, () if ref is None else (angle_values(ref, None, xs),))
+            rho[:, qubits] = g.conj().mT @ r @ g
     return d_params, d_inputs

@@ -132,7 +132,7 @@ def angle_partials(ref: AngleRef, theta: np.ndarray, x: np.ndarray):
         d = ref.scale / (1.0 + v * v)
     else:
         # d/dv arctan(v^2) = 2v / (1 + v^4)
-        d = ref.scale * 2.0 * v / (1.0 + v**4)
+        d = ref.scale * 2.0 * v / (1.0 + (v * v) ** 2)
     return [(ref.slot_kind, ref.slot_index, d)]
 
 
@@ -174,7 +174,9 @@ def run_circuit_batch(
     trainable angles, applies each of its shared runs as one product with
     the run's unitary U, rows @ U^T; ``params`` is then theta, or
     theta[:, None, :] for a stacked (G, n_trainable) theta, and no angle is
-    shifted.
+    shifted.  Unless ``state`` is given, the binding's product prefix (the
+    leading single-qubit gates without a trainable angle) is built as a
+    product state on the input rows; unbound calls apply every gate.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = _slot_array(circuit, inputs, "input")
@@ -194,13 +196,15 @@ def run_circuit_batch(
             )
         shapes.append(amps.shape[:-1])
     full = np.broadcast_shapes(*shapes) + (dim,)
-    runs = {}
+    runs, i = {}, 0
     if bound is not None:
         want = bound.theta if bound.theta.ndim == 1 else bound.theta[:, None, :]
         if angle_shifts or bound.circuit != circuit or theta.shape != want.shape:
             raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
         runs = {start: (stop, u) for start, stop, u, *_ in bound.runs}
-    i = 0
+        if state is None and bound.prefix:
+            amps = _product_state(circuit.n_qubits, bound.layers, x)
+            i = bound.prefix
     while i < len(circuit.ops):
         if i in runs:
             stop, u = runs[i]
@@ -227,6 +231,22 @@ def run_circuit_batch(
         i += 1
     if amps.shape != full:
         amps = np.broadcast_to(amps, full).copy()
+    return amps
+
+
+def _product_state(n_qubits: int, layers, x) -> np.ndarray:
+    """Amplitudes x.shape[:-1] + (2**n,) that a binding's product prefix
+    ``layers`` leaves: each row's n qubit 2-vectors, built a layer at a
+    time, then their Kronecker product in n - 1 broadcast products."""
+    v = np.zeros(x.shape[:-1] + (n_qubits, 2), dtype=complex)
+    v[..., 0] = 1.0
+    for kind, ref, qubits, slots in layers:
+        angles = () if ref is None else (angle_values(ref, None, x[..., slots, None]),)
+        g, u = gate_matrix(kind, angles), v[..., qubits, :]
+        v[..., qubits, :] = g[..., 0] * u[..., :1] + g[..., 1] * u[..., 1:]
+    amps = v[..., 0, :]
+    for q in range(1, n_qubits):
+        amps = (amps[..., None] * v[..., q, None, :]).reshape(x.shape[:-1] + (-1,))
     return amps
 
 

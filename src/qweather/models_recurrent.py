@@ -21,7 +21,9 @@ no circuit is simulated twice in a step.  A pass over the windows binds
 each gate group or lone gate circuit to its angles once
 (``autodiff._bind``): every step's forward call applies each shared run of
 gates as one product with the binding's unitary, and every adjoint sweep of
-that gate reads the same binding.
+that gate reads the same binding.  The circuit's angle encoding is the
+binding's product prefix: forward it is built from per-qubit 2-vectors, and
+the adjoint sweep ends there, on per-qubit 2 x 2 matrices.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from typing import ClassVar
 import numpy as np
 
 from .autodiff import _bind_for, circuit_vjp
-from .circuits import Circuit, build_qlstm_vqc, run_circuit_batch
+from .circuits import (
+    Circuit,
+    build_qlstm_vqc,
+    circuit_from_name,
+    run_circuit_batch,
+    template_name,
+)
 from .models_qnn import INIT_ANGLE, _sigmoid
 from .optim import adam_init, adam_step
 from .qsim import z_expectations
@@ -588,9 +596,11 @@ def recurrent_from_json(text: str):
     kind = doc.get("kind")
     values = np.asarray(doc["values"], dtype=float)
     if kind in ("qlstm", "qgru"):
-        n_qubits, n_layers = doc["n_qubits"], doc["n_layers"]
+        n_qubits, n_layers, layout = doc["n_qubits"], doc["n_layers"], doc["layout"]
+        if layout != template_name("qlstm_vqc", n_qubits, n_layers):
+            raise ValueError(f"layout {layout!r} disagrees with n_qubits/n_layers")
+        circuit = circuit_from_name(layout)
         cls = QlstmCell if kind == "qlstm" else QgruCell
-        circuit = build_qlstm_vqc(n_qubits, n_layers)
         return cls(circuit, doc["input_dim"], n_qubits, n_layers, values)
     if kind in ("lstm", "gru"):
         return ClassicalRnnBaseline(kind, doc["input_dim"], doc["hidden_size"], values)

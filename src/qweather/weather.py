@@ -153,8 +153,8 @@ def load_csv(path, target_name: str = "t2m"):
     """Parse a dataset; returns (Dataset, IngestionReport).
 
     Any row with a missing or non-numeric cell is dropped and counted.  A
-    header without ``time`` or the target, a repeated column name, or a
-    kept row whose timestamp is not after the previous kept row's is a
+    header without ``time`` or the target, an empty or repeated column name,
+    or a kept row whose timestamp is not after the previous kept row's is a
     DataFormatError that names the column or the file line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -164,6 +164,8 @@ def load_csv(path, target_name: str = "t2m"):
         except StopIteration:
             raise DataFormatError("empty file") from None
         header = [h.strip() for h in header]
+        if "" in header:
+            raise DataFormatError(f"column {header.index('') + 1} has no name")
         for name in ("time", target_name):
             if name not in header:
                 raise DataFormatError(f"missing {name!r} column")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import same_bytes
 
-from qweather import autodiff
+from qweather import autodiff, circuits
 from qweather.autodiff import (
     GradientRequest,
     circuit_vjp,
@@ -19,6 +19,7 @@ from qweather.circuits import (
     build_real_amplitudes,
     build_reuploading_ising,
     build_reuploading_sel,
+    build_z_feature_map,
     build_zz_feature_map,
     run_circuit_batch,
 )
@@ -299,12 +300,50 @@ def _bound_case(circuit, n_gates):
     return thetas, xs, states, qubits, weights, bound
 
 
+# Its product prefix (every op before the CNOT) has RX, RY and RZ layers, an
+# R3 on inputs, H between rotations, a qubit and an input read twice, and
+# neighbouring rotations that differ only in their angle transform, so the
+# reverse sweep un-applies layers of every kind; the input RY after the CNOT
+# stays a per-row step.
+ENCODE_MIX = Circuit(
+    "encode_mix",
+    3,
+    (
+        CircuitOp("H", (0,)),
+        CircuitOp("RX", (0,), (AngleRef("input", 0),)),
+        CircuitOp("RX", (1,), (AngleRef("input", 1),)),
+        CircuitOp("RX", (2,), (AngleRef("input", 2, "arctan"),)),
+        CircuitOp("H", (1,)),
+        CircuitOp(
+            "R3",
+            (2,),
+            (
+                AngleRef("input", 2),
+                AngleRef("input", 0, "arctan_square", 0.5),
+                AngleRef("input", 1),
+            ),
+        ),
+        CircuitOp("RY", (0,), (AngleRef("input", 1, "arctan"),)),
+        CircuitOp("RZ", (1,), (AngleRef("input", 2, scale=-0.7),)),
+        CircuitOp("RZ", (2,), (AngleRef("input", 0, scale=-0.7),)),
+        CircuitOp("CNOT", (0, 1)),
+        CircuitOp("RY", (1,), _trainable(0)),
+        CircuitOp("RY", (2,), (AngleRef("input", 1),)),
+        CircuitOp("RZZ", (2, 0), _trainable(1)),
+    ),
+    2,
+    3,
+)
+
 BOUND_CIRCUITS = [
     build_qlstm_vqc(4, 2),
     SHARED_MIX,
     TRAINABLE_FIRST,
     build_reuploading_sel(3, 4),
     build_reuploading_ising(3, 2),
+    ENCODE_MIX,
+    build_z_feature_map(4, 2),
+    build_zz_feature_map(3, 2),
 ]
 
 
@@ -316,14 +355,14 @@ def test_bound_vjp_matches_contracted_param_shift(circuit, n_gates):
     # a binding passed in gives the bytes of the one circuit_vjp builds itself
     own = circuit_vjp(circuit, thetas, xs, states, qubits, weights)
     assert all(same_bytes(g, o) for g, o in zip(got, own))
-    stack = np.reshape(thetas, (-1, circuit.n_trainable))
-    lams = np.reshape(weights, (len(stack), len(xs), len(qubits)))
+    stack = thetas if n_gates else thetas[None]
+    lams = weights if n_gates else weights[None]
     shifted = [
         _contracted_param_shift(circuit, stack[g], xs, qubits, lams[g])
         for g in range(len(stack))
     ]
     ref_params = np.reshape([p for p, _ in shifted], thetas.shape)
-    assert np.max(np.abs(got[0] - ref_params)) < 1e-10
+    assert np.max(np.abs(got[0] - ref_params), initial=0.0) < 1e-10
     assert np.max(np.abs(got[1] - sum(i for _, i in shifted))) < 1e-10
 
 
@@ -352,15 +391,13 @@ def test_binding_must_fit_the_call():
 
 
 def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
-    """qlstm_vqc(4,2) has 8 input rotations and, after them, one shared run,
-    which is swept on a d x d matrix at 32 rows or more: apply_matrix sees
-    only the 8 generator products on psi and 7 un-applies on the psi/lambda
-    pair (the first rotation is never un-applied), none for the shared run."""
-    circuit = build_qlstm_vqc(4, 2)
+    """Bound at 32 rows, qlstm_vqc(4,2) is its product prefix (all 8 input
+    rotations) and one shared run: the sweep un-applies the run as one
+    product and reads the rotations' gradients off per-qubit 2 x 2 matrices,
+    so apply_matrix sees no rows.  reuploading_sel(3,2) also re-uploads its
+    inputs between its two runs: those 3 rotations alone are swept per row,
+    each a generator product on psi and an un-apply on the psi/lambda pair."""
     rng = np.random.default_rng(36)
-    theta = rng.normal(size=circuit.n_trainable)
-    xs = rng.uniform(-2.0, 2.0, size=(32, circuit.n_inputs))
-    states = run_circuit_batch(circuit, theta, xs)
     rows = []
 
     def counting(amps, *args):
@@ -368,8 +405,40 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
         return apply_matrix(amps, *args)
 
     monkeypatch.setattr(autodiff, "apply_matrix", counting)
-    circuit_vjp(circuit, theta, xs, states, (0, 1), np.ones((32, 2)))
-    assert sorted(rows) == [(2, 32)] * 7 + [(32,)] * 8
+    for circuit, want in [
+        (build_qlstm_vqc(4, 2), []),
+        (build_reuploading_sel(3, 2), [(2, 32)] * 3 + [(32,)] * 3),
+    ]:
+        theta = rng.normal(size=circuit.n_trainable)
+        xs = rng.uniform(-2.0, 2.0, size=(32, circuit.n_inputs))
+        states = run_circuit_batch(circuit, theta, xs)
+        rows.clear()
+        circuit_vjp(circuit, theta, xs, states, (0, 1), np.ones((32, 2)))
+        assert sorted(rows) == want, circuit.name
+
+
+def test_product_path_needs_a_binding(monkeypatch):
+    """Calls without a binding, and a wide circuit on few rows that
+    ``_bind_for`` leaves unbound, run every gate: the product prefix
+    (forward) and its per-qubit reverse are never reached."""
+
+    def no_product(*args):
+        raise AssertionError("product prefix used without a binding")
+
+    monkeypatch.setattr(circuits, "_product_state", no_product)
+    monkeypatch.setattr(autodiff, "_halves", no_product)
+    rng = np.random.default_rng(39)
+    for circuit in BOUND_CIRCUITS:
+        theta = rng.normal(size=circuit.n_trainable)
+        xs = rng.uniform(-2.0, 2.0, size=(40, circuit.n_inputs))
+        run_circuit_batch(circuit, theta, xs)
+        run_circuit_batch(circuit, theta[None, None], xs[None])
+    wide = build_reuploading_sel(10, 4)
+    theta = rng.normal(size=wide.n_trainable)
+    xs = rng.uniform(-2.0, 2.0, size=(3, wide.n_inputs))
+    assert autodiff._bind_for(wide, theta, 3) is None
+    states = run_circuit_batch(wide, theta, xs, bound=autodiff._bind_for(wide, theta, 3))
+    circuit_vjp(wide, theta, xs, states, (0, 9), np.ones((3, 2)))
 
 
 def test_vjp_sweeps_wide_circuit_on_few_rows_per_row(monkeypatch):

@@ -68,8 +68,9 @@ class TestIngest:
             ("time,t2m\n2020-02,290.0\n2020-01,291.0\n", "line 3: timestamp '2020-01'"),
             ("time,t2m,t2m,skt\n2020-01,290.0,291.0,1.0\n", "column 't2m' appears"),
             ("time,skt\n2020-01,290.0\n", "missing 't2m' column"),
+            ("time,,t2m\n2020-01,1.0,290.0\n", "column 2 has no name"),
         ],
-        ids=["out_of_order", "repeated_column", "no_target"],
+        ids=["out_of_order", "repeated_column", "no_target", "unnamed_column"],
     )
     def test_malformed_csv_is_data_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 """Tests for the quantum and classical recurrent sequence models."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -527,6 +528,15 @@ class TestSerialization:
         loaded = recurrent_from_json(recurrent_to_json(model, seed=6))
         assert loaded.kind == "gru"
         assert np.allclose(loaded.params, model.params)
+
+    def test_stored_layout_is_the_circuit_read(self):
+        cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1, seed=5)
+        doc = json.loads(recurrent_to_json(cell))
+        assert recurrent_from_json(json.dumps(doc)).circuit == cell.circuit
+        edits = ["reuploading_sel(9,9)", "qlstm_vqc(2,2)", "qlstm_vqc(3,1)", "qlstm_vqc"]
+        for layout in edits:
+            with pytest.raises(ValueError, match="disagrees with n_qubits/n_layers"):
+                recurrent_from_json(json.dumps(dict(doc, layout=layout)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

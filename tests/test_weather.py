@@ -89,6 +89,15 @@ def test_load_csv_rejects_repeated_column(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize(
+    "header,column", [("time,,t2m", 2), ("time, ,t2m", 2), ("time,t2m,", 3)]
+)
+def test_load_csv_rejects_unnamed_column(tmp_path, header, column):
+    p = write(tmp_path / "unnamed.csv", header + "\n2020-01,1.0,290.0\n")
+    with pytest.raises(DataFormatError, match=f"column {column} has no name"):
+        load_csv(p)
+
+
 def test_load_csv_requires_target_column(tmp_path):
     p = write(tmp_path / "notarget.csv", "time,skt,sp\n2020-01,290.0,1.0\n")
     with pytest.raises(DataFormatError, match="missing 't2m' column"):

@@ -12,14 +12,15 @@ angles all rows share at once on one d x d matrix, which moves the
 gradients only in the last bits, and ends at the product prefix, the
 leading single-qubit gates without a trainable angle, whose input gradients
 come from per-qubit 2 x 2 matrices; only input steps between runs are swept
-per row.  The private binding ``_bind(circuit, theta)`` holds what that
-needs, fixed by the trainable angles alone.  Training binds once per
-parameter update, and the forward calls (which build the prefix from
-per-qubit states and apply each run as one product) and the VJPs of that
-update share it.  A recurrent cell's gate group, several circuits on the
-same inputs with their own angles, is one stacked call: its circuits are
-swept side by side until no trainable angle is left to reverse, then as
-one.
+per row.  The binding ``bind(circuit, theta, n_rows)`` holds what that
+needs, fixed by the trainable angles alone, and the sweep's plan; a wide
+circuit on few rows gets one with no prefix and no run.  Training binds
+once per parameter update, and the forward calls (which build the prefix
+from per-qubit states and apply each run as one product) and the VJPs of
+that update share it.  A recurrent cell's gate group, several circuits on
+the same inputs with their own angles, is one stacked call: its circuits
+are swept side by side until no trainable angle is left to reverse, then
+as one.
 
 Parameter shift and central finite differences stay as the test oracles.
 Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
@@ -45,8 +46,6 @@ from .circuits import (
 )
 from .qsim import apply_matrix, gate_matrix, z_expectations, z_signs
 
-SHIFTABLE_KINDS = {"RX", "RY", "RZ", "R3", "RXX", "RYY", "RZZ"}
-
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]])
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -59,10 +58,6 @@ _GENERATORS = {
     "RYY": np.kron(_Y, _Y),
     "RZZ": np.kron(_Z, _Z),
 }
-
-
-class UnsupportedGateError(Exception):
-    """A differentiated slot sits on a gate without a two-point shift rule."""
 
 
 @dataclass(frozen=True)
@@ -109,22 +104,6 @@ def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
     return z_expectations(amps, circuit.n_qubits, qubits)
 
 
-def _relevant_occurrences(circuit, kind):
-    """(op_index, angle_position, AngleRef) of each ``kind`` angle, in order."""
-    occs = [
-        (i, pos, ref)
-        for i, op in enumerate(circuit.ops)
-        for pos, ref in enumerate(op.angles)
-        if ref.slot_kind == kind
-    ]
-    for i, _, _ in occs:
-        if circuit.ops[i].kind not in SHIFTABLE_KINDS:
-            raise UnsupportedGateError(
-                f"gate {circuit.ops[i].kind} has no parameter-shift rule"
-            )
-    return occs
-
-
 def param_shift_grad(req: GradientRequest) -> np.ndarray:
     """Exact gradient via shifted expectation evaluations.
 
@@ -136,7 +115,13 @@ def param_shift_grad(req: GradientRequest) -> np.ndarray:
     qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
     kind = "trainable" if req.wrt == "trainable" else "input"
     n_slots = circuit.n_trainable if kind == "trainable" else circuit.n_inputs
-    occs = _relevant_occurrences(circuit, kind)
+    # (op_index, angle_position, AngleRef) of each ``kind`` angle, in order
+    occs = [
+        (i, pos, ref)
+        for i, op in enumerate(circuit.ops)
+        for pos, ref in enumerate(op.angles)
+        if ref.slot_kind == kind
+    ]
     grad = np.zeros(n_slots)
     if not occs:
         return grad
@@ -219,7 +204,7 @@ def _halves(n_qubits: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Binding:
+class Binding:
     """``circuit`` bound to trainable angles ``theta``, (n_trainable,) or a
     stacked (G, n_trainable).  The product prefix, the first ``prefix`` ops
     (those before the first on two qubits or with a trainable or two-input
@@ -227,8 +212,11 @@ class _Binding:
     ``_rotation_sweep`` steps as (kind, ref, qubits, slots) per stretch of
     one kind on a slice of qubits whose angles read a slice of inputs
     through one transform, ref being that angle at slot 0 (None for a fixed
-    gate).  ``runs`` holds (start, stop, U, slots, q) per shared run of
-    ops: U is its (G,) d x d unitary, and row i of q, for trainable slot
+    gate).  ``plan`` is the reverse sweep's items after the prefix (a wide
+    circuit's from its first op with an angle), in circuit order: (True,
+    run) per shared run of ops, (False, step) for every other
+    ``_rotation_sweep`` step.  A run is (start, stop, U, slots, q): U is
+    its (G,) d x d unitary, and row i of q, for trainable slot
     ``slots[i]``, is the flattened sum over the run's rotations k of
     d(angle_k)/d(theta_i) conj(Q_k).  Q_k = W_k P_k W_k^H, P_k the
     rotation's Pauli generator and W_k the product of the run's gates after
@@ -237,21 +225,29 @@ class _Binding:
 
     circuit: Circuit
     theta: np.ndarray
-    runs: tuple
     prefix: int
     layers: tuple
+    plan: tuple
 
 
-def _bind(circuit: Circuit, params) -> _Binding:
-    """The binding of ``circuit`` to ``params``.  A shared run is, after the
-    product prefix, a maximal stretch of ops whose angles all rows share
-    (fixed gates and trainable rotations) that holds an angle.  W runs
-    backwards through it on dense gates, W <- W g, and so ends as U."""
+def bind(circuit: Circuit, params, n_rows: int) -> Binding:
+    """The binding of ``circuit`` to ``params`` for calls on ``n_rows`` rows.
+
+    A shared run is, after the product prefix, a maximal stretch of ops
+    whose angles all rows share (fixed gates and trainable rotations) that
+    holds an angle.  W runs backwards through it on dense gates, W <- W g,
+    and so ends as U.  A wide circuit on few rows, d * d > 8 B (d = 2**n,
+    B = ``n_rows``), gets no product prefix and no shared run, so no d x d
+    matrix is built: its plan sweeps per row from the first op with an
+    angle.  The rule was measured at d = 8 to 128 on the per-gate d x d
+    sweep the binding replaced, where a shared gate cost two d x d products
+    and a per-row one a few passes over the B x d pair.  It has not been
+    measured again against bound runs and the product prefix."""
     theta = _slot_array(circuit, params, "trainable")
     n, d, ops = circuit.n_qubits, 1 << circuit.n_qubits, circuit.ops
-    eye = np.broadcast_to(np.eye(d, dtype=complex), theta.shape[:-1] + (d, d))
+    wide = d * d > 8 * n_rows
     prefix = 0
-    while prefix < len(ops) and len(ops[prefix].targets) == 1 and all(
+    while not wide and prefix < len(ops) and len(ops[prefix].targets) == 1 and all(
         r.slot_kind == "input" and r.partner is None for r in ops[prefix].angles
     ):
         prefix += 1
@@ -265,16 +261,22 @@ def _bind(circuit: Circuit, params) -> _Binding:
         else:
             ref = ref if ref is None else replace(ref, slot_index=0)
             layers.append([head, ref, slice(q, q + 1), slice(slot, slot + 1)])
-    runs = []
+    # a wide circuit's plan starts at its first op with an angle
+    first = prefix
+    if wide:
+        first = next((i for i, op in enumerate(ops) if op.angles), len(ops))
+    plan = []
     for shared, group in groupby(
-        range(prefix, len(ops)),
+        range(first, len(ops)),
         lambda i: all(ref.slot_kind == "trainable" for ref in ops[i].angles),
     ):
         span = list(group)
-        if not (shared and any(ops[i].angles for i in span)):
-            continue
-        w, by_slot = eye, {}
         start, stop = span[0], span[-1] + 1
+        if wide or not (shared and any(ops[i].angles for i in span)):
+            plan += [(False, step) for step in _rotation_sweep(ops[start:stop])]
+            continue
+        w = np.broadcast_to(np.eye(d, dtype=complex), theta.shape[:-1] + (d, d))
+        by_slot = {}
         for kind, targets, ref in reversed(_rotation_sweep(ops[start:stop])):
             gate = _embedded(kind, n, targets)
             if ref is None:
@@ -289,42 +291,9 @@ def _bind(circuit: Circuit, params) -> _Binding:
             w = np.cos(a / 2) * w - (1j * np.sin(a / 2)) * wp
         slots = sorted(by_slot)
         q = np.stack([by_slot[idx] for idx in slots], axis=-2)
-        runs.append((start, stop, w, np.array(slots), q))
+        plan.append((True, (start, stop, w, np.array(slots), q)))
     layers = tuple((head[0], *rest) for head, *rest in layers)
-    return _Binding(circuit, theta, tuple(runs), prefix, layers)
-
-
-def _bind_for(circuit: Circuit, params, n_rows: int):
-    """``_bind(circuit, params)``, or None where ``circuit_vjp`` sweeps
-    ``n_rows`` rows per row and would not use it: when d * d > 8 B, so a
-    wide circuit on few rows is swept per row.  The rule was measured at
-    d = 8 to 128 on the per-gate d x d sweep the binding replaced, where a
-    shared gate cost two d x d products and a per-row one a few passes over
-    the B x d pair.  It has not been measured again against bound runs and
-    the product prefix."""
-    if 1 << 2 * circuit.n_qubits > 8 * n_rows:
-        return None
-    return _bind(circuit, params)
-
-
-def _vjp_plan(circuit: Circuit, bound):
-    """(shared, item) per reverse-sweep item, in circuit order, after
-    ``bound``'s product prefix or, unbound, from the first op with an angle
-    on: each run of ``bound`` is one shared item, every other step of
-    ``_rotation_sweep`` a per-row one."""
-    ops = circuit.ops
-    runs = {run[0]: run for run in bound.runs} if bound is not None else {}
-    i = next((i for i, op in enumerate(ops) if op.angles), len(ops))
-    i = bound.prefix if bound is not None else i
-    plan = []
-    while i < len(ops):
-        if i in runs:
-            plan.append((True, runs[i]))
-            i = runs[i][1]
-        else:
-            plan += [(False, step) for step in _rotation_sweep(ops[i : i + 1])]
-            i += 1
-    return plan
+    return Binding(circuit, theta, prefix, layers, tuple(plan))
 
 
 def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound=None):
@@ -352,16 +321,17 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     chain rule through ``angle_partials`` carries it to parameters and
     inputs.
 
-    If d * d <= 8 B (d = 2**n, B rows), the sweep uses ``bound``, the
-    ``_bind(circuit, params)`` its forward pass used (built here if not
-    given).  Each of its shared runs is taken at once on the d x d
-    R = sum_b psi_b lambda_b^H at the run's end, one per circuit: every
-    rotation's gradient is Im Tr(Q_k R), all of them and their chain rule
-    one product with the binding's q, and the pair moves past the run as one
-    product with conj(U); summing over rows first moves gradients in the
-    last bits.  The sweep ends at the binding's product prefix, gates on
-    one qubit each: with rho_q = Tr_{others} |psi><lambda| per row, a prefix
-    rotation's dL/da is Im Tr(P rho_q), and un-applying its gate g is
+    The sweep follows the plan of ``bound``, the ``bind(circuit, params,
+    B)`` its forward pass used (built here if not given); a wide circuit on
+    few rows has no shared run and no prefix, and is swept per row.  Each
+    shared run is taken at once on the d x d R = sum_b psi_b lambda_b^H at
+    the run's end, one per circuit: every rotation's gradient is
+    Im Tr(Q_k R), all of them and their chain rule one product with the
+    binding's q, and the pair moves past the run as one product with
+    conj(U); summing over rows first moves gradients in the last bits.  The
+    sweep ends at the binding's product prefix, gates on one qubit each:
+    with rho_q = Tr_{others} |psi><lambda| per row, a prefix rotation's
+    dL/da is Im Tr(P rho_q), and un-applying its gate g is
     rho_q <- g^H rho_q g.  Other input steps are swept per row.  G stacked
     circuits are swept side by side up to the merge point: going backwards,
     the point after which no remaining step has a trainable angle, at the
@@ -386,7 +356,7 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
             f"weights must have shape {rows + (len(qubits),)}, got {w.shape}"
         )
     if bound is None:
-        bound = _bind_for(circuit, theta, x.shape[0])
+        bound = bind(circuit, theta, x.shape[0])
     elif bound.circuit != circuit or bound.theta.shape != theta.shape:
         raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
     signs = np.reshape([z_signs(n, q) for q in qubits], (len(qubits), d))
@@ -395,7 +365,7 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     pair = np.stack([psi, (w @ signs) * psi])
     d_params = np.zeros(theta.shape)
     d_inputs = np.zeros(x.shape)
-    plan = _vjp_plan(circuit, bound)
+    plan = bound.plan
     # stacked angles broadcast against the pair's rows in per-row steps;
     # plan[:first] holds no trainable angle, so there the stacked circuits
     # apply the same gates
@@ -411,7 +381,7 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
             len(plan),
         )
     # the sweep ends on the prefix layers from the first with an angle
-    enc = bound.layers if bound is not None else ()
+    enc = bound.layers
     enc = enc[next((k for k, l in enumerate(enc) if l[1] is not None), len(enc)) :]
     for j in range(len(plan) - 1, -1, -1):
         if j == first - 1:

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -316,22 +316,6 @@ MODELS = {
 
 MODEL_TASKS = {name: spec.tasks for name, spec in MODELS.items()}
 
-_CONFIG_FIELDS = (
-    "model",
-    "task",
-    "data",
-    "selection",
-    "scaling",
-    "split_fraction",
-    "window",
-    "epochs",
-    "iters",
-    "lr",
-    "n_layers",
-    "C",
-    "gamma",
-    "seed",
-)
 # config fields whose None means "the model's default"
 _DEFAULTED = ("scaling", "epochs", "iters", "lr", "n_layers")
 
@@ -404,13 +388,13 @@ def normalized(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    return {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS)
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     missing = {"model", "task", "data"} - set(doc)

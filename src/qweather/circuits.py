@@ -170,13 +170,14 @@ def run_circuit_batch(
     (``np.broadcast_to``), and the result is copied out at the full batch
     shape, so every row sees the same arithmetic as at full width.
 
-    ``bound``, the binding ``autodiff._bind(circuit, theta)`` of the
-    trainable angles, applies each of its shared runs as one product with
-    the run's unitary U, rows @ U^T; ``params`` is then theta, or
+    ``bound``, the binding ``autodiff.bind(circuit, theta, n_rows)`` of the
+    trainable angles, applies each shared run of its plan as one product
+    with the run's unitary U, rows @ U^T; ``params`` is then theta, or
     theta[:, None, :] for a stacked (G, n_trainable) theta, and no angle is
     shifted.  Unless ``state`` is given, the binding's product prefix (the
     leading single-qubit gates without a trainable angle) is built as a
-    product state on the input rows; unbound calls apply every gate.
+    product state on the input rows.  Unbound calls, and a wide circuit's
+    binding, which has no run and no prefix, apply every gate.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = _slot_array(circuit, inputs, "input")
@@ -201,7 +202,7 @@ def run_circuit_batch(
         want = bound.theta if bound.theta.ndim == 1 else bound.theta[:, None, :]
         if angle_shifts or bound.circuit != circuit or theta.shape != want.shape:
             raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
-        runs = {start: (stop, u) for start, stop, u, *_ in bound.runs}
+        runs = {run[0]: run[1:3] for shared, run in bound.plan if shared}
         if state is None and bound.prefix:
             amps = _product_state(circuit.n_qubits, bound.layers, x)
             i = bound.prefix

@@ -56,9 +56,7 @@ def _exit_code(err) -> int:
             EmptySelectionError,
             UndefinedCorrelationError,
             DegenerateScaleError,
-            FileNotFoundError,
-            IsADirectoryError,
-            PermissionError,
+            OSError,
         ),
     ):
         return EXIT_DATA

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import _bind_for, circuit_vjp, expectation_batch
+from .autodiff import bind, circuit_vjp, expectation_batch
 from .circuits import (
     Circuit,
     build_real_amplitudes,
@@ -142,7 +142,7 @@ def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     n = X.shape[0]
     # one binding of the epoch's angles serves the forward pass and the VJP;
     # the forward states are the tape circuit_vjp reverses
-    bound = _bind_for(model.circuit, model.params, n)
+    bound = bind(model.circuit, model.params, n)
     psi = run_circuit_batch(model.circuit, model.params, X, bound=bound)
     z = z_expectations(psi, model.circuit.n_qubits, model.readout)
     if model.task == "regression":

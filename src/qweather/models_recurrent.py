@@ -19,11 +19,11 @@ adjoint sweep backward.  The records hold one tape entry per gate group or
 lone gate circuit, its final states, so the adjoint starts from them and
 no circuit is simulated twice in a step.  A pass over the windows binds
 each gate group or lone gate circuit to its angles once
-(``autodiff._bind``): every step's forward call applies each shared run of
+(``autodiff.bind``): every step's forward call applies each shared run of
 gates as one product with the binding's unitary, and every adjoint sweep of
-that gate reads the same binding.  The circuit's angle encoding is the
-binding's product prefix: forward it is built from per-qubit 2-vectors, and
-the adjoint sweep ends there, on per-qubit 2 x 2 matrices.
+that gate follows the same binding's plan.  The circuit's angle encoding is
+the binding's product prefix: forward it is built from per-qubit 2-vectors,
+and the adjoint sweep ends there, on per-qubit 2 x 2 matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import _bind_for, circuit_vjp
+from .autodiff import bind, circuit_vjp
 from .circuits import (
     Circuit,
     build_qlstm_vqc,
@@ -267,15 +267,14 @@ def _gate_readout(cell: _QuantumCell, p, gates, inputs, rec):
     ``gates`` is one gate name or a gate group, a tuple of the G names
     whose circuits read the same inputs; a group runs as one stacked
     circuit call and returns (G, B, n_qubits).  The circuit runs under its
-    binding ``rec["bound"][gates]``, made on first use (None where
-    ``circuit_vjp`` would sweep per row), and its final states go into one
-    tape entry, ``rec["tape"][gates]``; backpropagation hands both to
-    ``circuit_vjp`` in place of a second forward sweep.
+    binding ``rec["bound"][gates]``, made on first use, and its final
+    states go into one tape entry, ``rec["tape"][gates]``; backpropagation
+    hands both to ``circuit_vjp`` in place of a second forward sweep.
     """
     theta = p["thetas"][_gate_rows(cell, gates)]
     bound = rec["bound"]
     if gates not in bound:
-        bound[gates] = _bind_for(cell.circuit, theta, inputs.shape[0])
+        bound[gates] = bind(cell.circuit, theta, inputs.shape[0])
     if theta.ndim == 2:
         theta, inputs = theta[:, None, :], inputs[None]
     states = run_circuit_batch(cell.circuit, theta, inputs, bound=bound[gates])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import same_bytes
@@ -5,6 +7,7 @@ from conftest import same_bytes
 from qweather import autodiff, circuits
 from qweather.autodiff import (
     GradientRequest,
+    bind,
     circuit_vjp,
     expectation,
     expectation_batch,
@@ -293,7 +296,7 @@ def _bound_case(circuit, n_gates):
     thetas, xs, _, weights = _stacked_case(circuit, 40, qubits, max(n_gates, 1))
     if n_gates == 0:
         thetas, weights = thetas[0], weights[0]
-    bound = autodiff._bind(circuit, thetas)
+    bound = bind(circuit, thetas, 40)
     forward = thetas[:, None, :] if n_gates else thetas
     inputs = xs[None] if n_gates else xs
     states = run_circuit_batch(circuit, forward, inputs, bound=bound)
@@ -377,10 +380,12 @@ def test_bound_forward_matches_the_per_gate_forward(circuit, n_gates):
 
 
 def test_binding_must_fit_the_call():
+    # bound at 40 rows, so the misfits are checked against shared runs
     circuit = build_qlstm_vqc(4, 1)
     thetas = np.zeros((2, circuit.n_trainable))
     xs = np.zeros((3, 4))
-    bound = autodiff._bind(circuit, thetas)
+    bound = bind(circuit, thetas, 40)
+    assert any(shared for shared, _ in bound.plan)
     with pytest.raises(ValueError):
         run_circuit_batch(circuit, thetas[0], xs, bound=bound)
     with pytest.raises(ValueError):
@@ -418,9 +423,9 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
 
 
 def test_product_path_needs_a_binding(monkeypatch):
-    """Calls without a binding, and a wide circuit on few rows that
-    ``_bind_for`` leaves unbound, run every gate: the product prefix
-    (forward) and its per-qubit reverse are never reached."""
+    """Calls without a binding, and a wide circuit on few rows, whose
+    binding has no prefix, run every gate: the product prefix (forward) and
+    its per-qubit reverse are never reached."""
 
     def no_product(*args):
         raise AssertionError("product prefix used without a binding")
@@ -436,25 +441,28 @@ def test_product_path_needs_a_binding(monkeypatch):
     wide = build_reuploading_sel(10, 4)
     theta = rng.normal(size=wide.n_trainable)
     xs = rng.uniform(-2.0, 2.0, size=(3, wide.n_inputs))
-    assert autodiff._bind_for(wide, theta, 3) is None
-    states = run_circuit_batch(wide, theta, xs, bound=autodiff._bind_for(wide, theta, 3))
-    circuit_vjp(wide, theta, xs, states, (0, 9), np.ones((3, 2)))
+    bound = bind(wide, theta, 3)
+    states = run_circuit_batch(wide, theta, xs, bound=bound)
+    circuit_vjp(wide, theta, xs, states, (0, 9), np.ones((3, 2)), bound)
 
 
 def test_vjp_sweeps_wide_circuit_on_few_rows_per_row(monkeypatch):
     """A 2**10 x 2**10 matrix per shared gate would cost far more than the
-    3-row pair, so no binding is built and every step is swept per row."""
+    3-row pair, so the binding has no prefix and no shared run, and every
+    step is swept per row."""
 
     def no_dense(*args):
-        raise AssertionError("binding or dense gate built for a wide circuit")
+        raise AssertionError("dense gate built for a wide circuit")
 
-    monkeypatch.setattr(autodiff, "_bind", no_dense)
     monkeypatch.setattr(autodiff, "_embedded", no_dense)
     circuit = build_reuploading_sel(10, 4)
     rng = np.random.default_rng(37)
     theta = rng.normal(size=circuit.n_trainable)
     xs = rng.uniform(-2.0, 2.0, size=(3, circuit.n_inputs))
     weights = rng.normal(size=(3, 2))
+    bound = bind(circuit, theta, 3)
+    assert bound.prefix == 0
+    assert not any(shared for shared, _ in bound.plan)
     states = run_circuit_batch(circuit, theta, xs)
     d_params, d_inputs = circuit_vjp(circuit, theta, xs, states, (0, 9), weights)
     ref_params, ref_inputs = _contracted_param_shift(
@@ -462,6 +470,20 @@ def test_vjp_sweeps_wide_circuit_on_few_rows_per_row(monkeypatch):
     )
     assert np.max(np.abs(d_params - ref_params)) < 1e-10
     assert np.max(np.abs(d_inputs - ref_inputs)) < 1e-10
+
+
+def test_wide_binding_builds_no_dense_matrix():
+    """Binding a 12-qubit circuit on 3 rows allocates no 2**12 x 2**12
+    matrix (256 MiB), not even the identity a shared run starts from."""
+    circuit = build_reuploading_sel(12, 4)
+    theta = np.zeros(circuit.n_trainable)
+    tracemalloc.start()
+    try:
+        bind(circuit, theta, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_vjp_rejects_misshapen_weights():

@@ -52,6 +52,13 @@ class TestSynth:
     def test_needs_destination(self):
         assert main(["synth", "--seed", "5"]) == 2
 
+    def test_out_under_a_file_is_file_error(self, tmp_path, capsys):
+        # NotADirectoryError: a file-system error, not a training failure
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x.csv"
+        assert main(["synth", "--seed", "5", "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestIngest:
     def test_prints_summary_json(self, synth_csv, capsys):
@@ -171,6 +178,13 @@ class TestRun:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 3
+
+    def test_out_dir_that_is_a_file_exit_3(self, svc_config, tmp_path, capsys):
+        # FileExistsError once the run tries to make its artifact directory
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["run", "--config", svc_config, "--out-dir", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self, capsys):
         assert main([]) == 2

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import same_bytes
 
-from qweather import autodiff, models_recurrent
-from qweather.autodiff import circuit_vjp, expectation_batch
+from qweather import models_recurrent
+from qweather.autodiff import bind, circuit_vjp, expectation_batch
 from qweather.models_qnn import INIT_ANGLE
 from qweather.models_recurrent import (
     ClassicalRnnBaseline,
@@ -464,18 +464,17 @@ class TestTraining:
     def test_each_pass_binds_each_gate_circuit_once(self, builder, shapes, monkeypatch):
         # one binding per gate group or lone gate circuit per pass over the
         # windows, shared by every step's forward call and every VJP
-        bind = autodiff._bind
         made, used = [], []
 
-        def counted(circuit, params):
-            made.append(bind(circuit, params))
+        def counted(circuit, params, n_rows):
+            made.append(bind(circuit, params, n_rows))
             return made[-1]
 
         def vjp(*args, bound=None):
             used.append(bound)
             return circuit_vjp(*args, bound=bound)
 
-        monkeypatch.setattr(autodiff, "_bind", counted)
+        monkeypatch.setattr(models_recurrent, "bind", counted)
         monkeypatch.setattr(models_recurrent, "circuit_vjp", vjp)
         X, y = _sine_windows(n_points=20, window=4)
         model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=7)

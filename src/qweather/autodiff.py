@@ -22,11 +22,9 @@ the same inputs with their own angles, is one stacked call: its circuits
 are swept side by side until no trainable angle is left to reverse, then
 as one.
 
-Parameter shift and central finite differences stay as the test oracles.
-Every parameterized gate here is exp(-i*theta*P/2) for a Pauli word P, so
-dE/dtheta = [E(theta + pi/2) - E(theta - pi/2)] / 2; derivatives with
-respect to trainable parameters or raw input values sum the shifts of every
-occurrence times the angle transform's chain-rule factor.
+The tests check these gradients against parameter shift and central finite
+differences in ``tests/reference.py``, which run each circuit gate by gate
+and share none of the code here.
 """
 
 from __future__ import annotations
@@ -60,110 +58,10 @@ _GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class GradientRequest:
-    """What to differentiate: d<observable> / d(trainable params or inputs).
-
-    ``observable`` is a qubit index for a plain Z term or a sequence of
-    (qubit, weight) pairs for a weighted sum of single-qubit Z terms.
-    """
-
-    circuit: Circuit
-    params: object
-    inputs: object
-    observable: object = 0
-    wrt: str = "trainable"
-
-    def __post_init__(self):
-        if self.wrt not in ("trainable", "inputs"):
-            raise ValueError(f"wrt must be 'trainable' or 'inputs', got {self.wrt!r}")
-
-
-def _normalize_observable(observable, n_qubits):
-    """(qubits, weights) of the observable's Z terms."""
-    if isinstance(observable, (int, np.integer)):
-        terms = [(int(observable), 1.0)]
-    else:
-        terms = [(int(q), float(w)) for q, w in observable]
-    for q, _ in terms:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"observable qubit {q} out of range")
-    return [q for q, _ in terms], np.array([w for _, w in terms])
-
-
-def expectation(circuit: Circuit, params, inputs, observable=0) -> float:
-    """Analytic expectation of a (weighted) Z observable after the circuit."""
-    qubits, weights = _normalize_observable(observable, circuit.n_qubits)
-    amps = run_circuit_batch(circuit, params, inputs)
-    return float(z_expectations(amps, circuit.n_qubits, qubits) @ weights)
-
-
 def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
     """<Z_q> for each q in ``qubits``; shape batch + (len(qubits),)."""
     amps = run_circuit_batch(circuit, params, inputs)
     return z_expectations(amps, circuit.n_qubits, qubits)
-
-
-def param_shift_grad(req: GradientRequest) -> np.ndarray:
-    """Exact gradient via shifted expectation evaluations.
-
-    All 2 * n_occurrences shifted circuits run as one batch.
-    """
-    circuit = req.circuit
-    theta = _slot_array(circuit, req.params, "trainable").ravel()
-    x = _slot_array(circuit, req.inputs, "input").ravel()
-    qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
-    kind = "trainable" if req.wrt == "trainable" else "input"
-    n_slots = circuit.n_trainable if kind == "trainable" else circuit.n_inputs
-    # (op_index, angle_position, AngleRef) of each ``kind`` angle, in order
-    occs = [
-        (i, pos, ref)
-        for i, op in enumerate(circuit.ops)
-        for pos, ref in enumerate(op.angles)
-        if ref.slot_kind == kind
-    ]
-    grad = np.zeros(n_slots)
-    if not occs:
-        return grad
-    batch = 2 * len(occs)
-    shifts = {}
-    for j, (i, pos, _) in enumerate(occs):
-        s = np.zeros(batch)
-        s[2 * j] = np.pi / 2
-        s[2 * j + 1] = -np.pi / 2
-        shifts[(i, pos)] = s
-    amps = run_circuit_batch(circuit, theta, x, shifts)
-    e = z_expectations(amps, circuit.n_qubits, qubits) @ weights
-    for j, (_, _, ref) in enumerate(occs):
-        de_dangle = 0.5 * (e[2 * j] - e[2 * j + 1])
-        for part_kind, idx, factor in angle_partials(ref, theta, x):
-            if part_kind == kind:
-                grad[idx] += float(factor) * de_dangle
-    return grad
-
-
-def finite_diff_grad(req: GradientRequest, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient over raw values; the test oracle."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    circuit = req.circuit
-    theta = _slot_array(circuit, req.params, "trainable").ravel()
-    x = _slot_array(circuit, req.inputs, "input").ravel()
-    qubits, weights = _normalize_observable(req.observable, circuit.n_qubits)
-    n_slots = circuit.n_trainable if req.wrt == "trainable" else circuit.n_inputs
-    if n_slots == 0:
-        return np.zeros(0)
-    shifted = theta if req.wrt == "trainable" else x
-    base = np.broadcast_to(shifted, (2 * n_slots, shifted.size)).copy()
-    for k in range(n_slots):
-        base[2 * k, k] += h
-        base[2 * k + 1, k] -= h
-    if req.wrt == "trainable":
-        amps = run_circuit_batch(circuit, base, x)
-    else:
-        amps = run_circuit_batch(circuit, theta, base)
-    e = z_expectations(amps, circuit.n_qubits, qubits) @ weights
-    return (e[0::2] - e[1::2]) / (2 * h)
 
 
 def _rotation_sweep(ops):

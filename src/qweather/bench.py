@@ -62,6 +62,7 @@ from .qkernel import (
 )
 from .weather import (
     ColumnScaler,
+    DataFormatError,
     Dataset,
     bin_target,
     correlation_report,
@@ -320,6 +321,17 @@ MODEL_TASKS = {name: spec.tasks for name, spec in MODELS.items()}
 _DEFAULTED = ("scaling", "epochs", "iters", "lr", "n_layers")
 
 
+def _check_number(name, value, kind):
+    """Raise ConfigError unless ``value`` is an int, or for a "float" knob
+    an int or a finite float; a bool is neither."""
+    types = int if kind == "int" else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        article = "an integer" if kind == "int" else "a finite number"
+        raise ConfigError(f"{name} must be {article}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str
@@ -338,6 +350,13 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # an int or float knob holds its annotated type; one that defaults
+        # to None may stay None
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind in ("int", "float") and not (optional and value is None):
+                _check_number(f.name, value, kind)
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.task not in MODELS[self.model].tasks:
@@ -349,6 +368,9 @@ class ExperimentConfig:
             extra = set(self.data) - {"kind", "seed", "n_months"}
             if extra or "seed" not in self.data:
                 raise ConfigError(f"bad synth data spec {self.data!r}")
+            for key in ("seed", "n_months"):
+                if key in self.data:
+                    _check_number(f"data.{key}", self.data[key], "int")
         elif kind == "csv":
             if set(self.data) != {"kind", "path"}:
                 raise ConfigError(f"bad csv data spec {self.data!r}")
@@ -358,6 +380,8 @@ class ExperimentConfig:
             set(self.selection) <= {"threshold", "top_k"}
         ):
             raise ConfigError("selection must set exactly one of threshold or top_k")
+        ((key, value),) = self.selection.items()
+        _check_number(f"selection.{key}", value, "int" if key == "top_k" else "float")
         if self.scaling not in (None, "standard", "minmax"):
             raise ConfigError(f"unknown scaling method {self.scaling!r}")
         if not 0.0 < self.split_fraction < 1.0:
@@ -456,25 +480,43 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(report.as_dict(), sort_keys=True, indent=1)
 
 
+# report.json keys; "probabilities" may also be null or absent
+_REPORT_KEYS = (
+    "config", "n_parameters", "selected_features", "details", "metrics",
+    "loss_history", "n_train", "n_test", "predictions",
+)
+
+
+def _report_list(doc, key, of_rows=False):
+    """``doc[key]`` as a tuple, of row tuples if ``of_rows``."""
+    value = doc[key]
+    if not isinstance(value, list) or (
+        of_rows and not all(isinstance(row, list) for row in value)
+    ):
+        raise DataFormatError(f"report {key} must be a list{' of rows' * of_rows}")
+    return tuple(map(tuple, value)) if of_rows else tuple(value)
+
+
 def report_from_json(text: str) -> ExperimentReport:
-    doc = json.loads(text)
-    return ExperimentReport(
-        config=doc["config"],
-        n_parameters=doc["n_parameters"],
-        selected_features=tuple(doc["selected_features"]),
-        details=doc["details"],
-        metrics=doc["metrics"],
-        loss_history=tuple(doc["loss_history"]),
-        n_train=doc["n_train"],
-        n_test=doc["n_test"],
-        predictions=tuple(tuple(row) for row in doc["predictions"]),
-        probabilities=(
-            tuple(tuple(row) for row in doc["probabilities"])
-            if doc.get("probabilities") is not None
-            else None
-        ),
-        wall_time_s=float("nan"),
-    )
+    """The report a report.json document holds; DataFormatError names what
+    is not JSON, missing or malformed."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DataFormatError(f"report is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"report must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in _REPORT_KEYS if key not in doc]
+    if missing:
+        raise DataFormatError(f"report lacks {', '.join(missing)}")
+    values = {key: doc[key] for key in _REPORT_KEYS}
+    values["selected_features"] = _report_list(doc, "selected_features")
+    values["loss_history"] = _report_list(doc, "loss_history")
+    values["predictions"] = _report_list(doc, "predictions", of_rows=True)
+    values["probabilities"] = None
+    if doc.get("probabilities") is not None:
+        values["probabilities"] = _report_list(doc, "probabilities", of_rows=True)
+    return ExperimentReport(**values, wall_time_s=float("nan"))
 
 
 def _stage(stages, name, fn, *args, **kwargs):
@@ -493,9 +535,7 @@ def _stage(stages, name, fn, *args, **kwargs):
 
 def _load_dataset(data_spec) -> Dataset:
     if data_spec["kind"] == "synth":
-        return synth_generate(
-            int(data_spec["seed"]), int(data_spec.get("n_months", 1000))
-        )
+        return synth_generate(data_spec["seed"], data_spec.get("n_months", 1000))
     dataset, _ = load_csv(data_spec["path"])
     return dataset
 

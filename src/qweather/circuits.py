@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import (
-    Gate,
-    Statevector,
-    _check_gate_shape,
-    _check_n_qubits,
-    apply_gate,
-    apply_matrix,
-    gate_matrix,
-    new_state,
-)
+from .qsim import GATE_ARITY, MAX_QUBITS, apply_matrix, gate_matrix
 
 TRANSFORMS = ("identity", "arctan", "arctan_square", "zz_product")
 
@@ -71,7 +62,16 @@ class CircuitOp:
     angles: tuple[AngleRef, ...] = ()
 
     def __post_init__(self):
-        _check_gate_shape(self.kind, self.targets, self.angles)
+        if self.kind not in GATE_ARITY:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        n_angles, n_targets = GATE_ARITY[self.kind]
+        if (len(self.angles), len(self.targets)) != (n_angles, n_targets):
+            raise ValueError(
+                f"{self.kind} takes {n_angles} angle(s) on {n_targets} qubit(s), "
+                f"got {len(self.angles)} on {self.targets}"
+            )
+        if len(set(self.targets)) != n_targets:
+            raise ValueError(f"duplicate target qubits {self.targets}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,10 @@ class Circuit:
     n_inputs: int
 
     def __post_init__(self):
-        _check_n_qubits(self.n_qubits)
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(
+                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
+            )
         for op in self.ops:
             for t in op.targets:
                 if not 0 <= t < self.n_qubits:
@@ -152,16 +155,14 @@ def _slot_array(circuit: Circuit, values, slot_kind: str) -> np.ndarray:
 
 
 def run_circuit_batch(
-    circuit: Circuit, params, inputs, angle_shifts=None, state=None, bound=None
+    circuit: Circuit, params, inputs, state=None, bound=None
 ) -> np.ndarray:
     """Amplitudes of shape batch + (2**n,) for batched params/inputs.
 
     ``params`` broadcasts as (..., n_trainable) against ``inputs``
-    (..., n_inputs).  ``angle_shifts`` maps (op_index, angle_position) to
-    an additive shift (scalar or batch-shaped), which is how parameter
-    shift evaluations are batched.  ``state`` (batch + (2**n,)) replaces
-    |0...0> as the starting amplitudes, so a circuit can run on the states
-    another circuit left; it is read, never written.
+    (..., n_inputs).  ``state`` (batch + (2**n,)) replaces |0...0> as the
+    starting amplitudes, so a circuit can run on the states another
+    circuit left; it is read, never written.
 
     A gate whose angles are the same for every row is built and applied
     as one shared matrix; only angles that vary by row become per-row
@@ -173,18 +174,16 @@ def run_circuit_batch(
     ``bound``, the binding ``autodiff.bind(circuit, theta, n_rows)`` of the
     trainable angles, applies each shared run of its plan as one product
     with the run's unitary U, rows @ U^T; ``params`` is then theta, or
-    theta[:, None, :] for a stacked (G, n_trainable) theta, and no angle is
-    shifted.  Unless ``state`` is given, the binding's product prefix (the
-    leading single-qubit gates without a trainable angle) is built as a
-    product state on the input rows.  Unbound calls, and a wide circuit's
-    binding, which has no run and no prefix, apply every gate.
+    theta[:, None, :] for a stacked (G, n_trainable) theta.  Unless
+    ``state`` is given, the binding's product prefix (the leading
+    single-qubit gates without a trainable angle) is built as a product
+    state on the input rows.  Unbound calls, and a wide circuit's binding,
+    which has no run and no prefix, apply every gate.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = _slot_array(circuit, inputs, "input")
     dim = 1 << circuit.n_qubits
     shapes = [theta.shape[:-1], x.shape[:-1]]
-    if angle_shifts:
-        shapes += [np.shape(s) for s in angle_shifts.values()]
     if state is None:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
@@ -200,7 +199,7 @@ def run_circuit_batch(
     runs, i = {}, 0
     if bound is not None:
         want = bound.theta if bound.theta.ndim == 1 else bound.theta[:, None, :]
-        if angle_shifts or bound.circuit != circuit or theta.shape != want.shape:
+        if bound.circuit != circuit or theta.shape != want.shape:
             raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
         runs = {run[0]: run[1:3] for shared, run in bound.plan if shared}
         if state is None and bound.prefix:
@@ -218,13 +217,8 @@ def run_circuit_batch(
         if not op.angles:
             mat = gate_matrix(op.kind)
         else:
-            angles = []
-            for pos, ref in enumerate(op.angles):
-                a = angle_values(ref, theta, x)
-                if angle_shifts and (i, pos) in angle_shifts:
-                    a = a + angle_shifts[(i, pos)]
-                angles.append(a)
-            mat = gate_matrix(op.kind, tuple(angles))
+            angles = tuple(angle_values(ref, theta, x) for ref in op.angles)
+            mat = gate_matrix(op.kind, angles)
             if mat.ndim > 2 and mat.shape[:-2] != amps.shape[:-1]:
                 wide = np.broadcast_shapes(amps.shape[:-1], mat.shape[:-2]) + (dim,)
                 amps = np.broadcast_to(amps, wide)
@@ -249,25 +243,6 @@ def _product_state(n_qubits: int, layers, x) -> np.ndarray:
     for q in range(1, n_qubits):
         amps = (amps[..., None] * v[..., q, None, :]).reshape(x.shape[:-1] + (-1,))
     return amps
-
-
-def bind_circuit(circuit: Circuit, params, inputs) -> list[Gate]:
-    """Concrete gate list with every angle transform evaluated."""
-    theta = _slot_array(circuit, params, "trainable").ravel()
-    x = _slot_array(circuit, inputs, "input").ravel()
-    gates = []
-    for op in circuit.ops:
-        angles = tuple(float(angle_values(ref, theta, x)) for ref in op.angles)
-        gates.append(Gate(op.kind, op.targets, angles))
-    return gates
-
-
-def bind_and_run(circuit: Circuit, params, inputs) -> Statevector:
-    """Apply the bound circuit to |0...0>."""
-    state = new_state(circuit.n_qubits)
-    for gate in bind_circuit(circuit, params, inputs):
-        state = apply_gate(state, gate)
-    return state
 
 
 def _no_angles(q):

@@ -231,11 +231,10 @@ class VqcClassifier:
         )
 
 
-def build_vqc_classifier(
-    n_features: int, n_classes: int, map_reps: int = 1, ansatz_reps: int = 3, seed=None
-) -> VqcClassifier:
-    feature_map = build_zz_feature_map(n_features, map_reps)
-    ansatz = build_real_amplitudes(n_features, ansatz_reps)
+def build_vqc_classifier(n_features: int, n_classes: int, seed=None) -> VqcClassifier:
+    """One repetition of the ZZ feature map, then real amplitudes with three."""
+    feature_map = build_zz_feature_map(n_features, 1)
+    ansatz = build_real_amplitudes(n_features, 3)
     return VqcClassifier(
         feature_map=feature_map,
         ansatz=ansatz,

@@ -56,22 +56,23 @@ _QLSTM_GROUP = QLSTM_GATES[:4]
 _QGRU_GROUP = QGRU_GATES[:2]
 
 
-def make_windows(features, target, window: int = 4, stride: int = 1):
+def make_windows(features, target, window: int = 4):
     """Sliding windows plus the value one step past each window.
 
     ``features`` is (n, d), ``target`` is (n,); returns X of shape
-    (m, window, d) and y of shape (m,) with y[i] = target[i * stride + window].
+    (m, window, d) and y of shape (m,) with y[i] = target[i + window], one
+    window starting at each row i < m = n - window.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     target = np.asarray(target, dtype=float).ravel()
     if features.shape[0] != target.size:
         raise ValueError("features and target must have equal length")
-    if window < 1 or stride < 1:
-        raise ValueError("window and stride must be >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
     n = target.size
     if n <= window:
         raise ValueError(f"need more than {window} rows, got {n}")
-    starts = range(0, n - window, stride)
+    starts = range(n - window)
     X = np.stack([features[s : s + window] for s in starts])
     y = np.array([target[s + window] for s in starts])
     return X, y

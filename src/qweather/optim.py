@@ -35,18 +35,12 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def adam_init(n_params: int, learning_rate: float = 0.01, **kwargs) -> AdamState:
-    return AdamState(
-        step=0,
-        first_moment=np.zeros(n_params),
-        second_moment=np.zeros(n_params),
-        learning_rate=learning_rate,
-        **kwargs,
-    )
+def adam_init(n_params: int, learning_rate: float = 0.01) -> AdamState:
+    return AdamState(0, np.zeros(n_params), np.zeros(n_params), learning_rate)
 
 
 def adam_step(state: AdamState, params, grad):
-    """One bias-corrected moment update; returns (new_state, new_params)."""
+    """One bias-corrected moment update; returns (next state, new params)."""
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if params.shape != grad.shape or params.shape != state.first_moment.shape:

@@ -21,7 +21,7 @@ class IllConditionedKernelError(Exception):
 
 
 def embed_states(X, feature_map: Circuit) -> np.ndarray:
-    """Statevectors of every row under the feature map, shape (n, 2**q)."""
+    """Amplitudes of every row under the feature map, shape (n, 2**q)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != feature_map.n_inputs:
         raise ValueError(

@@ -15,7 +15,6 @@ same products and sums as a slot-by-slot application of the matrix (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,73 +40,6 @@ _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
-
-
-def _check_gate_shape(kind, targets, angles):
-    """Raise ValueError unless ``kind`` is known and takes as many angles
-    and distinct targets as given."""
-    if kind not in GATE_ARITY:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    n_angles, n_targets = GATE_ARITY[kind]
-    if len(angles) != n_angles:
-        raise ValueError(f"{kind} takes {n_angles} angle(s), got {len(angles)}")
-    if len(targets) != n_targets:
-        raise ValueError(f"{kind} acts on {n_targets} qubit(s), got {len(targets)}")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits {targets}")
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A concrete gate: kind, bound angles (radians) and target qubits."""
-
-    kind: str
-    targets: tuple[int, ...]
-    angles: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        _check_gate_shape(self.kind, self.targets, self.angles)
-        if any(t < 0 for t in self.targets):
-            raise ValueError(f"negative target qubit in {self.targets}")
-
-    def inverse(self) -> "Gate":
-        """Inverse gate: angles negate; H/CNOT/CZ are self-inverse.
-
-        R3 additionally reverses its ZYZ angle order.
-        """
-        if self.kind == "R3":
-            a, b, g = self.angles
-            return Gate("R3", self.targets, (-g, -b, -a))
-        return Gate(self.kind, self.targets, tuple(-a for a in self.angles))
-
-
-@dataclass
-class Statevector:
-    """2**n_qubits complex amplitudes of an n-qubit register."""
-
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-
-def _check_n_qubits(n_qubits) -> int:
-    if not 1 <= int(n_qubits) <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    return int(n_qubits)
-
-
-def new_state(n_qubits: int) -> Statevector:
-    """All-zeros computational basis state |0...0>."""
-    n_qubits = _check_n_qubits(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(n_qubits, amps)
 
 
 def _rx(theta):
@@ -317,13 +249,6 @@ def apply_matrix(
     return out
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """New state with the gate's unitary applied."""
-    mat = gate_matrix(gate.kind, gate.angles)
-    amps = apply_matrix(state.amplitudes, state.n_qubits, gate.targets, mat)
-    return Statevector(state.n_qubits, amps)
-
-
 def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     """Eigenvalues (+1/-1) of Z on ``qubit`` over the computational basis."""
     idx = np.arange(1 << n_qubits)
@@ -338,7 +263,3 @@ def z_expectations(amps: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
     columns = [probs @ z_signs(n_qubits, q) for q in qubits]
     return np.stack(columns, axis=-1) if columns else np.zeros(probs.shape[:-1] + (0,))
 
-
-def probabilities(state: Statevector) -> np.ndarray:
-    """Computational-basis probabilities |amplitude_b|**2."""
-    return np.abs(state.amplitudes) ** 2

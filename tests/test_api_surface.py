@@ -13,12 +13,6 @@ import qweather
 
 # module.name of the public definitions no other package code references
 KEPT_FOR_TESTS = {
-    # gradient oracles and the statevector reference path
-    "autodiff.expectation",
-    "autodiff.finite_diff_grad",
-    "autodiff.param_shift_grad",
-    "circuits.bind_and_run",
-    "qsim.probabilities",
     # parameter counts the acceptance criteria pin
     "models_recurrent.qgru_param_count",
     "models_recurrent.qlstm_param_count",

@@ -96,6 +96,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(window=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"iters": 1.5},
+            {"epochs": True},
+            {"seed": 7.0},
+            {"window": "4"},
+            {"n_layers": False},
+            {"data": {"kind": "synth", "seed": 7.9, "n_months": 100}},
+            {"data": {"kind": "synth", "seed": 7, "n_months": 100.7}},
+            {"selection": {"top_k": 3.0}},
+            {"selection": {"threshold": "0.8"}},
+            {"selection": {"threshold": True}},
+            {"split_fraction": "0.5"},
+            {"C": "1"},
+            {"gamma": [1.0]},
+            {"lr": float("inf")},
+            {"C": float("nan")},
+            {"selection": {"threshold": float("-inf")}},
+            {"lr": None, "seed": None},
+        ],
+    )
+    def test_mistyped_numbers_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="must be an integer|must be a finite"):
+            tiny_config(**overrides)
+
+    def test_numbers_of_either_type_accepted_where_real(self):
+        cfg = tiny_config(C=2, gamma=1, lr=None, selection={"threshold": 1})
+        assert (cfg.C, cfg.gamma, cfg.lr, cfg.selection["threshold"]) == (2, 1, None, 1)
+
     def test_dict_round_trip(self):
         cfg = tiny_config(model="qsvm", C=2.5)
         again = config_from_dict(config_to_dict(cfg))

@@ -139,6 +139,27 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("iters", 1.5, "iters must be an integer, got 1.5"),
+            ("epochs", True, "epochs must be an integer, got True"),
+            ("C", "1", "C must be a finite number, got '1'"),
+            ("data", {"kind": "synth", "seed": 7.9}, "data.seed must be an integer"),
+        ],
+    )
+    def test_mistyped_number_exit_2(
+        self, tmp_path, svc_config, capsys, key, value, message
+    ):
+        doc = json.loads(open(svc_config).read())
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -248,6 +269,22 @@ class TestPlotData:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "time,actual_K,predicted_K"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("time,actual\n", "report is not valid JSON"),
+            ("[1, 2]", "report must be a JSON object, got list"),
+            ('{"config": {}}', "report lacks n_parameters, selected_features"),
+        ],
+        ids=["not_json", "list", "no_fields"],
+    )
+    def test_not_a_report_exit_3(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_classification_without_flag_exit_2(self, svc_config, tmp_path, capsys):
         run_dir = tmp_path / "cls"

@@ -168,13 +168,6 @@ class TestWindows:
         assert y[0] == target[4]
         assert y[-1] == target[9]
 
-    def test_stride_two(self):
-        features = np.arange(12, dtype=float)[:, None]
-        target = np.arange(12, dtype=float)
-        X, y = make_windows(features, target, window=4, stride=2)
-        assert X.shape[0] == 4
-        assert list(y) == [4.0, 6.0, 8.0, 10.0]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             make_windows(np.zeros((5, 1)), np.zeros(4))

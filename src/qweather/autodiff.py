@@ -42,20 +42,7 @@ from .circuits import (
     angle_values,
     run_circuit_batch,
 )
-from .qsim import apply_matrix, gate_matrix, z_expectations, z_signs
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]])
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# Pauli generator P of each single-angle rotation exp(-i*theta*P/2).
-_GENERATORS = {
-    "RX": _X,
-    "RY": _Y,
-    "RZ": _Z,
-    "RXX": np.kron(_X, _X),
-    "RYY": np.kron(_Y, _Y),
-    "RZZ": np.kron(_Z, _Z),
-}
+from .qsim import GENERATORS, apply_matrix, gate_matrix, z_expectations, z_signs
 
 
 def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
@@ -86,7 +73,7 @@ def _embedded(kind: str, n_qubits: int, targets) -> np.ndarray:
     """Dense 2**n operator of a rotation's Pauli generator, or of a fixed
     (self-inverse) gate, on ``targets``, the first target its most
     significant bit: (2, 0) embeds unlike (0, 2)."""
-    mat = _GENERATORS[kind] if kind in _GENERATORS else gate_matrix(kind)
+    mat = GENERATORS[kind] if kind in GENERATORS else gate_matrix(kind)
     idx = np.arange(1 << n_qubits)
     shifts = [n_qubits - 1 - t for t in targets][::-1]
     sub = sum((idx >> s & 1) << q for q, s in enumerate(shifts))
@@ -305,7 +292,7 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
         angle = ()
         if ref is not None:
             angle = (angle_values(ref, theta_rows, x),)
-            p_psi = apply_matrix(pair[0], n, targets, _GENERATORS[kind])
+            p_psi = apply_matrix(pair[0], n, targets, GENERATORS[kind])
             overlap = np.einsum("...i,...i->...", pair[1].conj(), p_psi).imag
             for slot_kind, idx, factor in angle_partials(ref, theta_rows, x):
                 term = factor * overlap
@@ -328,7 +315,7 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
         r, xs = rho[:, qubits], x[:, slots, None]
         if ref is not None:
             # dL/da = Im<lambda|P|psi> = Im Tr(P rho_q)
-            dl_da = np.einsum("ij,...ji->...", _GENERATORS[kind], r).imag
+            dl_da = np.einsum("ij,...ji->...", GENERATORS[kind], r).imag
             [(_, _, factor)] = angle_partials(ref, None, xs)
             d_inputs[:, slots] += factor * dl_da
         if k and kind == "RZ":

@@ -9,7 +9,14 @@ instead, with the wall time of each stage.
 
 Each model is one ``ModelSpec`` entry in ``MODELS``: the tasks it
 supports, its default knobs, whether it trains on windows or on rows, and
-the function that fits it.
+the function that fits it.  Every fit function builds its model from the
+config's seed; the trainers start from the parameters they are handed.
+
+A regression target has one scale: the harness min-max scales the target
+column on the training slice, every regression model trains on and
+predicts in that [0, 1] space, and ``*_mse_scaled`` is measured there.
+Kelvin metrics and predictions map the model's outputs back with the same
+scaler and compare them with the dataset's own target values.
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ from .qkernel import (
     svm_train,
 )
 from .weather import (
-    ColumnScaler,
     DataFormatError,
     Dataset,
     bin_target,
@@ -93,10 +99,6 @@ class PipelineError(Exception):
 DENSE_BUDGETS = {3: 21, 4: 48}
 
 
-def _same(values):
-    return values
-
-
 @dataclass(frozen=True)
 class Fitted:
     """A trained model as the harness scores it; it sets one of two scorers.
@@ -104,8 +106,8 @@ class Fitted:
     A probabilistic classifier sets ``probabilities``, the class
     probabilities of a batch, and its labels are their argmax, ties to the
     lowest class.  Regression models and kernel machines set ``predict``:
-    values in the units of the targets the fit was given, or labels.
-    ``to_scaled`` maps regression targets into the model's training space.
+    values in the [0, 1] space of the scaled targets the fit was given, or
+    labels.
     """
 
     n_params: int
@@ -113,7 +115,6 @@ class Fitted:
     history: list
     predict: Callable | None = None
     probabilities: Callable | None = None
-    to_scaled: Callable = _same
 
 
 # The fit functions call other modules' functions through this module's
@@ -138,9 +139,7 @@ def _sel_circuit(cfg, n_feats):
 def _fit_qnn(circuit_for, cfg, X_train, y_train):
     circuit = circuit_for(cfg, X_train.shape[1])
     model = build_qnn(circuit, cfg.task, seed=cfg.seed)
-    model, history = qnn_train(
-        model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
-    )
+    model, history = qnn_train(model, (X_train, y_train), epochs=cfg.epochs, lr=cfg.lr)
 
     regression = cfg.task == "regression"
     return Fitted(
@@ -149,14 +148,13 @@ def _fit_qnn(circuit_for, cfg, X_train, y_train):
         n_params=circuit.n_trainable,
         details={"circuit": circuit.name, "lr": cfg.lr},
         history=history,
-        to_scaled=model.target_scaler.to_scaled if regression else _same,
     )
 
 
 def _fit_vqc(cfg, X_train, y_train):
     n_classes = 3 if cfg.task == "ternary" else 2
     clf = build_vqc_classifier(X_train.shape[1], n_classes, seed=cfg.seed)
-    clf, history = vqc_train(clf, (X_train, y_train), iters=cfg.iters, seed=cfg.seed)
+    clf, history = vqc_train(clf, (X_train, y_train), iters=cfg.iters)
     return Fitted(
         probabilities=lambda X: vqc_probabilities(clf, X),
         n_params=clf.ansatz.n_trainable,
@@ -175,23 +173,15 @@ def _fit_nn(cfg, X_train, y_train):
         raise ValueError(f"no parameter budget defined for {n_feats} features")
     budget = DENSE_BUDGETS[n_feats]
     model = build_dense_baseline(budget, n_feats, cfg.task, seed=cfg.seed)
-    scaler = None
-    if cfg.task == "regression":
-        # regression trains on targets min-max scaled over the training slice
-        scaler = ColumnScaler("minmax", float(y_train.min()), float(y_train.max()))
-        y_train = scaler.transform(y_train)
-    model, history = dense_train(
-        model, (X_train, y_train), epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr
-    )
+    model, history = dense_train(model, (X_train, y_train), epochs=cfg.epochs, lr=cfg.lr)
 
-    regression = scaler is not None
+    regression = cfg.task == "regression"
     return Fitted(
-        predict=(lambda X: scaler.inverse(dense_predict(model, X))) if regression else None,
+        predict=(lambda X: dense_predict(model, X)) if regression else None,
         probabilities=None if regression else (lambda X: dense_probabilities(model, X)),
         n_params=budget,
         details={"layer_sizes": list(model.layer_sizes), "budget": budget, "lr": cfg.lr},
         history=history,
-        to_scaled=scaler.transform if regression else _same,
     )
 
 
@@ -243,7 +233,7 @@ def _fit_recurrent(build, cfg, X_train, y_train):
     else:
         details = {"hidden_size": model.hidden_size}
     model, history = train_sequence_model(
-        model, X_train, y_train, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed
+        model, X_train, y_train, epochs=cfg.epochs, lr=cfg.lr
     )
     details.update(window=cfg.window, lr=cfg.lr)
     return Fitted(
@@ -259,8 +249,8 @@ class ModelSpec:
     """One model: the tasks it supports, its defaults and how it is fitted.
 
     ``fit(cfg, X_train, y_train)`` takes a normalized config and returns a
-    ``Fitted``.  A ``windows`` model trains on (n, window, features) arrays
-    against min-max scaled targets; the others train on feature rows.
+    ``Fitted``.  A ``windows`` model trains on (n, window, features) arrays;
+    the others train on feature rows.
     Defaults left None stay unset in the config.
     """
 
@@ -295,22 +285,26 @@ MODELS = {
     "nn": ModelSpec(_ANY_TASK, _fit_nn, epochs=300, lr=0.05),
     "qlstm": ModelSpec(
         _REGRESS,
-        partial(_fit_recurrent, lambda cfg, d: build_qlstm(d, 4, cfg.n_layers)),
+        partial(
+            _fit_recurrent, lambda cfg, d: build_qlstm(d, 4, cfg.n_layers, seed=cfg.seed)
+        ),
         epochs=50, lr=0.05, n_layers=2, windows=True,
     ),
     "qgru": ModelSpec(
         _REGRESS,
-        partial(_fit_recurrent, lambda cfg, d: build_qgru(d, 4, cfg.n_layers)),
+        partial(
+            _fit_recurrent, lambda cfg, d: build_qgru(d, 4, cfg.n_layers, seed=cfg.seed)
+        ),
         epochs=20, lr=0.05, n_layers=2, windows=True,
     ),
     "lstm": ModelSpec(
         _REGRESS,
-        partial(_fit_recurrent, lambda cfg, d: build_classical_lstm(d, 8)),
+        partial(_fit_recurrent, lambda cfg, d: build_classical_lstm(d, 8, seed=cfg.seed)),
         epochs=150, lr=0.02, windows=True,
     ),
     "gru": ModelSpec(
         _REGRESS,
-        partial(_fit_recurrent, lambda cfg, d: build_classical_gru(d, 16)),
+        partial(_fit_recurrent, lambda cfg, d: build_classical_gru(d, 16, seed=cfg.seed)),
         epochs=150, lr=0.02, windows=True,
     ),
 }
@@ -548,28 +542,29 @@ def _mse(a, b) -> float:
     return float(np.mean((np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) ** 2))
 
 
-def _rows(stages, cfg, dataset, feats, split):
-    """Feature rows and their temperatures, or class labels."""
+def _prepare(stages, cfg, dataset, feats, split):
+    """(X, y, rows, scaler): the model inputs, feature rows or windows of
+    past rows; the targets the fit is handed, class labels or temperatures
+    min-max scaled on the training slice; rows[i], the dataset row whose
+    target y[i] is; and the target's scaler, None for labels."""
     scaled = _stage(stages, "scale", scale, dataset, feats, cfg.scaling, split)
-    y = dataset.target()
-    if cfg.task != "regression":
-        y = _stage(stages, "bin", bin_target, y, cfg.task)
-    return scaled.feature_matrix(feats), y, np.arange(dataset.n_rows), _same
-
-
-def _windows(stages, cfg, dataset, feats, split):
-    """Windows of past rows and the next temperature, min-max scaled."""
-    target = dataset.target_name
-    scaled = _stage(stages, "scale", scale, dataset, feats, cfg.scaling, split)
-    scaled = _stage(stages, "scale", scale, scaled, [target], "minmax", split)
-    F = scaled.feature_matrix(feats)
-    X, y = _stage(stages, "window", make_windows, F, scaled.target(), cfg.window)
+    scaler = None
+    if cfg.task == "regression":
+        target = dataset.target_name
+        scaled = _stage(stages, "scale", scale, scaled, [target], "minmax", split)
+        y, scaler = scaled.target(), scaled.scaling_state[target]
+    else:
+        y = _stage(stages, "bin", bin_target, dataset.target(), cfg.task)
+    X = scaled.feature_matrix(feats)
+    if not MODELS[cfg.model].windows:
+        return X, y, np.arange(dataset.n_rows), scaler
+    X, y = _stage(stages, "window", make_windows, X, y, cfg.window)
     rows = np.arange(cfg.window, dataset.n_rows)
     if not rows[0] < split <= rows[-1]:
         raise PipelineError(
             "window", ValueError("split leaves an empty train or test window set")
         )
-    return X, y, rows, scaled.scaling_state[target].inverse
+    return X, y, rows, scaler
 
 
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
@@ -582,9 +577,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     corr = _stage(stages, "correlate", correlation_report, dataset)
     feats = _stage(stages, "select", select_features, corr, **cfg.selection)
     split = int(math.floor(dataset.n_rows * cfg.split_fraction))
-    prepare = _windows if spec.windows else _rows
-    # rows[i] is the dataset row whose target y[i] is
-    X, y, rows, to_kelvin = prepare(stages, cfg, dataset, feats, split)
+    X, y, rows, scaler = _prepare(stages, cfg, dataset, feats, split)
     train = rows < split
     X_train, y_train, X_test, y_test = X[train], y[train], X[~train], y[~train]
     fitted = _stage(stages, "train", spec.fit, cfg, X_train, y_train)
@@ -597,15 +590,16 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         P_test = fitted.probabilities(X_test)
         pred_test = np.argmax(P_test, axis=1)
         probabilities = tuple(tuple(float(v) for v in row) for row in P_test)
-    if cfg.task == "regression":
-        to_scaled = fitted.to_scaled
+    if scaler is not None:
+        kelvin = dataset.target()[rows]
+        predicted = scaler.inverse(pred_test)
         metrics = {
-            "train_mse_scaled": _mse(to_scaled(pred_train), to_scaled(y_train)),
-            "test_mse_scaled": _mse(to_scaled(pred_test), to_scaled(y_test)),
-            "train_mse_kelvin": _mse(to_kelvin(pred_train), to_kelvin(y_train)),
-            "test_mse_kelvin": _mse(to_kelvin(pred_test), to_kelvin(y_test)),
+            "train_mse_scaled": _mse(pred_train, y_train),
+            "test_mse_scaled": _mse(pred_test, y_test),
+            "train_mse_kelvin": _mse(scaler.inverse(pred_train), kelvin[train]),
+            "test_mse_kelvin": _mse(predicted, kelvin[~train]),
         }
-        actual, predicted, value = to_kelvin(y_test), to_kelvin(pred_test), float
+        actual, value = kelvin[~train], float
     else:
         metrics = {
             "train_accuracy": _accuracy(pred_train, y_train),

@@ -1,7 +1,8 @@
 """Feed-forward quantum models and their parameter-matched dense baselines.
 
-QnnModel reads per-qubit Z expectations off a reuploading circuit:
-regression inverts an affine target map, binary classification uses
+QnnModel reads per-qubit Z expectations off a reuploading circuit.
+Regression takes targets already scaled to [0, 1], trains <Z> against
+2y - 1 and predicts (<Z> + 1)/2; binary classification uses
 p(class 1) = (1 - <Z>)/2, ternary applies softmax over three readouts.
 VqcClassifier runs a trainable ansatz behind a feature map and aggregates
 basis-state probabilities by a readout rule (bitstring parity for binary,
@@ -56,34 +57,11 @@ def _softmax(z):
 
 
 @dataclass(frozen=True)
-class TargetScaler:
-    """Affine map between original target units and [-1, 1]."""
-
-    lo: float
-    hi: float
-
-    @classmethod
-    def fit(cls, y) -> "TargetScaler":
-        y = np.asarray(y, dtype=float)
-        lo, hi = float(y.min()), float(y.max())
-        if hi <= lo:
-            lo, hi = lo - 1.0, hi + 1.0
-        return cls(lo, hi)
-
-    def to_scaled(self, y):
-        return 2.0 * (np.asarray(y, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
-
-    def from_scaled(self, z):
-        return (np.asarray(z, dtype=float) + 1.0) * (self.hi - self.lo) / 2.0 + self.lo
-
-
-@dataclass(frozen=True)
 class QnnModel:
     circuit: Circuit
     params: np.ndarray
     task: str
     readout: tuple
-    target_scaler: TargetScaler | None = None
 
     def __post_init__(self):
         if self.task not in ("regression", "binary", "ternary"):
@@ -131,11 +109,11 @@ def qnn_probabilities(model: QnnModel, X) -> np.ndarray:
 
 
 def qnn_predict(model: QnnModel, X):
-    """Values in target units (regression), or the probabilities' argmax labels."""
+    """Values in the [0, 1] target space (regression), or the probabilities'
+    argmax labels."""
     if model.task != "regression":
         return np.argmax(qnn_probabilities(model, X), axis=1)
-    scaler = model.target_scaler or TargetScaler(-1.0, 1.0)
-    return scaler.from_scaled(qnn_expectations(model, X)[:, 0])
+    return (qnn_expectations(model, X)[:, 0] + 1.0) / 2.0
 
 
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
@@ -166,12 +144,9 @@ def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     return loss, grad
 
 
-def qnn_train(model: QnnModel, dataset, epochs: int, seed=None, lr: float = 0.01):
-    """Full-batch Adam on MSE (regression, scaled space) or cross-entropy.
-
-    When ``seed`` is given the parameters are re-initialized from it, so
-    identical seeds give identical loss histories.
-    """
+def qnn_train(model: QnnModel, dataset, epochs: int, lr: float = 0.01):
+    """Full-batch Adam from the model's parameters, on the MSE of <Z>
+    against 2y - 1 (regression, y in [0, 1]) or on cross-entropy."""
     X, y = dataset
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -179,12 +154,8 @@ def qnn_train(model: QnnModel, dataset, epochs: int, seed=None, lr: float = 0.01
         raise ValueError("dataset is empty")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if seed is not None:
-        model = replace(model, params=init_params(model.circuit.n_trainable, seed))
     if model.task == "regression":
-        scaler = model.target_scaler or TargetScaler.fit(y)
-        model = replace(model, target_scaler=scaler)
-        y_enc = scaler.to_scaled(y)
+        y_enc = 2.0 * y - 1.0
     else:
         y_enc = y
         n_classes = 3 if model.task == "ternary" else 2
@@ -277,8 +248,9 @@ def vqc_probabilities(clf: VqcClassifier, X) -> np.ndarray:
     return _vqc_class_probabilities(clf, clf.params, *_vqc_fixed_part(clf, X))
 
 
-def vqc_train(clf: VqcClassifier, dataset, iters: int = 150, seed=None):
-    """Derivative-free training of the ansatz on mean cross-entropy.
+def vqc_train(clf: VqcClassifier, dataset, iters: int = 150):
+    """Derivative-free training of the ansatz on mean cross-entropy, from
+    the classifier's parameters.
 
     The feature-map states, readout masks and row index are built once per
     fit; each COBYLA evaluation runs only the ansatz.
@@ -290,9 +262,6 @@ def vqc_train(clf: VqcClassifier, dataset, iters: int = 150, seed=None):
         raise ValueError("dataset is empty")
     if np.any((y < 0) | (y >= clf.n_classes)):
         raise ValueError(f"labels must be in [0, {clf.n_classes})")
-    theta0 = (
-        init_params(clf.ansatz.n_trainable, seed) if seed is not None else clf.params
-    )
     states, masks = _vqc_fixed_part(clf, X)
     rows = np.arange(len(y))
     history = []
@@ -304,7 +273,7 @@ def vqc_train(clf: VqcClassifier, dataset, iters: int = 150, seed=None):
         history.append(loss)
         return loss
 
-    result = cobyla_minimize(objective, theta0, max_iters=iters)
+    result = cobyla_minimize(objective, clf.params, max_iters=iters)
     return replace(clf, params=result.x_best), history
 
 
@@ -434,8 +403,9 @@ def _dense_loss_and_grad(model: DenseBaseline, X, y):
     return loss, np.concatenate(pieces)
 
 
-def dense_train(model: DenseBaseline, dataset, epochs: int, seed=None, lr: float = 0.01):
-    """Full-batch Adam; mirrors the quantum training interface."""
+def dense_train(model: DenseBaseline, dataset, epochs: int, lr: float = 0.01):
+    """Full-batch Adam from the model's parameters; mirrors the quantum
+    training interface."""
     X, y = dataset
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -443,9 +413,6 @@ def dense_train(model: DenseBaseline, dataset, epochs: int, seed=None, lr: float
         raise ValueError("dataset is empty")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        model = replace(model, params=rng.uniform(-0.5, 0.5, size=model.params.size))
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []
@@ -463,11 +430,6 @@ def qnn_to_json(model: QnnModel, seed=None) -> str:
         "task": model.task,
         "readout": list(model.readout),
         "values": model.params.tolist(),
-        "scaler": (
-            [model.target_scaler.lo, model.target_scaler.hi]
-            if model.target_scaler
-            else None
-        ),
         "seed": seed,
     }
     return json.dumps(doc, sort_keys=True)
@@ -477,13 +439,11 @@ def qnn_from_json(text: str) -> QnnModel:
     doc = json.loads(text)
     if doc.get("kind") != "qnn":
         raise ValueError("not a qnn document")
-    scaler = TargetScaler(*doc["scaler"]) if doc.get("scaler") else None
     return QnnModel(
         circuit=circuit_from_name(doc["layout"]),
         params=np.asarray(doc["values"], dtype=float),
         task=doc["task"],
         readout=tuple(doc["readout"]),
-        target_scaler=scaler,
     )
 
 

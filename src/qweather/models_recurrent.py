@@ -551,20 +551,15 @@ def sequence_loss_and_grad(model, X, y):
     return float(np.mean(resid**2)), backward(model, steps, head_in, dy)
 
 
-def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01, seed=None):
-    """Adam on next-step MSE; targets are expected already scaled.
-
-    Passing ``seed`` re-initializes the parameters first, so a fixed seed
-    reproduces the loss history exactly.
-    """
+def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01):
+    """Adam on next-step MSE from the model's parameters; targets are
+    expected already scaled."""
     X = np.asarray(windows, dtype=float)
     y = np.asarray(targets, dtype=float).ravel()
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if X.ndim != 3 or X.shape[0] == 0:
         raise ValueError("windows must be a non-empty (batch, steps, features) array")
-    if seed is not None:
-        model = replace(model, params=_initial_params(_layout_key(model), seed))
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []

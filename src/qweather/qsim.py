@@ -41,6 +41,19 @@ _CNOT = np.array(
 )
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]])
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Pauli generator P of each single-angle rotation exp(-i*theta*P/2).
+GENERATORS = {
+    "RX": _X,
+    "RY": _Y,
+    "RZ": _Z,
+    "RXX": np.kron(_X, _X),
+    "RYY": np.kron(_Y, _Y),
+    "RZZ": np.kron(_Z, _Z),
+}
+
 
 def _rx(theta):
     t = np.asarray(theta, dtype=float)

@@ -254,7 +254,11 @@ def select_features(
     threshold: float | None = None,
     top_k: int | None = None,
 ) -> list:
-    """Feature names meeting the rule, descending |r|, alphabetical ties."""
+    """Feature names meeting the rule, descending |r|, alphabetical ties.
+
+    ``top_k`` may not exceed the number of ranked features; a report that
+    ranks none is an EmptySelectionError under either rule.
+    """
     if (threshold is None) == (top_k is None):
         raise ValueError("give exactly one of threshold or top_k")
     ranking = report.ranking()
@@ -263,6 +267,8 @@ def select_features(
     else:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if 0 < len(ranking) < top_k:
+            raise ValueError(f"top_k={top_k} exceeds the {len(ranking)} ranked features")
         chosen = ranking[:top_k]
     if not chosen:
         rule = f"threshold {threshold}" if top_k is None else f"top_k={top_k}"

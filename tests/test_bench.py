@@ -23,7 +23,7 @@ from qweather.bench import (
     report_to_json,
     run,
 )
-from qweather.weather import EmptySelectionError
+from qweather.weather import EmptySelectionError, synth_generate
 
 TINY = {"kind": "synth", "seed": 3, "n_months": 96}
 
@@ -271,6 +271,23 @@ class TestRegressionRuns:
         assert rep.details["n_circuit_params"] == 72
         assert len(rep.loss_history) == 2
         assert rep.metrics["test_mse_scaled"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "model", ["qnn-ising", "qnn-sel", "nn", "qlstm", "qgru", "lstm", "gru"]
+)
+def test_regression_metrics_share_one_target_scale(model):
+    # every regression model trains on the target min-max scaled on the
+    # training slice, so kelvin MSE is scaled MSE times that slice's range
+    # squared
+    rep = run(tiny_config(model=model, task="regression", epochs=2))
+    target = synth_generate(TINY["seed"], TINY["n_months"]).target()
+    fit = target[: math.floor(TINY["n_months"] * 0.8)]
+    span2 = (fit.max() - fit.min()) ** 2
+    m = rep.metrics
+    for split in ("train", "test"):
+        ratio = m[f"{split}_mse_kelvin"] / m[f"{split}_mse_scaled"]
+        assert ratio == pytest.approx(span2, rel=1e-9), split
 
 
 METRIC_KEYS = {

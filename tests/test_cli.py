@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,44 @@ class TestRun:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 3
+
+    def test_top_k_beyond_the_features_exit_2(self, tmp_path, synth_csv, capsys):
+        doc = {
+            "model": "svc",
+            "task": "binary",
+            "data": {"kind": "csv", "path": synth_csv},
+            "selection": {"top_k": 99},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "select: top_k=99 exceeds the 12 ranked features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["qnn-sel", "nn", "lstm"])
+    def test_target_constant_on_training_slice_exit_3(self, tmp_path, capsys, model):
+        # 60 months, split at 48: t2m holds still for the first 48, so the
+        # harness cannot scale it, whatever the model
+        rows = ["time,t2m,a,b,c"]
+        for i in range(60):
+            t = 290.0 + max(0, i - 47)
+            rows.append(
+                f"{2000 + i // 12}-{i % 12 + 1:02d}-01,{t},"
+                f"{t + 0.1 * math.sin(i)},{-t + 0.1 * math.cos(i)},{t + 0.01 * i}"
+            )
+        data = tmp_path / "flat.csv"
+        data.write_text("\n".join(rows) + "\n")
+        doc = {
+            "model": model,
+            "task": "regression",
+            "data": {"kind": "csv", "path": str(data)},
+            "selection": {"top_k": 3},
+            "epochs": 2,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "scale: column t2m is constant on the fit slice" in err
 
     def test_out_dir_that_is_a_file_exit_3(self, svc_config, tmp_path, capsys):
         # FileExistsError once the run tries to make its artifact directory

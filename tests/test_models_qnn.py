@@ -22,7 +22,6 @@ from qweather.circuits import (
 from qweather.models_qnn import (
     DenseBaseline,
     QnnModel,
-    TargetScaler,
     VqcClassifier,
     build_dense_baseline,
     build_qnn,
@@ -60,17 +59,26 @@ def _ry_ansatz():
     )
 
 
-class TestTargetScaler:
-    def test_round_trip(self):
-        scaler = TargetScaler.fit([280.0, 300.0, 320.0])
-        y = np.array([280.0, 290.0, 320.0])
-        z = scaler.to_scaled(y)
-        assert np.allclose(z, [-1.0, -0.5, 1.0])
-        assert np.allclose(scaler.from_scaled(z), y)
+class TestRegressionEncoding:
+    # a regression QNN is handed targets y in [0, 1]: it fits <Z> to 2y - 1
+    # and predicts (<Z> + 1)/2
 
-    def test_constant_target_maps_to_midpoint(self):
-        scaler = TargetScaler.fit([5.0, 5.0, 5.0])
-        assert np.allclose(scaler.to_scaled([5.0, 5.0]), 0.0)
+    def test_training_fits_z_to_twice_the_target_less_one(self):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(-1, 1, size=(9, 2))
+        y = rng.uniform(0, 1, size=9)
+        model = build_qnn(build_reuploading_sel(2, 2), "regression", seed=15)
+        _, history = qnn_train(model, (X, y), epochs=1)
+        assert history == [_qnn_loss_and_grad(model, X, 2.0 * y - 1.0)[0]]
+        z = qnn_expectations(model, X)[:, 0]
+        assert history[0] == pytest.approx(np.mean((z - (2.0 * y - 1.0)) ** 2), rel=1e-12)
+
+    def test_prediction_is_half_of_z_plus_one(self):
+        rng = np.random.default_rng(16)
+        X = rng.uniform(-1, 1, size=(7, 3))
+        model = build_qnn(build_reuploading_ising(3, 2), "regression", seed=16)
+        z = qnn_expectations(model, X)[:, 0]
+        assert same_bytes(qnn_predict(model, X), (z + 1.0) / 2.0)
 
 
 # one sample with no features, for the circuits that take no inputs
@@ -105,15 +113,15 @@ class TestQnnForward:
         assert qnn_predict(model, NO_INPUT).tolist() == [int(np.argmax(probs[0]))]
 
     def test_regression_unscales_readout(self):
-        scaler = TargetScaler(10.0, 20.0)
+        # <Z> = 0 is the middle of the [0, 1] target space
         model = QnnModel(
             circuit=build_real_amplitudes(2, 0),
             params=np.array([np.pi / 2, 0.0]),
             task="regression",
             readout=(0,),
-            target_scaler=scaler,
         )
-        assert qnn_predict(model, NO_INPUT) == pytest.approx([15.0], abs=1e-12)
+        assert qnn_predict(model, NO_INPUT) == pytest.approx([0.5], abs=1e-12)
+        assert qnn_predict(replace(model, params=np.zeros(2)), NO_INPUT) == [1.0]
 
     def test_feature_count_checked(self):
         model = build_qnn(build_reuploading_sel(4, 2), "regression")
@@ -174,19 +182,18 @@ class TestQnnTrain:
     def test_sine_regression_converges(self):
         x = np.linspace(-1.0, 1.0, 64)
         X = np.repeat(x[:, None], 4, axis=1)
-        y = np.sin(np.pi * x)
+        y = (np.sin(np.pi * x) + 1.0) / 2.0
         model = build_qnn(build_reuploading_sel(4, 4), "regression", seed=0)
-        model, history = qnn_train(model, (X, y), epochs=220, seed=0, lr=0.08)
+        model, history = qnn_train(model, (X, y), epochs=220, lr=0.08)
         assert history[-1] < 0.01
-        scaled_pred = model.target_scaler.to_scaled(qnn_predict(model, X))
-        scaled_true = model.target_scaler.to_scaled(y)
-        assert np.mean((scaled_pred - scaled_true) ** 2) < 0.01
+        # <Z> spans twice the target's range, so its MSE is four times as large
+        assert np.mean((qnn_predict(model, X) - y) ** 2) < 0.01 / 4
 
     def test_constant_target_reaches_near_zero_loss(self):
         X = np.repeat(np.linspace(-1, 1, 16)[:, None], 2, axis=1)
-        y = np.full(16, 7.5)
+        y = np.full(16, 0.75)
         model = build_qnn(build_reuploading_sel(2, 2), "regression", seed=1)
-        model, history = qnn_train(model, (X, y), epochs=150, seed=1, lr=0.05)
+        model, history = qnn_train(model, (X, y), epochs=150, lr=0.05)
         assert history[-1] < 1e-3
 
     def test_separated_binary_classes(self):
@@ -196,7 +203,7 @@ class TestQnnTrain:
         X = np.concatenate([x0, x1])[:, None].repeat(2, axis=1)
         y = np.concatenate([np.zeros(12), np.ones(12)])
         model = build_qnn(build_reuploading_sel(2, 2), "binary", seed=2)
-        model, history = qnn_train(model, (X, y), epochs=120, seed=2, lr=0.1)
+        model, history = qnn_train(model, (X, y), epochs=120, lr=0.1)
         assert history[-1] < history[0]
         assert np.mean(qnn_predict(model, X) == y) == 1.0
 
@@ -213,10 +220,10 @@ class TestQnnTrain:
         rng = np.random.default_rng(9)
         X = rng.uniform(-1, 1, size=(10, 3))
         y = rng.integers(0, 3, size=10)
-        model = build_qnn(build_reuploading_ising(3, 2), "ternary")
-        _, h1 = qnn_train(model, (X, y), epochs=5, seed=42)
-        _, h2 = qnn_train(model, (X, y), epochs=5, seed=42)
-        _, h3 = qnn_train(model, (X, y), epochs=5, seed=43)
+        circuit = build_reuploading_ising(3, 2)
+        _, h1 = qnn_train(build_qnn(circuit, "ternary", seed=42), (X, y), epochs=5)
+        _, h2 = qnn_train(build_qnn(circuit, "ternary", seed=42), (X, y), epochs=5)
+        _, h3 = qnn_train(build_qnn(circuit, "ternary", seed=43), (X, y), epochs=5)
         assert h1 == h2
         assert h1 != h3
 
@@ -225,8 +232,8 @@ class TestQnnTrain:
         rng = np.random.default_rng(10)
         X = rng.uniform(-1, 1, size=(6, 3))
         y = rng.integers(0, 3 if task == "ternary" else 2, size=6)
-        model = build_qnn(build_reuploading_ising(3, 1), task)
-        qnn_train(model, (X, y), epochs=1, seed=10)
+        model = build_qnn(build_reuploading_ising(3, 1), task, seed=10)
+        qnn_train(model, (X, y), epochs=1)
         assert circuit_sweeps == [model.circuit.name]
 
     @pytest.mark.parametrize("task", ["regression", "binary", "ternary"])
@@ -234,8 +241,8 @@ class TestQnnTrain:
         rng = np.random.default_rng(11)
         X = rng.uniform(-1, 1, size=(6, 4))
         y = rng.integers(0, 3 if task == "ternary" else 2, size=6)
-        model = build_qnn(build_reuploading_sel(4, 2), task)
-        qnn_train(model, (X, y), epochs=3, seed=11)
+        model = build_qnn(build_reuploading_sel(4, 2), task, seed=11)
+        qnn_train(model, (X, y), epochs=3)
         assert len(fresh_forward_vjps) == 3
 
     def test_empty_dataset_rejected(self):
@@ -302,7 +309,7 @@ class TestVqcClassifier:
         clf = VqcClassifier(
             feature_map=build_z_feature_map(1, 1),
             ansatz=_ry_ansatz(),
-            params=np.zeros(1),
+            params=init_params(1, 1),
             n_classes=2,
             readout_rule="parity",
         )
@@ -310,7 +317,7 @@ class TestVqcClassifier:
         x = np.concatenate([np.zeros(10), np.full(10, np.pi / 2)])
         x = (x + rng.normal(0, 0.02, size=20))[:, None]
         y = np.concatenate([np.zeros(10, dtype=int), np.ones(10, dtype=int)])
-        clf, history = vqc_train(clf, (x, y), iters=60, seed=1)
+        clf, history = vqc_train(clf, (x, y), iters=60)
         preds = np.argmax(vqc_probabilities(clf, x), axis=1)
         acc = max(np.mean(preds == y), np.mean(preds == 1 - y))
         assert acc >= 0.9
@@ -325,7 +332,7 @@ class TestVqcClassifier:
         )
         y = np.repeat([0, 1, 2], 8)
         clf = build_vqc_classifier(2, 3, seed=2)
-        trained, history = vqc_train(clf, (X, y), iters=80, seed=2)
+        trained, history = vqc_train(clf, (X, y), iters=80)
         assert min(history) < history[0]
         preds = np.argmax(vqc_probabilities(trained, X), axis=1)
         assert np.mean(preds == y) >= 0.5
@@ -342,11 +349,11 @@ class TestVqcClassifier:
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_training_matches_a_full_circuit_objective(self, n_classes, circuit_sweeps):
-        clf = build_vqc_classifier(3, n_classes)
+        clf = build_vqc_classifier(3, n_classes, seed=14)
         rng = np.random.default_rng(14)
         X = rng.uniform(0, np.pi, size=(12, 3))
         y = rng.integers(0, n_classes, size=12)
-        _, history = vqc_train(clf, (X, y), iters=5, seed=14)
+        _, history = vqc_train(clf, (X, y), iters=5)
         # the feature map runs once per fit, the ansatz once per evaluation
         assert len(circuit_sweeps) == 1 + len(history)
         want = []
@@ -440,7 +447,7 @@ class TestDenseBaseline:
         X = rng.uniform(-1, 1, size=(32, 3))
         y = X @ np.array([0.5, -0.3, 0.2])
         model = build_dense_baseline(21, 3, "regression", seed=3)
-        model, history = dense_train(model, (X, y), epochs=400, seed=3, lr=0.05)
+        model, history = dense_train(model, (X, y), epochs=400, lr=0.05)
         assert history[-1] < 5e-3
         assert history[-1] < history[0]
 
@@ -451,7 +458,7 @@ class TestDenseBaseline:
         )
         y = np.repeat([0.0, 1.0], 12)
         model = build_dense_baseline(48, 4, "binary", seed=4)
-        model, _ = dense_train(model, (X, y), epochs=200, seed=4, lr=0.05)
+        model, _ = dense_train(model, (X, y), epochs=200, lr=0.05)
         assert np.mean(dense_predict(model, X) == y) == 1.0
 
     def test_zero_epochs_rejected(self):
@@ -478,21 +485,21 @@ class TestDenseBaseline:
 
 class TestSerialization:
     def test_qnn_round_trip(self):
+        # a regression document holds no target scale: predictions are in
+        # the [0, 1] space the harness scales targets to
         model = build_qnn(build_reuploading_sel(4, 4), "regression", seed=7)
-        model = QnnModel(
-            model.circuit, model.params, model.task, model.readout,
-            TargetScaler(280.0, 320.0),
-        )
         text = qnn_to_json(model, seed=7)
         doc = json.loads(text)
         assert doc["layout"] == "reuploading_sel(4,4)"
         assert doc["seed"] == 7
+        assert set(doc) == {"kind", "layout", "task", "readout", "values", "seed"}
         loaded = qnn_from_json(text)
-        assert loaded.task == "regression"
-        assert np.allclose(loaded.params, model.params)
-        assert loaded.target_scaler == model.target_scaler
+        assert (loaded.circuit, loaded.task, loaded.readout) == (
+            model.circuit, model.task, model.readout
+        )
+        assert same_bytes(loaded.params, model.params)
         X = np.full((3, 4), 0.25)
-        assert np.allclose(qnn_predict(loaded, X), qnn_predict(model, X))
+        assert same_bytes(qnn_predict(loaded, X), qnn_predict(model, X))
 
     def test_vqc_round_trip(self):
         clf = build_vqc_classifier(4, 3, seed=9)

@@ -392,21 +392,21 @@ class TestTraining:
         X = np.zeros((8, 3, 2))
         y = np.full(8, 0.3)
         model = build_qlstm(input_dim=2, n_qubits=2, n_layers=1, seed=0)
-        model, history = train_sequence_model(model, X, y, epochs=70, lr=0.05, seed=0)
+        model, history = train_sequence_model(model, X, y, epochs=70, lr=0.05)
         assert history[-1] < 1e-3
         assert history[-1] < history[0]
 
     def test_qlstm_learns_sinusoid(self):
         X, y = _sine_windows()
         model = build_qlstm(input_dim=1, n_qubits=4, n_layers=1, seed=1)
-        model, history = train_sequence_model(model, X, y, epochs=40, lr=0.05, seed=1)
+        model, history = train_sequence_model(model, X, y, epochs=40, lr=0.05)
         assert history[-1] < 0.1
         assert history[-1] < history[0] / 2
 
     def test_qgru_converges_on_sinusoid(self):
         X, y = _sine_windows()
         model = build_qgru(input_dim=1, n_qubits=4, n_layers=1, seed=2)
-        model, history = train_sequence_model(model, X, y, epochs=15, lr=0.05, seed=2)
+        model, history = train_sequence_model(model, X, y, epochs=15, lr=0.05)
         assert history[-1] < history[0]
         assert min(history) == pytest.approx(history[-1], rel=0.5)
 
@@ -416,7 +416,7 @@ class TestTraining:
     def test_classical_baselines_learn_sinusoid(self, builder, hidden):
         X, y = _sine_windows()
         model = builder(1, hidden, seed=3)
-        model, history = train_sequence_model(model, X, y, epochs=120, lr=0.02, seed=3)
+        model, history = train_sequence_model(model, X, y, epochs=120, lr=0.02)
         assert history[-1] < 0.05
         assert history[-1] < history[0]
 
@@ -424,12 +424,12 @@ class TestTraining:
         X, y = _sine_windows(n_points=20)
         runs = []
         for _ in range(2):
-            model = build_qgru(input_dim=1, n_qubits=2, n_layers=1)
-            _, history = train_sequence_model(model, X, y, epochs=4, lr=0.05, seed=11)
+            model = build_qgru(input_dim=1, n_qubits=2, n_layers=1, seed=11)
+            _, history = train_sequence_model(model, X, y, epochs=4, lr=0.05)
             runs.append(history)
         assert runs[0] == runs[1]
-        model = build_qgru(input_dim=1, n_qubits=2, n_layers=1)
-        _, other = train_sequence_model(model, X, y, epochs=4, lr=0.05, seed=12)
+        model = build_qgru(input_dim=1, n_qubits=2, n_layers=1, seed=12)
+        _, other = train_sequence_model(model, X, y, epochs=4, lr=0.05)
         assert runs[0] != other
 
     @pytest.mark.parametrize(
@@ -445,8 +445,8 @@ class TestTraining:
         # group and candidate per step.  The backward pass reads the taped
         # states and adds no sweep.
         X, y = _sine_windows(n_points=20, window=4)
-        model = builder(input_dim=1, n_qubits=2, n_layers=1)
-        train_sequence_model(model, X, y, epochs=1, seed=5)
+        model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=5)
+        train_sequence_model(model, X, y, epochs=1)
         assert len(circuit_sweeps) == sweeps_per_step * X.shape[1] + extra
 
     @pytest.mark.parametrize(
@@ -482,7 +482,7 @@ class TestTraining:
     def test_taped_states_are_a_fresh_forward(self, builder, fresh_forward_vjps):
         X, y = _sine_windows(n_points=20, window=3)
         model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=6)
-        train_sequence_model(model, X, y, epochs=2, seed=6)
+        train_sequence_model(model, X, y, epochs=2)
         # per step and epoch: the gate group's one sweep, then hidden (or the
         # readout at the last step) or candidate
         assert len(fresh_forward_vjps) == 2 * 2 * X.shape[1]

@@ -7,9 +7,15 @@ from conftest import same_bytes
 from reference import apply_gates, inverse, zero_state
 from scipy.linalg import expm, qr
 
-from qweather.autodiff import _GENERATORS
 from qweather.circuits import AngleRef, CircuitOp
-from qweather.qsim import GATE_ARITY, apply_matrix, gate_matrix, z_expectations, z_signs
+from qweather.qsim import (
+    GATE_ARITY,
+    GENERATORS,
+    apply_matrix,
+    gate_matrix,
+    z_expectations,
+    z_signs,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -346,7 +352,7 @@ def test_apply_matrix_matches_slot_loop_bytes(n):
                     assert _matches_reference(amps, n, targets, per_row), (
                         kind, targets, batch, "per row"
                     )
-    for kind, generator in _GENERATORS.items():
+    for kind, generator in GENERATORS.items():
         for targets in itertools.permutations(range(n), len(generator).bit_length() - 1):
             amps = _random_amps(rng, (7, 1 << n))
             assert _matches_reference(amps, n, targets, generator), (kind, targets)

@@ -164,6 +164,13 @@ def test_select_features_top_k_and_tie_order():
         select_features(report, threshold=0.5, top_k=2)
 
 
+def test_top_k_beyond_the_ranking_names_both_numbers():
+    report = CorrelationReport("t", {"b": -0.5, "a": 0.5, "c": 0.9, "t": 1.0})
+    assert select_features(report, top_k=3) == ["c", "a", "b"]
+    with pytest.raises(ValueError, match=r"top_k=4 exceeds the 3 ranked features"):
+        select_features(report, top_k=4)
+
+
 def test_empty_selection_names_the_rule_given():
     # a report holding only the target has no feature to rank
     report = CorrelationReport("t", {"t": 1.0})

@@ -8,19 +8,16 @@ sweep is the one training already ran: QLSTM, QGRU and QNN training keep
 the final states of each gate circuit's forward pass (the tape) and hand
 them to ``circuit_vjp``, which runs only the reverse sweep.  Unless the
 circuit is wide next to the batch, that sweep takes each run of steps whose
-angles all rows share at once on one d x d matrix, which moves the
-gradients only in the last bits, and ends at the product prefix, the
-leading single-qubit gates without a trainable angle, whose input gradients
-come from per-qubit 2 x 2 matrices; only input steps between runs are swept
-per row.  The binding ``bind(circuit, theta, n_rows)`` holds what that
-needs, fixed by the trainable angles alone, and the sweep's plan; a wide
-circuit on few rows gets one with no prefix and no run.  Training binds
-once per parameter update, and the forward calls (which build the prefix
-from per-qubit states and apply each run as one product) and the VJPs of
-that update share it.  A recurrent cell's gate group, several circuits on
-the same inputs with their own angles, is one stacked call: its circuits
-are swept side by side until no trainable angle is left to reverse, then
-as one.
+angles all rows share at once on d x d matrices, one per layer of gates on
+disjoint qubits, which moves the gradients only in the last bits, and ends
+at the product prefix, the leading single-qubit gates without a trainable
+angle, whose input gradients come from per-qubit 2 x 2 matrices; only input
+steps between runs are swept per row.  The binding ``bind(circuit, theta,
+n_rows)`` holds what that needs and the sweep's plan.  Training binds once
+per parameter update, and the forward calls and the VJPs of that update
+share it.  A recurrent cell's gate group, several circuits on the same
+inputs with their own angles, is one stacked call: its circuits are swept
+side by side until no trainable angle is left to reverse, then as one.
 
 The tests check these gradients against parameter shift and central finite
 differences in ``tests/reference.py``, which run each circuit gate by gate
@@ -32,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
+from string import ascii_letters
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .circuits import (
     angle_values,
     run_circuit_batch,
 )
-from .qsim import GENERATORS, apply_matrix, gate_matrix, z_expectations, z_signs
+from .qsim import GENERATORS, _z_table, apply_matrix, gate_matrix, z_expectations
 
 
 def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
@@ -69,68 +67,126 @@ def _rotation_sweep(ops):
 
 
 @lru_cache(maxsize=None)
-def _embedded(kind: str, n_qubits: int, targets) -> np.ndarray:
-    """Dense 2**n operator of a rotation's Pauli generator, or of a fixed
-    (self-inverse) gate, on ``targets``, the first target its most
-    significant bit: (2, 0) embeds unlike (0, 2)."""
-    mat = GENERATORS[kind] if kind in GENERATORS else gate_matrix(kind)
-    idx = np.arange(1 << n_qubits)
-    shifts = [n_qubits - 1 - t for t in targets][::-1]
-    sub = sum((idx >> s & 1) << q for q, s in enumerate(shifts))
-    rest = idx & ~sum(1 << s for s in shifts)
-    return np.where(rest[:, None] == rest[None, :], mat[sub[:, None], sub[None, :]], 0)
+def _subspaces(n_qubits: int, targets) -> np.ndarray:
+    """[s, t]: the basis indices whose ``targets`` read s, the first target
+    its most significant bit, (2**k, 2**(n-k))."""
+    idx = np.arange(1 << n_qubits).reshape((2,) * n_qubits)
+    return np.moveaxis(idx, targets, range(len(targets))).reshape(1 << len(targets), -1)
+
+
+def _unitary(layer, a, n_qubits: int) -> np.ndarray:
+    """The (G,) 2**n unitary of a layer (spec, idle, groups) at angles ``a``."""
+    spec, idle, groups = layer
+    gates = [np.eye(2)] * idle
+    for kind, ks, m in groups:
+        # one gate_matrix call per kind: (G,) (ops, 2**m, 2**m)
+        g = gate_matrix(kind, tuple(a[..., k] for k in ks.T))
+        g = g.reshape(g.shape[:-2] + (2,) * 2 * m)
+        # a fixed gate is one matrix for all its ops
+        ops = [g] * len(ks) if g.ndim == 2 * m else np.moveaxis(g, -1 - 2 * m, 0)
+        gates += list(ops)
+    u = np.einsum(spec, *gates)
+    return u.reshape(u.shape[: u.ndim - 2 * n_qubits] + (1 << n_qubits,) * 2)
+
+
+# an R3's (rotation, read, code): alpha reads A Z A^H, A = RZ(g) RY(b), or
+# cos(b) Z + sin(b) (cos(g) X + sin(g) Y); beta RZ(g) Y RZ(g)^H, or
+# cos(g) Y - sin(g) X; gamma Z.  _bind_run lists the coefficients by code
+_R3_ENTRIES = ((0, 0, 1), (0, 1, 2), (0, 2, 3), (1, 0, 4), (1, 1, 5), (2, 2, 0))
+
+
+def _shared_run(circuit: Circuit, start: int, stop: int):
+    """The angle-free part of shared run ``ops[start:stop]``'s binding: its
+    layers of ops on disjoint qubits, as (einsum spec of the unitary, idle
+    qubits, gates by kind) or, for a stretch of layers without an angle, as
+    their product; read j = Im Tr(P rho) = Im sum_x phase[j, x]
+    S.flat[idx[j, x]], P X, Y or Z (R3) or the generator on an op's qubits
+    and rho the partial trace there of its layer's S; and entries (rotation,
+    read, code, beta, gamma) that add a read to a rotation's gradient."""
+    n, d = circuit.n_qubits, 1 << circuit.n_qubits
+    split = []
+    for op in circuit.ops[start:stop]:
+        if not split or set(op.targets) & split[-1][0]:
+            split.append((set(), []))
+        split[-1][0].update(op.targets)
+        split[-1][1].append(op)
+    refs, layers, reads, entries = [], [], [], []
+    for qubits, layer in split:
+        offset, groups = d * d * sum(isinstance(l, tuple) for l in layers), {}
+        for op in layer:
+            k, r = len(refs), len(reads)
+            refs += op.angles
+            groups.setdefault(op.kind, []).append((op.targets, range(k, len(refs))))
+            if op.kind == "R3":
+                paulis, table, bg = ("RX", "RY", "RZ"), _R3_ENTRIES, (k + 1, k + 2)
+            else:
+                # a rotation reads its generator, a fixed gate nothing
+                paulis, table, bg = (op.kind,), ((0, 0, 0),), (k, k)
+                paulis, table = paulis[: len(op.angles)], table[: len(op.angles)]
+            reads += [(offset, op.targets, GENERATORS[p]) for p in paulis]
+            entries += [(k + i, r + j, c) + bg for i, j, c in table]
+        idle = [(q,) for q in range(n) if q not in qubits]
+        axes = idle + [t for ops in groups.values() for t, _ in ops] + [range(n)]
+        letters = ["".join(ascii_letters[q + j * n] for j in (0, 1) for q in t)
+                   for t in axes]
+        spec = ",".join("..." + t for t in letters[:-1]) + "->..." + letters[-1]
+        groups = tuple(
+            (kind, np.reshape([ks for _, ks in ops], (len(ops), -1)), len(ops[0][0]))
+            for kind, ops in groups.items()
+        )
+        unit = (spec, len(idle), groups)
+        if any(op.angles for op in layer):
+            layers.append(unit)
+        else:
+            fixed = _unitary(unit, None, n)
+            if layers and isinstance(layers[-1], np.ndarray):
+                fixed = fixed @ layers.pop()
+            layers.append(fixed)
+    # P has one entry per row s, in column c[s]
+    sub = [(o, _subspaces(n, t), p, np.abs(p).argmax(axis=1)) for o, t, p in reads]
+    idx = np.stack([(o + s[c] * d + s).ravel() for o, s, _, c in sub])
+    phase = np.stack([p[range(len(c)), c].repeat(d // len(c)) for _, _, p, c in sub])
+    slot = np.array([r.slot_index for r in refs])
+    scale = np.array([r.scale for r in refs])
+    transform = np.array([r.transform for r in refs])
+    angles = slot, scale, transform == "arctan_square", transform != "identity"
+    return start, stop, angles, tuple(layers), idx, phase, np.array(entries).T
+
+
+def _bind_run(run, theta):
+    """(start, stop, U, W, idx, phase, chain) of a shared run at ``theta``:
+    U its (G,) d x d unitary, W the (G,) L x d x d stack of its gates after
+    each trainable layer, chain[j, i] the derivative by theta_i of the
+    angles read j serves."""
+    start, stop, (slot, scale, squared, squashed), layers, idx, phase, entries = run
+    v = theta[..., slot]
+    arg = np.where(squared, v * v, v)
+    a = scale * np.where(squashed, np.arctan(arg), arg)
+    # d arctan(v)/dv = 1/(1 + v^2), d arctan(v^2)/dv = 2v/(1 + v^4)
+    da = scale * np.where(squashed, np.where(squared, 2 * v, 1.0) / (1 + arg * arg), 1)
+    w, held = np.eye(idx.shape[1]), []
+    for layer in reversed(layers):
+        if isinstance(layer, tuple):
+            held.append(w)
+            layer = _unitary(layer, a, idx.shape[1].bit_length() - 1)
+        w = w @ layer
+    rot, read, code, beta, gamma = entries
+    sb, cb = np.sin(a[..., beta]), np.cos(a[..., beta])
+    sg, cg = np.sin(a[..., gamma]), np.cos(a[..., gamma])
+    coef = np.choose(code, [np.ones_like(sb), sb * cg, sb * sg, cb, -sg, cg])
+    chain = np.zeros(theta.shape[:-1] + (len(idx), theta.shape[-1]))
+    np.add.at(chain, (..., read, slot[rot]), coef * da[..., rot])
+    stack = np.empty(w.shape[:-2] + (len(held),) + w.shape[-2:], dtype=complex)
+    for i, h in enumerate(reversed(held)):
+        stack[..., i, :, :] = h
+    return start, stop, w, stack, idx, phase, chain
 
 
 @lru_cache(maxsize=None)
-def _halves(n_qubits: int) -> np.ndarray:
-    """[q, i]: the basis indices whose qubit q reads i, (n, 2, 2**(n-1))."""
-    idx = np.arange(1 << n_qubits).reshape((2,) * n_qubits)
-    return np.stack([np.moveaxis(idx, q, 0).reshape(2, -1) for q in range(n_qubits)])
-
-
-@dataclass(frozen=True)
-class Binding:
-    """``circuit`` bound to trainable angles ``theta``, (n_trainable,) or a
-    stacked (G, n_trainable).  The product prefix, the first ``prefix`` ops
-    (those before the first on two qubits or with a trainable or two-input
-    angle), leaves |0...0> a product state; ``layers`` holds its
-    ``_rotation_sweep`` steps as (kind, ref, qubits, slots) per stretch of
-    one kind on a slice of qubits whose angles read a slice of inputs
-    through one transform, ref being that angle at slot 0 (None for a fixed
-    gate).  ``plan`` is the reverse sweep's items after the prefix (a wide
-    circuit's from its first op with an angle), in circuit order: (True,
-    run) per shared run of ops, (False, step) for every other
-    ``_rotation_sweep`` step.  A run is (start, stop, U, slots, q): U is
-    its (G,) d x d unitary, and row i of q, for trainable slot
-    ``slots[i]``, is the flattened sum over the run's rotations k of
-    d(angle_k)/d(theta_i) conj(Q_k).  Q_k = W_k P_k W_k^H, P_k the
-    rotation's Pauli generator and W_k the product of the run's gates after
-    it, gives the angle's gradient Im Tr(Q_k R) for R = sum_b psi_b
-    lambda_b^H at the run's end."""
-
-    circuit: Circuit
-    theta: np.ndarray
-    prefix: int
-    layers: tuple
-    plan: tuple
-
-
-def bind(circuit: Circuit, params, n_rows: int) -> Binding:
-    """The binding of ``circuit`` to ``params`` for calls on ``n_rows`` rows.
-
-    A shared run is, after the product prefix, a maximal stretch of ops
-    whose angles all rows share (fixed gates and trainable rotations) that
-    holds an angle.  W runs backwards through it on dense gates, W <- W g,
-    and so ends as U.  A wide circuit on few rows, d * d > 8 B (d = 2**n,
-    B = ``n_rows``), gets no product prefix and no shared run, so no d x d
-    matrix is built: its plan sweeps per row from the first op with an
-    angle.  The rule was measured at d = 8 to 128 on the per-gate d x d
-    sweep the binding replaced, where a shared gate cost two d x d products
-    and a per-row one a few passes over the B x d pair.  It has not been
-    measured again against bound runs and the product prefix."""
-    theta = _slot_array(circuit, params, "trainable")
-    n, d, ops = circuit.n_qubits, 1 << circuit.n_qubits, circuit.ops
-    wide = d * d > 8 * n_rows
+def _structure(circuit: Circuit, wide: bool):
+    """(prefix, layers, plan) of ``circuit``'s bindings, a run in the plan
+    as its ``_shared_run``; cached by value, as equal circuits are rebuilt."""
+    ops = circuit.ops
     prefix = 0
     while not wide and prefix < len(ops) and len(ops[prefix].targets) == 1 and all(
         r.slot_kind == "input" and r.partner is None for r in ops[prefix].angles
@@ -159,26 +215,55 @@ def bind(circuit: Circuit, params, n_rows: int) -> Binding:
         start, stop = span[0], span[-1] + 1
         if wide or not (shared and any(ops[i].angles for i in span)):
             plan += [(False, step) for step in _rotation_sweep(ops[start:stop])]
-            continue
-        w = np.broadcast_to(np.eye(d, dtype=complex), theta.shape[:-1] + (d, d))
-        by_slot = {}
-        for kind, targets, ref in reversed(_rotation_sweep(ops[start:stop])):
-            gate = _embedded(kind, n, targets)
-            if ref is None:
-                w = w @ gate
-                continue
-            wp = w @ gate
-            q_k = (wp @ w.conj().mT).conj().reshape(theta.shape[:-1] + (d * d,))
-            for _, idx, factor in angle_partials(ref, theta, None):
-                by_slot[idx] = by_slot.get(idx, 0.0) + factor[..., None] * q_k
-            # W g for g = exp(-i*a*P/2) = cos(a/2) - i*sin(a/2)*P, as P @ P = 1
-            a = np.asarray(angle_values(ref, theta, None))[..., None, None]
-            w = np.cos(a / 2) * w - (1j * np.sin(a / 2)) * wp
-        slots = sorted(by_slot)
-        q = np.stack([by_slot[idx] for idx in slots], axis=-2)
-        plan.append((True, (start, stop, w, np.array(slots), q)))
+        else:
+            plan.append((True, _shared_run(circuit, start, stop)))
     layers = tuple((head[0], *rest) for head, *rest in layers)
-    return Binding(circuit, theta, prefix, layers, tuple(plan))
+    return prefix, layers, tuple(plan)
+
+
+@dataclass(frozen=True)
+class Binding:
+    """``circuit`` bound to trainable angles ``theta``, (n_trainable,) or a
+    stacked (G, n_trainable).  The product prefix, the first ``prefix`` ops
+    (those before the first on two qubits or with a trainable or two-input
+    angle), leaves |0...0> a product state; ``layers`` holds its
+    ``_rotation_sweep`` steps as (kind, ref, qubits, slots) per stretch of
+    one kind on a slice of qubits whose angles read a slice of inputs
+    through one transform, ref being that angle at slot 0 (None for a fixed
+    gate).  ``plan`` is the reverse sweep's items after the prefix (a wide
+    circuit's from its first op with an angle), in circuit order: (True,
+    run) per shared run of ops, as ``_bind_run`` makes it, and (False, step)
+    for every other ``_rotation_sweep`` step.  A rotation k of a run has
+    gradient Im Tr(M_k rho_k): rho_k the partial trace onto its qubits of
+    S = W^H R W, W the run's gates after k's layer and R = sum_b psi_b
+    lambda_b^H at the run's end, and M_k its generator conjugated by its
+    own R3's later rotations."""
+
+    circuit: Circuit
+    theta: np.ndarray
+    prefix: int
+    layers: tuple
+    plan: tuple
+
+
+def bind(circuit: Circuit, params, n_rows: int) -> Binding:
+    """The binding of ``circuit`` to ``params`` for calls on ``n_rows`` rows.
+
+    A shared run is, after the product prefix, a maximal stretch of ops
+    whose angles all rows share (fixed gates and trainable rotations) that
+    holds an angle.  A wide circuit on few rows, d * d > 8 B (d = 2**n,
+    B = ``n_rows``), gets no product prefix and no shared run, so no d x d
+    matrix is built: its plan sweeps per row from the first op with an
+    angle.  The rule is conservative: bind, forward and VJP on
+    reuploading_sel(n, 4) (2-core Xeon) ran 1.5-2.4x faster bound wherever
+    d * d <= 64 B, d = 8 to 256, and slower only from about d * d = 1000 B
+    at d = 128 and 300-500 B at d = 256.  It stays at 8 B so that few-row
+    tests on 3 and 4 qubits cover the per-row sweep."""
+    theta = _slot_array(circuit, params, "trainable")
+    wide = 1 << 2 * circuit.n_qubits > 8 * n_rows
+    prefix, layers, plan = _structure(circuit, wide)
+    plan = tuple((shared, _bind_run(i, theta) if shared else i) for shared, i in plan)
+    return Binding(circuit, theta, prefix, layers, plan)
 
 
 def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound=None):
@@ -207,22 +292,23 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     inputs.
 
     The sweep follows the plan of ``bound``, the ``bind(circuit, params,
-    B)`` its forward pass used (built here if not given); a wide circuit on
-    few rows has no shared run and no prefix, and is swept per row.  Each
-    shared run is taken at once on the d x d R = sum_b psi_b lambda_b^H at
-    the run's end, one per circuit: every rotation's gradient is
-    Im Tr(Q_k R), all of them and their chain rule one product with the
-    binding's q, and the pair moves past the run as one product with
+    B)`` its forward pass used (built here if not given, refused if made at
+    other angles); a wide circuit on few rows has no shared run and no
+    prefix, and is swept per row.  Each shared run is taken at once on the
+    d x d R = sum_b psi_b lambda_b^H at the run's end, one per circuit: one
+    stacked S = W^H R W, one gather and one product with the chain rule give
+    all its gradients, and the pair moves past it by one product with
     conj(U); summing over rows first moves gradients in the last bits.  The
     sweep ends at the binding's product prefix, gates on one qubit each:
     with rho_q = Tr_{others} |psi><lambda| per row, a prefix rotation's
     dL/da is Im Tr(P rho_q), and un-applying its gate g is
-    rho_q <- g^H rho_q g.  Other input steps are swept per row.  G stacked
-    circuits are swept side by side up to the merge point: going backwards,
-    the point after which no remaining step has a trainable angle, at the
-    latest the prefix.  Before it every circuit's psi is the same and dL/da
-    is linear in lambda, so the sweep goes on with one psi and the sum of
-    the G lambdas, and the steps there run once, not G times.
+    rho_q <- g^H rho_q g.  Other input steps are swept per row, psi and
+    lambda stacked.  G stacked circuits are swept side by side up to the
+    merge point: going backwards, the point after which no remaining step
+    has a trainable angle, at the latest the prefix.  Before it every
+    circuit's psi is the same and dL/da is linear in lambda, so the sweep
+    goes on with one psi and the sum of the G lambdas, and the steps there
+    run once, not G times.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = np.atleast_2d(_slot_array(circuit, inputs, "input"))
@@ -242,15 +328,17 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
         )
     if bound is None:
         bound = bind(circuit, theta, x.shape[0])
-    elif bound.circuit != circuit or bound.theta.shape != theta.shape:
+    elif bound.circuit != circuit or bound.theta.shape != theta.shape or not (
+        np.array_equal(bound.theta, theta)
+    ):
         raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
-    signs = np.reshape([z_signs(n, q) for q in qubits], (len(qubits), d))
-    # psi and lambda side by side: one apply_matrix call un-applies a gate
-    # from both
-    pair = np.stack([psi, (w @ signs) * psi])
+    plan = bound.plan
+    # per-row steps take psi and lambda stacked: one apply_matrix call
+    # un-applies a gate from both
+    join = tuple if all(shared for shared, _ in plan) else np.stack
+    pair = join([psi, (w @ _z_table(n, tuple(qubits))) * psi])
     d_params = np.zeros(theta.shape)
     d_inputs = np.zeros(x.shape)
-    plan = bound.plan
     # stacked angles broadcast against the pair's rows in per-row steps;
     # plan[:first] holds no trainable angle, so there the stacked circuits
     # apply the same gates
@@ -271,22 +359,26 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     for j in range(len(plan) - 1, -1, -1):
         if j == first - 1:
             # the merge point: one psi, the sum of the lambdas
-            pair = np.stack([pair[0, 0], pair[1].sum(axis=0)])
+            pair = join([pair[0][0], pair[1].sum(axis=0)])
         shared, item = plan[j]
         if shared:
-            _, _, u, slots, q = item
-            r = (pair[0].mT @ pair[1].conj()).reshape(pair.shape[1:-2] + (d * d,))
-            # Tr(Q R) = vdot(Q, R) as Q is Hermitian.  einsum, not matmul:
-            # OpenBLAS runs this matrix-vector product on two threads, and
-            # on a busy host their wake-ups cost more than the product
-            d_params[..., slots] += np.einsum("...kx,...x->...k", q, r).imag
-            if j == 0 and enc and pair.ndim == 4:
+            _, _, u, wl, idx, phase, chain = item
+            # S = W^H R W per trainable layer, R = sum_b psi_b lambda_b^H
+            r = (pair[0].mT @ pair[1].conj())[..., None, :, :]
+            s = wl.conj().mT @ r @ wl
+            s = s.reshape(s.shape[:-3] + (-1,))
+            reads = (s[..., idx] * phase).imag.sum(axis=-1)
+            # einsum, not matmul: OpenBLAS runs this product on two threads,
+            # and on a busy host their wake-ups cost more than the product
+            d_params += np.einsum("...r,...ri->...i", reads, chain)
+            if j == 0 and enc and pair[0].ndim == 3:
                 # the sweep ends in the prefix, where every circuit's psi is
                 # the same: un-apply one psi and the G lambdas, and merge
                 u = u.conj()
-                pair = np.stack([pair[0, 0] @ u[0], (pair[1] @ u).sum(axis=0)])
+                pair = join([pair[0][0] @ u[0], (pair[1] @ u).sum(axis=0)])
             elif j > 0 or enc:
-                pair = pair @ u.conj()
+                u = u.conj()
+                pair = pair @ u if join is np.stack else (pair[0] @ u, pair[1] @ u)
             continue
         kind, targets, ref = item
         angle = ()
@@ -305,11 +397,15 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
             pair = apply_matrix(pair, n, targets, inverse)
     if not enc:
         return d_params, d_inputs
-    if pair.ndim == 4:
-        pair = np.stack([pair[0, 0], pair[1].sum(axis=0)])
-    # rho[b, q] = Tr_{others} |psi_b><lambda_b| per qubit, (B, n, 2, 2)
-    halves = _halves(n)
-    rho = np.einsum("bqit,bqjt->bqij", pair[0][:, halves], pair[1].conj()[:, halves])
+    if pair[0].ndim == 3:
+        pair = (pair[0][0], pair[1].sum(axis=0))
+    # rho[b, q] = Tr_{others} |psi_b><lambda_b| per qubit, (B, n, 2, 2),
+    # gathered a qubit at a time: a gather of all n (160 KiB at 156 rows
+    # and 4 qubits) faulted in fresh pages on every call
+    psi, lam = pair[0], pair[1].conj()
+    halves = [_subspaces(n, (q,)) for q in range(n)]
+    rho = [np.einsum("bit,bjt->bij", psi[:, h], lam[:, h]) for h in halves]
+    rho = np.stack(rho, axis=1)
     for k, (kind, ref, qubits, slots) in reversed(list(enumerate(enc))):
         # ref reads the layer's inputs x[:, slots] as a trailing axis
         r, xs = rho[:, qubits], x[:, slots, None]

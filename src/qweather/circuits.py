@@ -199,7 +199,9 @@ def run_circuit_batch(
     runs, i = {}, 0
     if bound is not None:
         want = bound.theta if bound.theta.ndim == 1 else bound.theta[:, None, :]
-        if bound.circuit != circuit or theta.shape != want.shape:
+        if bound.circuit != circuit or theta.shape != want.shape or not (
+            np.array_equal(theta, want)
+        ):
             raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
         runs = {run[0]: run[1:3] for shared, run in bound.plan if shared}
         if state is None and bound.prefix:
@@ -231,14 +233,25 @@ def run_circuit_batch(
 
 def _product_state(n_qubits: int, layers, x) -> np.ndarray:
     """Amplitudes x.shape[:-1] + (2**n,) that a binding's product prefix
-    ``layers`` leaves: each row's n qubit 2-vectors, built a layer at a
-    time, then their Kronecker product in n - 1 broadcast products."""
+    ``layers`` leaves: each row's n qubit 2-vectors (u0, u1), turned a layer
+    at a time from cos and sin of half the angles, then their Kronecker
+    product in n - 1 broadcast products."""
     v = np.zeros(x.shape[:-1] + (n_qubits, 2), dtype=complex)
     v[..., 0] = 1.0
     for kind, ref, qubits, slots in layers:
-        angles = () if ref is None else (angle_values(ref, None, x[..., slots, None]),)
-        g, u = gate_matrix(kind, angles), v[..., qubits, :]
-        v[..., qubits, :] = g[..., 0] * u[..., :1] + g[..., 1] * u[..., 1:]
+        u0, u1 = v[..., qubits, 0], v[..., qubits, 1]
+        if kind == "H":
+            u0, u1 = (u0 + u1) / np.sqrt(2.0), (u0 - u1) / np.sqrt(2.0)
+        else:
+            a = angle_values(ref, None, x[..., slots, None]) / 2
+            c, s = np.cos(a), np.sin(a)
+            if kind == "RY":
+                u0, u1 = c * u0 - s * u1, s * u0 + c * u1
+            elif kind == "RX":
+                u0, u1 = c * u0 - 1j * s * u1, c * u1 - 1j * s * u0
+            else:
+                u0, u1 = (c - 1j * s) * u0, (c + 1j * s) * u1
+        v[..., qubits, 0], v[..., qubits, 1] = u0, u1
     amps = v[..., 0, :]
     for q in range(1, n_qubits):
         amps = (amps[..., None] * v[..., q, None, :]).reshape(x.shape[:-1] + (-1,))

@@ -269,10 +269,19 @@ def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+@lru_cache(maxsize=None)
+def _z_table(n_qubits: int, qubits: tuple) -> np.ndarray:
+    """Read-only (len(qubits), 2**n) rows ``z_signs(n_qubits, q)``."""
+    signs = [z_signs(n_qubits, q) for q in qubits]
+    table = np.reshape(signs, (len(qubits), 1 << n_qubits))
+    table.flags.writeable = False
+    return table
+
+
 def z_expectations(amps: np.ndarray, n_qubits: int, qubits) -> np.ndarray:
     """<Z_q> for each q in ``qubits`` over amplitudes of shape (..., 2**n);
     shape (..., len(qubits))."""
     probs = np.abs(amps) ** 2
-    columns = [probs @ z_signs(n_qubits, q) for q in qubits]
+    columns = [probs @ signs for signs in _z_table(n_qubits, tuple(qubits))]
     return np.stack(columns, axis=-1) if columns else np.zeros(probs.shape[:-1] + (0,))
 

@@ -324,8 +324,42 @@ ENCODE_MIX = Circuit(
     3,
 )
 
+# Shared runs split into layers of ops on disjoint qubits.  The first run's
+# layers are RX, R3 and RZ on qubits 0, 1 and 3 (qubit 2 idle), then RZZ on
+# (2, 0) beside RY on 3 (qubit 1 idle), between CNOTs; the second, after a
+# per-row input step, is RXX on (3, 1) beside an R3 and an H.  Angles are
+# scaled and go through arctan and arctan_square, and slot 1 is read twice.
+LAYER_MIX = Circuit(
+    "layer_mix",
+    4,
+    (
+        CircuitOp("RY", (0,), (AngleRef("input", 0),)),
+        CircuitOp("RY", (1,), (AngleRef("input", 1),)),
+        CircuitOp("RY", (2,), (AngleRef("input", 2),)),
+        CircuitOp("RY", (3,), (AngleRef("input", 2, "arctan"),)),
+        CircuitOp("CNOT", (0, 1)),
+        CircuitOp("RX", (0,), _trainable(0, "arctan", 1.3)),
+        CircuitOp(
+            "R3",
+            (1,),
+            _trainable(1) + _trainable(2, "arctan_square", -0.8) + _trainable(3, "arctan"),
+        ),
+        CircuitOp("RZ", (3,), _trainable(4, scale=0.6)),
+        CircuitOp("RZZ", (2, 0), _trainable(5, scale=1.4)),
+        CircuitOp("RY", (3,), _trainable(6, "arctan")),
+        CircuitOp("CNOT", (1, 2)),
+        CircuitOp("RY", (3,), (AngleRef("input", 0, "arctan"),)),
+        CircuitOp("RXX", (3, 1), _trainable(7, scale=-1.1)),
+        CircuitOp("R3", (0,), _trainable(8) + _trainable(9, "arctan", 0.7) + _trainable(1)),
+        CircuitOp("H", (2,)),
+    ),
+    10,
+    3,
+)
+
 BOUND_CIRCUITS = [
     build_qlstm_vqc(4, 2),
+    LAYER_MIX,
     SHARED_MIX,
     TRAINABLE_FIRST,
     build_reuploading_sel(3, 4),
@@ -355,7 +389,7 @@ def test_bound_vjp_matches_contracted_param_shift(circuit, n_gates):
     assert np.max(np.abs(got[1] - sum(i for _, i in shifted))) < 1e-10
 
 
-@pytest.mark.parametrize("n_gates", [0, 4], ids=["one", "G=4"])
+@pytest.mark.parametrize("n_gates", [0, 1, 4], ids=["one", "G=1", "G=4"])
 @pytest.mark.parametrize("circuit", BOUND_CIRCUITS, ids=lambda c: c.name)
 def test_bound_forward_matches_the_per_gate_forward(circuit, n_gates):
     thetas, xs, states, *_ = _bound_case(circuit, n_gates)
@@ -379,6 +413,23 @@ def test_binding_must_fit_the_call():
     states = run_circuit_batch(circuit, thetas[:, None, :], xs[None], bound=bound)
     with pytest.raises(ValueError):
         circuit_vjp(circuit, thetas[:1], xs, states[:1], (0,), np.ones((1, 3, 1)), bound)
+    # a binding made at other angles of the same shape
+    with pytest.raises(ValueError):
+        run_circuit_batch(circuit, (thetas + 1.0)[:, None, :], xs[None], bound=bound)
+    with pytest.raises(ValueError):
+        circuit_vjp(circuit, thetas + 1.0, xs, states, (0,), np.ones((2, 3, 1)), bound)
+
+
+def test_equal_circuits_built_apart_share_one_cache_entry():
+    """bench.run builds a fresh circuit on every run, so what a binding
+    holds apart from the angles is cached by circuit value, not identity:
+    otherwise the cache would grow with every run."""
+    autodiff._structure.cache_clear()
+    theta = np.random.default_rng(41).normal(size=(4, 24))
+    first, second = (bind(build_qlstm_vqc(4, 2), theta, 40) for _ in range(2))
+    assert autodiff._structure.cache_info().currsize == 1
+    # plan[0] is the one shared run; its unitary U comes out the same
+    assert same_bytes(first.plan[0][1][2], second.plan[0][1][2])
 
 
 def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
@@ -417,7 +468,7 @@ def test_product_path_needs_a_binding(monkeypatch):
         raise AssertionError("product prefix used without a binding")
 
     monkeypatch.setattr(circuits, "_product_state", no_product)
-    monkeypatch.setattr(autodiff, "_halves", no_product)
+    monkeypatch.setattr(autodiff, "_subspaces", no_product)
     rng = np.random.default_rng(39)
     for circuit in BOUND_CIRCUITS:
         theta = rng.normal(size=circuit.n_trainable)
@@ -440,7 +491,7 @@ def test_vjp_sweeps_wide_circuit_on_few_rows_per_row(monkeypatch):
     def no_dense(*args):
         raise AssertionError("dense gate built for a wide circuit")
 
-    monkeypatch.setattr(autodiff, "_embedded", no_dense)
+    monkeypatch.setattr(autodiff, "_unitary", no_dense)
     circuit = build_reuploading_sel(10, 4)
     rng = np.random.default_rng(37)
     theta = rng.normal(size=circuit.n_trainable)

@@ -32,11 +32,16 @@ from typing import Callable
 import numpy as np
 
 from .circuits import (
+    Circuit,
     build_reuploading_ising,
     build_reuploading_sel,
     build_zz_feature_map,
+    circuit_from_name,
 )
 from .models_qnn import (
+    DenseBaseline,
+    QnnModel,
+    VqcClassifier,
     build_dense_baseline,
     build_qnn,
     build_vqc_classifier,
@@ -50,6 +55,9 @@ from .models_qnn import (
     vqc_train,
 )
 from .models_recurrent import (
+    ClassicalRnnBaseline,
+    QgruCell,
+    QlstmCell,
     build_classical_gru,
     build_classical_lstm,
     build_qgru,
@@ -131,8 +139,6 @@ def _ising_circuit(cfg, n_feats):
 
 
 def _sel_circuit(cfg, n_feats):
-    if cfg.task == "ternary" and n_feats < 3:
-        raise ValueError("ternary readout needs at least 3 qubits")
     return build_reuploading_sel(n_feats, cfg.n_layers)
 
 
@@ -511,6 +517,49 @@ def report_from_json(text: str) -> ExperimentReport:
     if doc.get("probabilities") is not None:
         values["probabilities"] = _report_list(doc, "probabilities", of_rows=True)
     return ExperimentReport(**values, wall_time_s=float("nan"))
+
+
+# the classes a model document may name
+_MODEL_CLASSES = {cls.__name__: cls for cls in (
+    QnnModel, VqcClassifier, DenseBaseline, QlstmCell, QgruCell, ClassicalRnnBaseline
+)}
+# a field's reader by its annotation, which the model modules keep as a
+# string; JSON holds the other fields as they are
+_FIELD_READERS = {
+    "Circuit": circuit_from_name,
+    "np.ndarray": partial(np.asarray, dtype=float),
+    "tuple": tuple,
+}
+
+
+def model_to_json(model) -> str:
+    """A trained model's document: its class name under "class" and each
+    dataclass field under its own name, a circuit by its descriptor."""
+    doc = {"class": type(model).__name__}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, Circuit):
+            value = value.name
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        doc[f.name] = value
+    return json.dumps(doc, sort_keys=True)
+
+
+def model_from_json(text: str):
+    """The model a ``model_to_json`` document holds.  ValueError names an
+    unknown class or a key set that is not the class's fields; the model's
+    own checks reject values that do not fit together."""
+    doc = json.loads(text)
+    name = doc.get("class") if isinstance(doc, dict) else None
+    if not isinstance(name, str) or name not in _MODEL_CLASSES:
+        raise ValueError(f"unknown model class {name!r}")
+    cls = _MODEL_CLASSES[name]
+    keys = {"class"} | {f.name for f in fields(cls)}
+    if set(doc) != keys:
+        raise ValueError(f"a {name} document holds exactly the keys {sorted(keys)}")
+    read = {f.name: _FIELD_READERS.get(f.type, lambda v: v) for f in fields(cls)}
+    return cls(**{key: read[key](doc[key]) for key in read})
 
 
 def _stage(stages, name, fn, *args, **kwargs):

@@ -19,7 +19,6 @@ and its labels are their argmax, ties going to the lowest class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,6 @@ from .circuits import (
     Circuit,
     build_real_amplitudes,
     build_zz_feature_map,
-    circuit_from_name,
     run_circuit_batch,
 )
 from .optim import adam_init, adam_step, cobyla_minimize
@@ -61,25 +59,26 @@ class QnnModel:
     circuit: Circuit
     params: np.ndarray
     task: str
-    readout: tuple
 
     def __post_init__(self):
         if self.task not in ("regression", "binary", "ternary"):
             raise ValueError(f"unknown task {self.task!r}")
-        want = 3 if self.task == "ternary" else 1
-        if len(self.readout) != want:
-            raise ValueError(f"{self.task} needs {want} readout qubit(s)")
+        if len(self.readout) > self.circuit.n_qubits:
+            raise ValueError(f"{self.task} readout needs {len(self.readout)} qubits")
         if len(self.params) != self.circuit.n_trainable:
             raise ValueError("parameter length does not match circuit")
 
+    @property
+    def readout(self) -> tuple:
+        """The qubits whose <Z> the task reads: three for ternary, else one."""
+        return (0, 1, 2) if self.task == "ternary" else (0,)
+
 
 def build_qnn(circuit: Circuit, task: str, seed=None) -> QnnModel:
-    readout = (0, 1, 2) if task == "ternary" else (0,)
     return QnnModel(
         circuit=circuit,
         params=init_params(circuit.n_trainable, seed),
         task=task,
-        readout=readout,
     )
 
 
@@ -116,6 +115,22 @@ def qnn_predict(model: QnnModel, X):
     return (qnn_expectations(model, X)[:, 0] + 1.0) / 2.0
 
 
+def _adam_fit_data(task, dataset, epochs):
+    """(X, y) of a full-batch Adam fit as float arrays, once the rows are
+    not empty, epochs >= 1 and a classifier's labels lie in [0, n_classes)."""
+    X, y = dataset
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] == 0:
+        raise ValueError("dataset is empty")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    n_classes = {"binary": 2, "ternary": 3}.get(task)
+    if n_classes is not None and np.any((y < 0) | (y >= n_classes)):
+        raise ValueError(f"labels must be in [0, {n_classes})")
+    return X, y
+
+
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     n = X.shape[0]
     # one binding of the epoch's angles serves the forward pass and the VJP;
@@ -147,20 +162,8 @@ def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
 def qnn_train(model: QnnModel, dataset, epochs: int, lr: float = 0.01):
     """Full-batch Adam from the model's parameters, on the MSE of <Z>
     against 2y - 1 (regression, y in [0, 1]) or on cross-entropy."""
-    X, y = dataset
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if model.task == "regression":
-        y_enc = 2.0 * y - 1.0
-    else:
-        y_enc = y
-        n_classes = 3 if model.task == "ternary" else 2
-        if np.any((y_enc < 0) | (y_enc >= n_classes)):
-            raise ValueError(f"labels must be in [0, {n_classes})")
+    X, y = _adam_fit_data(model.task, dataset, epochs)
+    y_enc = 2.0 * y - 1.0 if model.task == "regression" else y
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []
@@ -177,13 +180,10 @@ class VqcClassifier:
     ansatz: Circuit
     params: np.ndarray
     n_classes: int
-    readout_rule: str
 
     def __post_init__(self):
         if self.n_classes not in (2, 3):
             raise ValueError("n_classes must be 2 or 3")
-        if self.readout_rule not in ("parity", "mod"):
-            raise ValueError(f"unknown readout rule {self.readout_rule!r}")
         if self.feature_map.n_qubits != self.ansatz.n_qubits:
             raise ValueError("feature map and ansatz must share the qubit count")
         if len(self.params) != self.ansatz.n_trainable:
@@ -192,14 +192,9 @@ class VqcClassifier:
             raise ValueError("the feature map reads only inputs, the ansatz only parameters")
 
     @property
-    def full_circuit(self) -> Circuit:
-        return Circuit(
-            name=f"{self.feature_map.name}+{self.ansatz.name}",
-            n_qubits=self.feature_map.n_qubits,
-            ops=self.feature_map.ops + self.ansatz.ops,
-            n_trainable=self.ansatz.n_trainable,
-            n_inputs=self.feature_map.n_inputs,
-        )
+    def readout_rule(self) -> str:
+        """Bitstring parity for two classes, basis index mod 3 for three."""
+        return "parity" if self.n_classes == 2 else "mod"
 
 
 def build_vqc_classifier(n_features: int, n_classes: int, seed=None) -> VqcClassifier:
@@ -211,7 +206,6 @@ def build_vqc_classifier(n_features: int, n_classes: int, seed=None) -> VqcClass
         ansatz=ansatz,
         params=init_params(ansatz.n_trainable, seed),
         n_classes=n_classes,
-        readout_rule="parity" if n_classes == 2 else "mod",
     )
 
 
@@ -242,7 +236,8 @@ def vqc_probabilities(clf: VqcClassifier, X) -> np.ndarray:
     """Class probabilities per sample, shape (n, n_classes).
 
     The feature map runs first and the ansatz runs on its states: the same
-    gates in the same order as ``clf.full_circuit``.
+    gates in the same order as one circuit of the map's ops then the
+    ansatz's.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return _vqc_class_probabilities(clf, clf.params, *_vqc_fixed_part(clf, X))
@@ -293,6 +288,13 @@ class DenseBaseline:
     task: str
     params: np.ndarray
 
+    def __post_init__(self):
+        d, h, o = self.layer_sizes
+        bias_h, bias_o = self.bias_flags
+        n = d * h + (h if bias_h else 0) + h * o + (o if bias_o else 0)
+        if len(self.params) != n:
+            raise ValueError("parameter vector has the wrong length")
+
 
 def build_dense_baseline(budget: int, input_dim: int, task: str, seed=None):
     """Single-hidden-layer tanh network hitting the parameter budget exactly."""
@@ -306,15 +308,11 @@ def build_dense_baseline(budget: int, input_dim: int, task: str, seed=None):
             f"task={task}"
         )
     hidden, bias_h, bias_o = _DENSE_LAYOUTS[key]
-    n = input_dim * hidden + (hidden if bias_h else 0) + hidden * out_dim + (
-        out_dim if bias_o else 0
-    )
-    assert n == budget
     if seed is None:
-        params = np.zeros(n)
+        params = np.zeros(budget)
     else:
         rng = np.random.default_rng(seed)
-        params = rng.uniform(-0.5, 0.5, size=n)
+        params = rng.uniform(-0.5, 0.5, size=budget)
     return DenseBaseline(
         layer_sizes=(input_dim, hidden, out_dim),
         bias_flags=(bias_h, bias_o),
@@ -406,13 +404,7 @@ def _dense_loss_and_grad(model: DenseBaseline, X, y):
 def dense_train(model: DenseBaseline, dataset, epochs: int, lr: float = 0.01):
     """Full-batch Adam from the model's parameters; mirrors the quantum
     training interface."""
-    X, y = dataset
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    X, y = _adam_fit_data(model.task, dataset, epochs)
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []
@@ -422,52 +414,3 @@ def dense_train(model: DenseBaseline, dataset, epochs: int, lr: float = 0.01):
         state, params = adam_step(state, params, grad)
     return replace(model, params=params), history
 
-
-def qnn_to_json(model: QnnModel, seed=None) -> str:
-    doc = {
-        "kind": "qnn",
-        "layout": model.circuit.name,
-        "task": model.task,
-        "readout": list(model.readout),
-        "values": model.params.tolist(),
-        "seed": seed,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def qnn_from_json(text: str) -> QnnModel:
-    doc = json.loads(text)
-    if doc.get("kind") != "qnn":
-        raise ValueError("not a qnn document")
-    return QnnModel(
-        circuit=circuit_from_name(doc["layout"]),
-        params=np.asarray(doc["values"], dtype=float),
-        task=doc["task"],
-        readout=tuple(doc["readout"]),
-    )
-
-
-def vqc_to_json(clf: VqcClassifier, seed=None) -> str:
-    doc = {
-        "kind": "vqc",
-        "feature_map": clf.feature_map.name,
-        "ansatz": clf.ansatz.name,
-        "n_classes": clf.n_classes,
-        "readout_rule": clf.readout_rule,
-        "values": clf.params.tolist(),
-        "seed": seed,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def vqc_from_json(text: str) -> VqcClassifier:
-    doc = json.loads(text)
-    if doc.get("kind") != "vqc":
-        raise ValueError("not a vqc document")
-    return VqcClassifier(
-        feature_map=circuit_from_name(doc["feature_map"]),
-        ansatz=circuit_from_name(doc["ansatz"]),
-        params=np.asarray(doc["values"], dtype=float),
-        n_classes=doc["n_classes"],
-        readout_rule=doc["readout_rule"],
-    )

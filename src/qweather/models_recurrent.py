@@ -28,7 +28,6 @@ and the adjoint sweep ends there, on per-qubit 2 x 2 matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -40,11 +39,10 @@ from .autodiff import bind, circuit_vjp
 from .circuits import (
     Circuit,
     build_qlstm_vqc,
-    circuit_from_name,
     run_circuit_batch,
     template_name,
 )
-from .models_qnn import INIT_ANGLE, _sigmoid
+from .models_qnn import INIT_ANGLE, _adam_fit_data, _sigmoid
 from .optim import adam_init, adam_step
 from .qsim import z_expectations
 
@@ -82,21 +80,29 @@ def make_windows(features, target, window: int = 4):
 class _QuantumCell:
     """Recurrent cell whose gates are variational circuits.
 
-    The hidden state is a per-qubit readout, so hidden_size is n_qubits.
-    The parameter vector follows ``_layout``.
+    Every gate runs the same ``qlstm_vqc`` circuit, and the cell's qubit
+    count is the circuit's.  The hidden state is a per-qubit readout, so
+    hidden_size is n_qubits.  The parameter vector follows ``_layout``.
     """
 
     kind: ClassVar[str]
     gates: ClassVar[tuple[str, ...]]
     circuit: Circuit
     input_dim: int
-    n_qubits: int
-    n_layers: int
     params: np.ndarray
 
     def __post_init__(self):
+        # a name check, not a rebuild: replace(cell, params=...) runs this
+        c = self.circuit
+        n_layers = c.n_trainable // (3 * c.n_qubits)
+        if c.name != template_name("qlstm_vqc", c.n_qubits, n_layers):
+            raise ValueError(f"a quantum cell's gates run qlstm_vqc, not {c.name!r}")
         if len(self.params) != _slices(*_layout_key(self))[1]:
             raise ValueError("parameter vector has the wrong length")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.circuit.n_qubits
 
     @property
     def hidden_size(self) -> int:
@@ -230,7 +236,7 @@ def _initial_params(key, seed):
 def _build_quantum(cls, input_dim, n_qubits, n_layers, seed):
     circuit = build_qlstm_vqc(n_qubits, n_layers)
     key = (cls.kind, input_dim, n_qubits, circuit.n_trainable)
-    return cls(circuit, input_dim, n_qubits, n_layers, _initial_params(key, seed))
+    return cls(circuit, input_dim, _initial_params(key, seed))
 
 
 def build_qlstm(
@@ -554,12 +560,7 @@ def sequence_loss_and_grad(model, X, y):
 def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01):
     """Adam on next-step MSE from the model's parameters; targets are
     expected already scaled."""
-    X = np.asarray(windows, dtype=float)
-    y = np.asarray(targets, dtype=float).ravel()
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if X.ndim != 3 or X.shape[0] == 0:
-        raise ValueError("windows must be a non-empty (batch, steps, features) array")
+    X, y = _adam_fit_data("regression", (windows, targets), epochs)
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []
@@ -569,34 +570,3 @@ def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01)
         state, params = adam_step(state, params, grad)
     return replace(model, params=params), history
 
-
-def recurrent_to_json(model, seed=None) -> str:
-    doc = {
-        "kind": model.kind,
-        "input_dim": model.input_dim,
-        "values": model.params.tolist(),
-        "seed": seed,
-    }
-    if isinstance(model, ClassicalRnnBaseline):
-        doc["hidden_size"] = model.hidden_size
-    else:
-        doc.update(
-            layout=model.circuit.name, n_qubits=model.n_qubits, n_layers=model.n_layers
-        )
-    return json.dumps(doc, sort_keys=True)
-
-
-def recurrent_from_json(text: str):
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    values = np.asarray(doc["values"], dtype=float)
-    if kind in ("qlstm", "qgru"):
-        n_qubits, n_layers, layout = doc["n_qubits"], doc["n_layers"], doc["layout"]
-        if layout != template_name("qlstm_vqc", n_qubits, n_layers):
-            raise ValueError(f"layout {layout!r} disagrees with n_qubits/n_layers")
-        circuit = circuit_from_name(layout)
-        cls = QlstmCell if kind == "qlstm" else QgruCell
-        return cls(circuit, doc["input_dim"], n_qubits, n_layers, values)
-    if kind in ("lstm", "gru"):
-        return ClassicalRnnBaseline(kind, doc["input_dim"], doc["hidden_size"], values)
-    raise ValueError(f"unknown model kind {kind!r}")

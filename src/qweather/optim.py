@@ -13,6 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+# COBYLA's starting trust radius and the radius at which it stops
+_INITIAL_RADIUS = 1.0
+_END_RADIUS = 1e-4
+
 
 class OptimizationAbortedError(Exception):
     """Objective returned a non-finite value; carries the best point so far."""
@@ -30,9 +38,6 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def adam_init(n_params: int, learning_rate: float = 0.01) -> AdamState:
@@ -49,11 +54,11 @@ def adam_step(state: AdamState, params, grad):
             f"moments {state.first_moment.shape}"
         )
     t = state.step + 1
-    m = state.beta1 * state.first_moment + (1 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1 - state.beta2) * grad**2
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = _BETA1 * state.first_moment + (1 - _BETA1) * grad
+    v = _BETA2 * state.second_moment + (1 - _BETA2) * grad**2
+    m_hat = m / (1 - _BETA1**t)
+    v_hat = v / (1 - _BETA2**t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
     return replace(state, step=t, first_moment=m, second_moment=v), new_params
 
 
@@ -65,19 +70,13 @@ class CobylaResult:
     n_iters: int
 
 
-def cobyla_minimize(
-    objective,
-    x0,
-    max_iters: int = 150,
-    initial_radius: float = 1.0,
-    end_radius: float = 1e-4,
-) -> CobylaResult:
+def cobyla_minimize(objective, x0, max_iters: int = 150) -> CobylaResult:
     """Minimize a black-box objective without derivatives.
 
     ``max_iters`` counts model/geometry steps after the initial simplex is
     evaluated; each such step costs at most one objective evaluation, so
     the total evaluation count is bounded by max_iters + n + 1.  Stops
-    early once the trust radius falls below ``end_radius``.  Returns the
+    early once the trust radius falls below ``_END_RADIUS``.  Returns the
     best point actually evaluated.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -86,8 +85,6 @@ def cobyla_minimize(
         raise ValueError("x0 must be non-empty")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not 0 < end_radius <= initial_radius:
-        raise ValueError("need 0 < end_radius <= initial_radius")
 
     state = {"n_evals": 0, "x_best": None, "f_best": np.inf}
 
@@ -110,15 +107,15 @@ def cobyla_minimize(
     values = [evaluate(x0)]
     eye = np.eye(n)
     for i in range(n):
-        p = x0 + initial_radius * eye[i]
+        p = x0 + _INITIAL_RADIUS * eye[i]
         points.append(p)
         values.append(evaluate(p))
     points = np.array(points)
     values = np.array(values)
 
-    rho = initial_radius
+    rho = _INITIAL_RADIUS
     iters = 0
-    while iters < max_iters and rho >= end_radius:
+    while iters < max_iters and rho >= _END_RADIUS:
         iters += 1
         b = int(np.argmin(values))
         xb, fb = points[b], values[b]

@@ -9,11 +9,13 @@ exp(-i*theta*P/2) for a Pauli word P, so dE/dtheta =
 [E(theta + pi/2) - E(theta - pi/2)] / 2 (Schuld et al., arXiv:1811.11184);
 a derivative with respect to a trainable parameter or a raw input sums the
 shifts of every occurrence times the angle transform's chain-rule factor.
+``full_circuit`` joins a variational classifier's feature map and ansatz
+into the one circuit its probabilities must match.
 """
 
 import numpy as np
 
-from qweather.circuits import angle_partials, angle_values
+from qweather.circuits import Circuit, angle_partials, angle_values
 from qweather.qsim import apply_matrix, gate_matrix, z_expectations
 
 
@@ -63,6 +65,17 @@ def run(circuit, params, inputs, shifts=None):
         mat = gate_matrix(op.kind, angles)
         amps = apply_matrix(amps, circuit.n_qubits, op.targets, mat)
     return amps
+
+
+def full_circuit(clf):
+    """A VqcClassifier's feature map, then its ansatz, as one circuit."""
+    return Circuit(
+        name=f"{clf.feature_map.name}+{clf.ansatz.name}",
+        n_qubits=clf.feature_map.n_qubits,
+        ops=clf.feature_map.ops + clf.ansatz.ops,
+        n_trainable=clf.ansatz.n_trainable,
+        n_inputs=clf.feature_map.n_inputs,
+    )
 
 
 def readout(circuit, amps, observable=0):

@@ -16,13 +16,9 @@ KEPT_FOR_TESTS = {
     # parameter counts the acceptance criteria pin
     "models_recurrent.qgru_param_count",
     "models_recurrent.qlstm_param_count",
-    # trained-model serializers
-    "models_qnn.qnn_from_json",
-    "models_qnn.qnn_to_json",
-    "models_qnn.vqc_from_json",
-    "models_qnn.vqc_to_json",
-    "models_recurrent.recurrent_from_json",
-    "models_recurrent.recurrent_to_json",
+    # the trained-model codec, which only tests call until runs save models
+    "bench.model_from_json",
+    "bench.model_to_json",
 }
 
 

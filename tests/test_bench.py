@@ -3,9 +3,11 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import same_bytes
 
 from qweather import autodiff, models_qnn
 from qweather.bench import (
@@ -18,10 +20,30 @@ from qweather.bench import (
     config_from_dict,
     config_to_dict,
     emit_plot_data,
+    model_from_json,
+    model_to_json,
     normalized,
     report_from_json,
     report_to_json,
     run,
+)
+from qweather.circuits import build_reuploading_ising, build_reuploading_sel
+from qweather.models_qnn import (
+    build_dense_baseline,
+    build_qnn,
+    build_vqc_classifier,
+    dense_predict,
+    dense_probabilities,
+    qnn_predict,
+    qnn_probabilities,
+    vqc_probabilities,
+)
+from qweather.models_recurrent import (
+    build_classical_gru,
+    build_classical_lstm,
+    build_qgru,
+    build_qlstm,
+    sequence_forward,
 )
 from qweather.weather import EmptySelectionError, synth_generate
 
@@ -447,6 +469,85 @@ class TestArtifacts:
             assert t == row[0]
             assert float(actual) == row[1]
             assert float(pred) == row[2]
+
+
+# (id, seeded model, its scorer, input shape): every trained-model kind a
+# run builds, at the sizes of its default run
+MODEL_KINDS = [
+    ("qnn-sel-regression", lambda: build_qnn(build_reuploading_sel(4, 4), "regression", 1),
+     qnn_predict, (5, 4)),
+    ("qnn-sel-binary", lambda: build_qnn(build_reuploading_sel(4, 4), "binary", 1),
+     qnn_probabilities, (5, 4)),
+    ("qnn-sel-ternary", lambda: build_qnn(build_reuploading_sel(4, 4), "ternary", 1),
+     qnn_probabilities, (5, 4)),
+    ("qnn-ising-ternary", lambda: build_qnn(build_reuploading_ising(3, 2), "ternary", 2),
+     qnn_probabilities, (5, 3)),
+    ("vqc-binary", lambda: build_vqc_classifier(3, 2, seed=3), vqc_probabilities, (5, 3)),
+    ("vqc-ternary", lambda: build_vqc_classifier(3, 3, seed=4), vqc_probabilities, (5, 3)),
+    ("nn-regression", lambda: build_dense_baseline(21, 3, "regression", seed=5),
+     dense_predict, (5, 3)),
+    ("nn-binary", lambda: build_dense_baseline(48, 4, "binary", seed=6),
+     dense_probabilities, (5, 4)),
+    ("nn-ternary", lambda: build_dense_baseline(21, 3, "ternary", seed=7),
+     dense_probabilities, (5, 3)),
+    ("qlstm", lambda: build_qlstm(3, 4, 2, seed=8), sequence_forward, (5, 4, 3)),
+    ("qgru", lambda: build_qgru(3, 4, 2, seed=9), sequence_forward, (5, 4, 3)),
+    ("lstm", lambda: build_classical_lstm(3, 8, seed=10), sequence_forward, (5, 4, 3)),
+    ("gru", lambda: build_classical_gru(3, 16, seed=11), sequence_forward, (5, 4, 3)),
+]
+
+
+class TestModelDocuments:
+    @pytest.mark.parametrize(
+        "build,score,shape", [case[1:] for case in MODEL_KINDS],
+        ids=[case[0] for case in MODEL_KINDS],
+    )
+    def test_round_trip_keeps_params_and_scores_byte_identical(self, build, score, shape):
+        model = build()
+        text = model_to_json(model)
+        doc = json.loads(text)
+        assert doc["class"] == type(model).__name__
+        assert set(doc) == {"class"} | {f.name for f in fields(model)}
+        assert text == json.dumps(doc, sort_keys=True)
+        loaded = model_from_json(text)
+        assert type(loaded) is type(model)
+        for f in fields(model):
+            if f.name != "params":
+                assert getattr(loaded, f.name) == getattr(model, f.name)
+        assert same_bytes(loaded.params, model.params)
+        X = np.random.default_rng(12).uniform(-1.0, 1.0, size=shape)
+        assert same_bytes(score(loaded, X), score(model, X))
+
+    @pytest.mark.parametrize(
+        "build", [case[1] for case in MODEL_KINDS], ids=[case[0] for case in MODEL_KINDS]
+    )
+    def test_params_of_the_wrong_length_rejected(self, build):
+        doc = json.loads(model_to_json(build()))
+        with pytest.raises(ValueError, match="length"):
+            model_from_json(json.dumps(dict(doc, params=doc["params"][:-1])))
+
+    def test_unknown_class_rejected(self):
+        for text in ('{"class": "SvmModel"}', '{"kind": "gru"}', "[]"):
+            with pytest.raises(ValueError, match="unknown model class"):
+                model_from_json(text)
+        # a classical cell's own "kind" field is no class name
+        doc = json.loads(model_to_json(build_classical_gru(3, 16, seed=1)))
+        with pytest.raises(ValueError, match="unknown model class"):
+            model_from_json(json.dumps(dict(doc, **{"class": doc["kind"]})))
+
+    def test_missing_or_extra_keys_rejected(self):
+        doc = json.loads(model_to_json(build_qnn(build_reuploading_sel(4, 4), "binary", 1)))
+        missing = {key: value for key, value in doc.items() if key != "task"}
+        # the readout is the task's, so a document cannot state it
+        for bad in (missing, dict(doc, seed=7), dict(doc, readout=[0])):
+            with pytest.raises(ValueError, match="holds exactly the keys"):
+                model_from_json(json.dumps(bad))
+
+    def test_quantum_cell_runs_only_qlstm_vqc(self):
+        doc = json.loads(model_to_json(build_qlstm(4, 4, 4, seed=1)))
+        # reuploading_sel(4,4) has as many angles as qlstm_vqc(4,4)
+        with pytest.raises(ValueError, match="qlstm_vqc"):
+            model_from_json(json.dumps(dict(doc, circuit="reuploading_sel(4,4)")))
 
 
 class TestCompare:

@@ -239,6 +239,14 @@ def test_template_round_trips_through_its_name(build, a, b):
     assert circuit_from_name(circuit.name) == circuit
 
 
+def test_circuit_from_name_rejects_unknown():
+    with pytest.raises(ValueError):
+        circuit_from_name("mystery(3,2)")
+    for bad in ("reuploading_sel(4)", "reuploading_sel(4,4) ", "qlstm_vqc(-2,1)"):
+        with pytest.raises(ValueError, match="unknown circuit descriptor"):
+            circuit_from_name(bad)
+
+
 def test_circuit_qubit_count_is_capped():
     # the cap is checked when the circuit is built, before any state exists
     assert Circuit("widest", MAX_QUBITS, (), 0, 0).n_qubits == MAX_QUBITS

@@ -1,11 +1,11 @@
 """Tests for the feed-forward quantum models and dense baselines."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import same_bytes
+from reference import full_circuit
 
 from qweather.circuits import (
     AngleRef,
@@ -16,7 +16,6 @@ from qweather.circuits import (
     build_reuploading_sel,
     build_z_feature_map,
     build_zz_feature_map,
-    circuit_from_name,
     run_circuit_batch,
 )
 from qweather.models_qnn import (
@@ -34,15 +33,11 @@ from qweather.models_qnn import (
     _dense_loss_and_grad,
     _qnn_loss_and_grad,
     qnn_expectations,
-    qnn_from_json,
     qnn_predict,
     qnn_probabilities,
-    qnn_to_json,
     qnn_train,
     readout_class_masks,
-    vqc_from_json,
     vqc_probabilities,
-    vqc_to_json,
     vqc_train,
 )
 from qweather.optim import cobyla_minimize
@@ -106,7 +101,6 @@ class TestQnnForward:
             circuit=build_real_amplitudes(2, 0),
             params=np.array([np.pi / 2, 0.0]),
             task="binary",
-            readout=(0,),
         )
         probs = qnn_probabilities(model, NO_INPUT)
         assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -118,7 +112,6 @@ class TestQnnForward:
             circuit=build_real_amplitudes(2, 0),
             params=np.array([np.pi / 2, 0.0]),
             task="regression",
-            readout=(0,),
         )
         assert qnn_predict(model, NO_INPUT) == pytest.approx([0.5], abs=1e-12)
         assert qnn_predict(replace(model, params=np.zeros(2)), NO_INPUT) == [1.0]
@@ -136,13 +129,11 @@ class TestQnnForward:
             qnn_probabilities(model, np.zeros((1, 2)))
 
     def test_readout_shape_checked(self):
-        with pytest.raises(ValueError):
-            QnnModel(
-                circuit=build_reuploading_ising(3, 1),
-                params=np.zeros(12),
-                task="ternary",
-                readout=(0,),
-            )
+        # the readout is the task's: ternary reads qubits 0, 1 and 2
+        circuit = build_reuploading_sel(2, 1)
+        assert QnnModel(circuit, np.zeros(6), "binary").readout == (0,)
+        with pytest.raises(ValueError, match="ternary readout needs 3 qubits"):
+            QnnModel(circuit, np.zeros(6), "ternary")
 
 
 class TestQnnGradients:
@@ -170,10 +161,10 @@ class TestQnnGradients:
             down = model.params.copy()
             down[k] -= h
             f_up, _ = _qnn_loss_and_grad(
-                QnnModel(circuit, up, task, model.readout), X, y
+                QnnModel(circuit, up, task), X, y
             )
             f_dn, _ = _qnn_loss_and_grad(
-                QnnModel(circuit, down, task, model.readout), X, y
+                QnnModel(circuit, down, task), X, y
             )
             assert grad[k] == pytest.approx((f_up - f_dn) / (2 * h), abs=5e-5)
 
@@ -211,7 +202,7 @@ class TestQnnTrain:
         circuit = _ry_ansatz()
         X = np.zeros((8, 0))
         y = np.full(8, 0.25)
-        model = QnnModel(circuit, np.array([0.3]), "regression", (0,))
+        model = QnnModel(circuit, np.array([0.3]), "regression")
         model, history = qnn_train(model, (X, y), epochs=150, lr=0.05)
         assert history[-1] < history[0]
         assert history[-1] < 1e-4
@@ -283,7 +274,7 @@ class TestVqcClassifier:
 
     def test_full_circuit_slot_counts(self):
         clf = build_vqc_classifier(4, 3)
-        full = clf.full_circuit
+        full = full_circuit(clf)
         assert full.n_trainable == 16
         assert full.n_inputs == 4
 
@@ -300,7 +291,6 @@ class TestVqcClassifier:
                 ansatz=build_real_amplitudes(2, 1),
                 params=np.zeros(4),
                 n_classes=2,
-                readout_rule="parity",
             )
 
     def test_single_qubit_phase_classes_learned(self):
@@ -311,7 +301,6 @@ class TestVqcClassifier:
             ansatz=_ry_ansatz(),
             params=init_params(1, 1),
             n_classes=2,
-            readout_rule="parity",
         )
         rng = np.random.default_rng(3)
         x = np.concatenate([np.zeros(10), np.full(10, np.pi / 2)])
@@ -339,10 +328,10 @@ class TestVqcClassifier:
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_probabilities_are_the_full_circuit_bytes(self, n_classes):
-        # full_circuit is the oracle: feature map then ansatz in one run
+        # the full circuit is the oracle: feature map then ansatz in one run
         clf = build_vqc_classifier(3, n_classes, seed=13)
         X = np.random.default_rng(13).uniform(0, np.pi, size=(9, 3))
-        probs = np.abs(run_circuit_batch(clf.full_circuit, clf.params, X)) ** 2
+        probs = np.abs(run_circuit_batch(full_circuit(clf), clf.params, X)) ** 2
         masks = readout_class_masks(3, n_classes, clf.readout_rule)
         want = np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
         assert same_bytes(vqc_probabilities(clf, X), want)
@@ -359,7 +348,7 @@ class TestVqcClassifier:
         want = []
 
         def full_objective(theta):
-            probs = np.abs(run_circuit_batch(clf.full_circuit, theta, X)) ** 2
+            probs = np.abs(run_circuit_batch(full_circuit(clf), theta, X)) ** 2
             masks = readout_class_masks(3, n_classes, clf.readout_rule)
             p = np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
             loss = float(-np.mean(np.log(np.clip(p[np.arange(12), y], 1e-12, None))))
@@ -377,7 +366,6 @@ class TestVqcClassifier:
                 ansatz=build_real_amplitudes(2, 1),
                 params=np.zeros(4),
                 n_classes=2,
-                readout_rule="parity",
             )
 
     def test_label_range_checked(self):
@@ -466,6 +454,18 @@ class TestDenseBaseline:
         with pytest.raises(ValueError):
             dense_train(model, (np.ones((4, 3)), np.zeros(4)), epochs=0)
 
+    @pytest.mark.parametrize("task, label", [("binary", 2), ("binary", -1), ("ternary", -1)])
+    @pytest.mark.parametrize("train", [qnn_train, dense_train])
+    def test_labels_outside_the_classes_rejected(self, train, task, label):
+        # a ternary -1 would train as class 2 through np.eye(3)[-1]
+        if train is qnn_train:
+            model = build_qnn(build_reuploading_ising(3, 1), task)
+        else:
+            model = build_dense_baseline(21, 3, task)
+        y = np.array([0.0, 1.0, 0.0, label])
+        with pytest.raises(ValueError, match="labels must be in"):
+            train(model, (np.ones((4, 3)), y), epochs=1)
+
     def test_binary_tie_goes_to_lowest_class(self):
         # zero parameters give a zero logit, and sigmoid(0) is exactly 0.5
         model = build_dense_baseline(21, 3, "binary")
@@ -482,41 +482,3 @@ class TestDenseBaseline:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(dense_predict(model, X), np.argmax(probs, axis=1))
 
-
-class TestSerialization:
-    def test_qnn_round_trip(self):
-        # a regression document holds no target scale: predictions are in
-        # the [0, 1] space the harness scales targets to
-        model = build_qnn(build_reuploading_sel(4, 4), "regression", seed=7)
-        text = qnn_to_json(model, seed=7)
-        doc = json.loads(text)
-        assert doc["layout"] == "reuploading_sel(4,4)"
-        assert doc["seed"] == 7
-        assert set(doc) == {"kind", "layout", "task", "readout", "values", "seed"}
-        loaded = qnn_from_json(text)
-        assert (loaded.circuit, loaded.task, loaded.readout) == (
-            model.circuit, model.task, model.readout
-        )
-        assert same_bytes(loaded.params, model.params)
-        X = np.full((3, 4), 0.25)
-        assert same_bytes(qnn_predict(loaded, X), qnn_predict(model, X))
-
-    def test_vqc_round_trip(self):
-        clf = build_vqc_classifier(4, 3, seed=9)
-        loaded = vqc_from_json(vqc_to_json(clf, seed=9))
-        assert loaded.n_classes == 3
-        assert loaded.readout_rule == "mod"
-        X = np.full((2, 4), 0.3)
-        assert np.allclose(vqc_probabilities(loaded, X), vqc_probabilities(clf, X))
-
-    def test_circuit_from_name_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            circuit_from_name("mystery(3,2)")
-        for bad in ("reuploading_sel(4)", "reuploading_sel(4,4) ", "qlstm_vqc(-2,1)"):
-            with pytest.raises(ValueError, match="unknown circuit descriptor"):
-                circuit_from_name(bad)
-
-    def test_wrong_kind_rejected(self):
-        clf = build_vqc_classifier(2, 2, seed=0)
-        with pytest.raises(ValueError):
-            qnn_from_json(vqc_to_json(clf))

@@ -1,6 +1,5 @@
 """Tests for the quantum and classical recurrent sequence models."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +25,6 @@ from qweather.models_recurrent import (
     qgru_step,
     qlstm_param_count,
     qlstm_step,
-    recurrent_from_json,
-    recurrent_to_json,
     sequence_forward,
     sequence_loss_and_grad,
     train_sequence_model,
@@ -77,7 +74,7 @@ class TestParamCounts:
     def test_param_length_checked(self):
         cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1)
         with pytest.raises(ValueError):
-            QgruCell(cell.circuit, 2, 2, 1, cell.params[:-1])
+            QgruCell(cell.circuit, 2, cell.params[:-1])
         with pytest.raises(ValueError):
             ClassicalRnnBaseline("lstm", 4, 8, np.zeros(456))
         with pytest.raises(ValueError):
@@ -498,38 +495,3 @@ class TestTraining:
         with pytest.raises(ValueError):
             sequence_loss_and_grad(model, np.zeros((2, 3, 2)), np.zeros(3))
 
-
-class TestSerialization:
-    def test_quantum_round_trip(self):
-        cell = build_qlstm(input_dim=3, n_qubits=2, n_layers=1, seed=4)
-        loaded = recurrent_from_json(recurrent_to_json(cell, seed=4))
-        assert isinstance(loaded, QlstmCell)
-        assert np.allclose(loaded.params, cell.params)
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(3, 2, 3))
-        assert np.allclose(sequence_forward(loaded, X), sequence_forward(cell, X))
-
-    def test_gru_round_trip(self):
-        cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1, seed=5)
-        loaded = recurrent_from_json(recurrent_to_json(cell))
-        assert isinstance(loaded, QgruCell)
-        assert np.allclose(loaded.params, cell.params)
-
-    def test_classical_round_trip(self):
-        model = build_classical_gru(4, 16, seed=6)
-        loaded = recurrent_from_json(recurrent_to_json(model, seed=6))
-        assert loaded.kind == "gru"
-        assert np.allclose(loaded.params, model.params)
-
-    def test_stored_layout_is_the_circuit_read(self):
-        cell = build_qgru(input_dim=2, n_qubits=2, n_layers=1, seed=5)
-        doc = json.loads(recurrent_to_json(cell))
-        assert recurrent_from_json(json.dumps(doc)).circuit == cell.circuit
-        edits = ["reuploading_sel(9,9)", "qlstm_vqc(2,2)", "qlstm_vqc(3,1)", "qlstm_vqc"]
-        for layout in edits:
-            with pytest.raises(ValueError, match="disagrees with n_qubits/n_layers"):
-                recurrent_from_json(json.dumps(dict(doc, layout=layout)))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            recurrent_from_json('{"kind": "tcn", "values": []}')

@@ -1,5 +1,6 @@
 """Tests for the feed-forward quantum models and dense baselines."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from qweather.models_qnn import (
     vqc_probabilities,
     vqc_train,
 )
+from qweather.bench import model_from_json, model_to_json
 from qweather.optim import cobyla_minimize
 
 
@@ -482,3 +484,12 @@ class TestDenseBaseline:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(dense_predict(model, X), np.argmax(probs, axis=1))
 
+
+
+class TestSerialization:
+    def test_wrong_kind_rejected(self):
+        # a classifier's document does not read as a regression QNN
+        doc = json.loads(model_to_json(build_vqc_classifier(2, 2, seed=0)))
+        assert type(model_from_json(json.dumps(doc))) is VqcClassifier
+        with pytest.raises(ValueError, match="holds exactly the keys"):
+            model_from_json(json.dumps(dict(doc, **{"class": "QnnModel"})))

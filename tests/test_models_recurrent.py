@@ -7,6 +7,7 @@ import pytest
 from conftest import same_bytes
 
 from qweather import models_recurrent
+from qweather.bench import model_from_json
 from qweather.autodiff import bind, circuit_vjp, expectation_batch
 from qweather.models_qnn import INIT_ANGLE
 from qweather.models_recurrent import (
@@ -495,3 +496,10 @@ class TestTraining:
         with pytest.raises(ValueError):
             sequence_loss_and_grad(model, np.zeros((2, 3, 2)), np.zeros(3))
 
+
+
+class TestSerialization:
+    def test_unknown_kind_rejected(self):
+        for text in ('{"kind": "tcn", "values": []}', '{"class": "TcnCell", "params": []}'):
+            with pytest.raises(ValueError, match="unknown model class"):
+                model_from_json(text)

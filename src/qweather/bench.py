@@ -497,6 +497,10 @@ def _report_list(doc, key, of_rows=False):
     return tuple(map(tuple, value)) if of_rows else tuple(value)
 
 
+def _numbers(values) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
 def report_from_json(text: str) -> ExperimentReport:
     """The report a report.json document holds; DataFormatError names what
     is not JSON, missing or malformed."""
@@ -510,12 +514,20 @@ def report_from_json(text: str) -> ExperimentReport:
     if missing:
         raise DataFormatError(f"report lacks {', '.join(missing)}")
     values = {key: doc[key] for key in _REPORT_KEYS}
+    if not isinstance(values["config"], dict):
+        raise DataFormatError("report config must be a JSON object")
     values["selected_features"] = _report_list(doc, "selected_features")
     values["loss_history"] = _report_list(doc, "loss_history")
-    values["predictions"] = _report_list(doc, "predictions", of_rows=True)
+    rows = values["predictions"] = _report_list(doc, "predictions", of_rows=True)
+    if not all(len(r) == 3 and isinstance(r[0], str) and _numbers(r[1:]) for r in rows):
+        raise DataFormatError("each report predictions row must be a time and two numbers")
     values["probabilities"] = None
     if doc.get("probabilities") is not None:
-        values["probabilities"] = _report_list(doc, "probabilities", of_rows=True)
+        probs = values["probabilities"] = _report_list(doc, "probabilities", of_rows=True)
+        if len(probs) != len(rows):
+            raise DataFormatError("report probabilities must have one row per prediction")
+        if len({len(p) for p in probs}) > 1 or not all(map(_numbers, probs)):
+            raise DataFormatError("report probability rows must be numbers of one length")
     return ExperimentReport(**values, wall_time_s=float("nan"))
 
 
@@ -776,7 +788,7 @@ def compare(configs, out_dir=None):
 def emit_plot_data(report: ExperimentReport, path, probabilities: bool = False):
     """Write the prediction series (or class probabilities) as CSV."""
     if probabilities:
-        if report.probabilities is None:
+        if not report.probabilities:
             raise NoPredictionsError("this report carries no class probabilities")
         n_classes = len(report.probabilities[0])
         with open(path, "w", encoding="utf-8") as fh:

@@ -131,6 +131,20 @@ def _adam_fit_data(task, dataset, epochs):
     return X, y
 
 
+def _adam_fit(loss_and_grad, model, X, y, epochs, lr):
+    """Full-batch Adam from the model's parameters on ``loss_and_grad(model,
+    X, y) -> (loss, gradient)``; the trained model and each epoch's loss.
+    It calls ``adam_step`` through this module, where perfbench patches it."""
+    params = model.params.copy()
+    state = adam_init(params.size, learning_rate=lr)
+    history = []
+    for _ in range(epochs):
+        loss, grad = loss_and_grad(replace(model, params=params), X, y)
+        history.append(loss)
+        state, params = adam_step(state, params, grad)
+    return replace(model, params=params), history
+
+
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
     n = X.shape[0]
     # one binding of the epoch's angles serves the forward pass and the VJP;
@@ -164,14 +178,11 @@ def qnn_train(model: QnnModel, dataset, epochs: int, lr: float = 0.01):
     against 2y - 1 (regression, y in [0, 1]) or on cross-entropy."""
     X, y = _adam_fit_data(model.task, dataset, epochs)
     y_enc = 2.0 * y - 1.0 if model.task == "regression" else y
-    params = model.params.copy()
-    state = adam_init(params.size, learning_rate=lr)
-    history = []
-    for _ in range(epochs):
-        loss, grad = _qnn_loss_and_grad(replace(model, params=params), X, y_enc)
-        history.append(loss)
-        state, params = adam_step(state, params, grad)
-    return replace(model, params=params), history
+    return _adam_fit(_qnn_loss_and_grad, model, X, y_enc, epochs, lr)
+
+
+# a classifier's readout rule by class count: the masks and readout_rule read it
+_READOUT_RULES = {2: "parity", 3: "mod"}
 
 
 @dataclass(frozen=True)
@@ -194,7 +205,7 @@ class VqcClassifier:
     @property
     def readout_rule(self) -> str:
         """Bitstring parity for two classes, basis index mod 3 for three."""
-        return "parity" if self.n_classes == 2 else "mod"
+        return _READOUT_RULES[self.n_classes]
 
 
 def build_vqc_classifier(n_features: int, n_classes: int, seed=None) -> VqcClassifier:
@@ -209,10 +220,10 @@ def build_vqc_classifier(n_features: int, n_classes: int, seed=None) -> VqcClass
     )
 
 
-def readout_class_masks(n_qubits: int, n_classes: int, rule: str) -> np.ndarray:
+def readout_class_masks(n_qubits: int, n_classes: int) -> np.ndarray:
     """Boolean (n_classes, 2**n) masks mapping basis states to classes."""
     idx = np.arange(1 << n_qubits)
-    if rule == "parity":
+    if _READOUT_RULES[n_classes] == "parity":
         classes = np.bitwise_count(idx.astype(np.uint64)).astype(int) % 2
     else:
         classes = idx % n_classes
@@ -223,7 +234,7 @@ def _vqc_fixed_part(clf: VqcClassifier, X):
     """What no trainable angle changes: the feature map's states of X and
     the readout masks."""
     states = run_circuit_batch(clf.feature_map, (), X)
-    masks = readout_class_masks(clf.ansatz.n_qubits, clf.n_classes, clf.readout_rule)
+    masks = readout_class_masks(clf.ansatz.n_qubits, clf.n_classes)
     return states, masks
 
 
@@ -405,12 +416,5 @@ def dense_train(model: DenseBaseline, dataset, epochs: int, lr: float = 0.01):
     """Full-batch Adam from the model's parameters; mirrors the quantum
     training interface."""
     X, y = _adam_fit_data(model.task, dataset, epochs)
-    params = model.params.copy()
-    state = adam_init(params.size, learning_rate=lr)
-    history = []
-    for _ in range(epochs):
-        loss, grad = _dense_loss_and_grad(replace(model, params=params), X, y)
-        history.append(loss)
-        state, params = adam_step(state, params, grad)
-    return replace(model, params=params), history
+    return _adam_fit(_dense_loss_and_grad, model, X, y, epochs, lr)
 

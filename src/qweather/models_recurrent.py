@@ -29,7 +29,7 @@ and the adjoint sweep ends there, on per-qubit 2 x 2 matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -42,8 +42,7 @@ from .circuits import (
     run_circuit_batch,
     template_name,
 )
-from .models_qnn import INIT_ANGLE, _adam_fit_data, _sigmoid
-from .optim import adam_init, adam_step
+from .models_qnn import INIT_ANGLE, _adam_fit, _adam_fit_data, _sigmoid
 from .qsim import z_expectations
 
 QLSTM_GATES = ("forget", "input", "update", "output", "hidden", "readout")
@@ -561,12 +560,5 @@ def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01)
     """Adam on next-step MSE from the model's parameters; targets are
     expected already scaled."""
     X, y = _adam_fit_data("regression", (windows, targets), epochs)
-    params = model.params.copy()
-    state = adam_init(params.size, learning_rate=lr)
-    history = []
-    for _ in range(epochs):
-        loss, grad = sequence_loss_and_grad(replace(model, params=params), X, y)
-        history.append(loss)
-        state, params = adam_step(state, params, grad)
-    return replace(model, params=params), history
+    return _adam_fit(sequence_loss_and_grad, model, X, y, epochs, lr)
 

@@ -21,25 +21,14 @@ import numpy as np
 
 MAX_QUBITS = 24
 
-# kind -> (number of angles, number of target qubits)
-GATE_ARITY = {
-    "H": (0, 1),
-    "RX": (1, 1),
-    "RY": (1, 1),
-    "RZ": (1, 1),
-    "R3": (3, 1),
-    "CNOT": (0, 2),
-    "CZ": (0, 2),
-    "RXX": (1, 2),
-    "RYY": (1, 2),
-    "RZZ": (1, 2),
+# the gates without angles
+_FIXED = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "CNOT": np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]])
@@ -54,66 +43,45 @@ GENERATORS = {
     "RZZ": np.kron(_Z, _Z),
 }
 
+# kind -> (number of angles, number of target qubits)
+GATE_ARITY = {
+    **{kind: (0, len(m).bit_length() - 1) for kind, m in _FIXED.items()},
+    **{kind: (1, len(p).bit_length() - 1) for kind, p in GENERATORS.items()},
+    "R3": (3, 1),
+}
 
-def _rx(theta):
+
+def _rotation_table(p):
+    """P's size and form, and (row, column, sign) of each entry of exp(-i*theta*P/2)
+    that P or I fills: the sign of P's real or imaginary entry, 0 where P has none."""
+    if np.array_equal(p, np.diag(np.diag(p))):
+        form = "diagonal"
+    else:
+        form = "imaginary" if p.imag.any() else "real"
+    signs = np.sign(p.real + p.imag).astype(int)
+    filled = np.argwhere((p != 0) | np.eye(len(p), dtype=bool))
+    return len(p), form, tuple((int(j), int(k), int(signs[j, k])) for j, k in filled)
+
+
+_ROTATIONS = {kind: _rotation_table(p) for kind, p in GENERATORS.items()}
+
+
+def _rotation(kind, theta):
+    """exp(-i*theta*P/2) for the generator P of ``kind``: e^(-i*theta/2) and
+    e^(i*theta/2) where a diagonal P holds +1 and -1, else cos(theta/2) on
+    the diagonal and -i*sin(theta/2)*P[j, k] off it."""
     t = np.asarray(theta, dtype=float)
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    m = np.zeros(t.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -1j * s
-    m[..., 1, 0] = -1j * s
-    m[..., 1, 1] = c
-    return m
-
-
-def _ry(theta):
-    t = np.asarray(theta, dtype=float)
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    m = np.zeros(t.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    return m
-
-
-def _rz(theta):
-    t = np.asarray(theta, dtype=float)
-    m = np.zeros(t.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = np.exp(-0.5j * t)
-    m[..., 1, 1] = np.exp(0.5j * t)
-    return m
-
-
-def _rxx(theta):
-    t = np.asarray(theta, dtype=float)
-    c, s = np.cos(t / 2), -1j * np.sin(t / 2)
-    m = np.zeros(t.shape + (4, 4), dtype=complex)
-    for k in range(4):
-        m[..., k, k] = c
-        m[..., k, 3 - k] = s
-    return m
-
-
-def _ryy(theta):
-    t = np.asarray(theta, dtype=float)
-    c, s = np.cos(t / 2), -1j * np.sin(t / 2)
-    m = np.zeros(t.shape + (4, 4), dtype=complex)
-    for k in range(4):
-        m[..., k, k] = c
-        # Y(x)Y: off-anti-diagonal signs (+1 for 01/10, -1 for 00/11)
-        m[..., k, 3 - k] = s if k in (1, 2) else -s
-    return m
-
-
-def _rzz(theta):
-    t = np.asarray(theta, dtype=float)
-    lo, hi = np.exp(-0.5j * t), np.exp(0.5j * t)
-    m = np.zeros(t.shape + (4, 4), dtype=complex)
-    m[..., 0, 0] = lo
-    m[..., 1, 1] = hi
-    m[..., 2, 2] = hi
-    m[..., 3, 3] = lo
+    d, form, entries = _ROTATIONS[kind]
+    # terms[sign]: a diagonal P has no sign 0; u is the entry where P is +1 or +i
+    if form == "diagonal":
+        terms = (None, np.exp(-0.5j * t), np.exp(0.5j * t))
+    else:
+        s = np.sin(t / 2)
+        u = -1j * s if form == "real" else s
+        terms = (np.cos(t / 2), u, -u)
+    m = np.zeros(t.shape + (d, d), dtype=complex)
+    for j, k, sign in entries:
+        m[..., j, k] = terms[sign]
     return m
 
 
@@ -123,27 +91,12 @@ def gate_matrix(kind: str, angles=()) -> np.ndarray:
     Angles may be scalars or equal-shape arrays; array angles yield a
     batch of matrices with the batch axes leading.
     """
-    if kind == "H":
-        return _H
-    if kind == "CNOT":
-        return _CNOT
-    if kind == "CZ":
-        return _CZ
-    if kind == "RX":
-        return _rx(angles[0])
-    if kind == "RY":
-        return _ry(angles[0])
-    if kind == "RZ":
-        return _rz(angles[0])
-    if kind == "RXX":
-        return _rxx(angles[0])
-    if kind == "RYY":
-        return _ryy(angles[0])
-    if kind == "RZZ":
-        return _rzz(angles[0])
+    if kind in _FIXED:
+        return _FIXED[kind]
+    if kind in GENERATORS:
+        return _rotation(kind, angles[0])
     if kind == "R3":
-        a, b, g = angles
-        return _r3(a, b, g)
+        return _r3(*angles)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 

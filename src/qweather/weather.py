@@ -39,8 +39,7 @@ class EmptySelectionError(Exception):
 
 # Pearson correlation of each ERA5 short-name feature with 2-meter
 # temperature on the reference monthly single-site extract (1940-2025
-# cadence).  Serves as the default ranking when no data is supplied and as
-# the calibration target for the synthetic generator.
+# cadence); the calibration target of the synthetic generator.
 REFERENCE_CORRELATIONS = {
     "skt": 0.972,
     "tsr": 0.803,
@@ -335,22 +334,21 @@ def _exact_corr_column(z_unit: np.ndarray, noise: np.ndarray, rho: float):
     return rho * z_unit + math.sqrt(1.0 - rho * rho) * g
 
 
-# (short name, exact target correlation, offset, spread) of every synthetic
-# column; correlations mirror the reference ranking's shape so threshold
-# selection behaves like it does on the real extract.
+# (short name, offset, spread) of every synthetic column, in draw order; each
+# hits its reference correlation, so selection behaves as on the real extract.
 _SYNTH_COLUMNS = (
-    ("skt", 0.972, 300.8, 14.0),
-    ("sp", -0.806, 101325.0, 800.0),
-    ("tsr", 0.803, 1.8e7, 6.0e6),
-    ("ssrdc", 0.783, 1.6e7, 5.0e6),
-    ("cdir", 0.778, 1.1e7, 4.0e6),
-    ("ssrd", 0.766, 1.5e7, 5.0e6),
-    ("slhf", -0.531, -6.0e6, 2.5e6),
-    ("u10", 0.173, 1.2, 2.1),
-    ("hcc", 0.165, 0.45, 0.2),
-    ("lcc", -0.103, 0.35, 0.2),
-    ("tp", -0.025, 0.004, 0.003),
-    ("v10", -0.012, -0.35, 1.8),
+    ("skt", 300.8, 14.0),
+    ("sp", 101325.0, 800.0),
+    ("tsr", 1.8e7, 6.0e6),
+    ("ssrdc", 1.6e7, 5.0e6),
+    ("cdir", 1.1e7, 4.0e6),
+    ("ssrd", 1.5e7, 5.0e6),
+    ("slhf", -6.0e6, 2.5e6),
+    ("u10", 1.2, 2.1),
+    ("hcc", 0.45, 0.2),
+    ("lcc", 0.35, 0.2),
+    ("tp", 0.004, 0.003),
+    ("v10", -0.35, 1.8),
 )
 
 
@@ -371,7 +369,8 @@ def synth_generate(seed: int, n_months: int = 1000) -> Dataset:
     z = t2m - t2m.mean()
     z_unit = z / np.linalg.norm(z)
     columns = {"t2m": t2m}
-    for name, rho, offset, spread in _SYNTH_COLUMNS:
+    for name, offset, spread in _SYNTH_COLUMNS:
+        rho = REFERENCE_CORRELATIONS[name]
         base = _exact_corr_column(z_unit, rng.normal(size=n_months), rho)
         # rescale the unit-norm column to population std 1, then to units
         base = base * math.sqrt(n_months)

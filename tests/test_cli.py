@@ -301,6 +301,25 @@ def regression_report(tmp_path_factory, synth_csv):
     return str(out / "report.json")
 
 
+def _report_document(**changes):
+    """A well-formed one-prediction regression report.json document with
+    ``changes`` applied."""
+    doc = {
+        "config": {"task": "regression"},
+        "n_parameters": 1,
+        "selected_features": ["skt"],
+        "details": {},
+        "metrics": {},
+        "loss_history": [0.5],
+        "n_train": 1,
+        "n_test": 1,
+        "predictions": [["2020-01", 290.0, 291.0]],
+        "probabilities": None,
+    }
+    doc.update(changes)
+    return doc
+
+
 class TestPlotData:
     def test_series_csv(self, regression_report, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -324,6 +343,42 @@ class TestPlotData:
         out = tmp_path / "x.csv"
         assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"predictions": [["2020-01"]]}, "predictions row must be a time and two"),
+            ({"predictions": [[202001, 290.0, 291.0]]}, "predictions row"),
+            ({"predictions": [["2020-01", 290.0, "x"]]}, "predictions row"),
+            ({"predictions": [["2020-01", 290.0, True]]}, "predictions row"),
+            ({"config": []}, "report config must be a JSON object"),
+            ({"probabilities": [[0.5, 0.5], [0.5, 0.5]]}, "one row per prediction"),
+            ({"probabilities": [[0.5, "x"]]}, "rows must be numbers"),
+            (
+                {"predictions": [["2020-01", 1, 0]] * 2, "probabilities": [[0.5, 0.5], [1.0]]},
+                "numbers of one length",
+            ),
+        ],
+        ids=[
+            "short_row", "time_not_a_string", "value_not_a_number", "value_a_bool",
+            "config_a_list", "probabilities_per_prediction", "probability_not_a_number",
+            "ragged_probabilities",
+        ],
+    )
+    def test_malformed_report_exit_3(self, tmp_path, capsys, changes, message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(_report_document(**changes)))
+        out = tmp_path / "x.csv"
+        assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_no_probabilities_exit_2(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(_report_document(predictions=[], probabilities=[])))
+        out = tmp_path / "x.csv"
+        argv = ["plotdata", "--report", str(report), "--out", str(out), "--probabilities"]
+        assert main(argv) == 2
+        assert "no class probabilities" in capsys.readouterr().err
 
     def test_classification_without_flag_exit_2(self, svc_config, tmp_path, capsys):
         run_dir = tmp_path / "cls"

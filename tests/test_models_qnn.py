@@ -252,12 +252,12 @@ class TestQnnTrain:
 
 class TestVqcClassifier:
     def test_mod3_class_sizes_on_4_qubits(self):
-        masks = readout_class_masks(4, 3, "mod")
+        masks = readout_class_masks(4, 3)
         assert masks.shape == (3, 16)
         assert list(masks.sum(axis=1)) == [6, 5, 5]
 
     def test_parity_masks_split_evenly(self):
-        masks = readout_class_masks(3, 2, "parity")
+        masks = readout_class_masks(3, 2)
         assert list(masks.sum(axis=1)) == [4, 4]
         # |011> has two set bits, so it is even parity
         assert masks[0][3]
@@ -334,7 +334,7 @@ class TestVqcClassifier:
         clf = build_vqc_classifier(3, n_classes, seed=13)
         X = np.random.default_rng(13).uniform(0, np.pi, size=(9, 3))
         probs = np.abs(run_circuit_batch(full_circuit(clf), clf.params, X)) ** 2
-        masks = readout_class_masks(3, n_classes, clf.readout_rule)
+        masks = readout_class_masks(3, n_classes)
         want = np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
         assert same_bytes(vqc_probabilities(clf, X), want)
 
@@ -351,7 +351,7 @@ class TestVqcClassifier:
 
         def full_objective(theta):
             probs = np.abs(run_circuit_batch(full_circuit(clf), theta, X)) ** 2
-            masks = readout_class_masks(3, n_classes, clf.readout_rule)
+            masks = readout_class_masks(3, n_classes)
             p = np.stack([probs[:, m].sum(axis=1) for m in masks], axis=1)
             loss = float(-np.mean(np.log(np.clip(p[np.arange(12), y], 1e-12, None))))
             want.append(loss)

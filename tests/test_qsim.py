@@ -31,6 +31,17 @@ def test_single_qubit_rotations_match_exponential(kind, pauli):
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=10):
         expected = expm(-0.5j * theta * pauli)
         assert np.allclose(gate_matrix(kind, (theta,)), expected, atol=1e-12)
+    _check_batch_matches_exponential(kind, pauli, rng)
+
+
+def _check_batch_matches_exponential(kind, pauli, rng):
+    # a (2, 3) batch of angles gives a (2, 3) batch of matrices, one per angle
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(2, 3))
+    mats = gate_matrix(kind, (thetas,))
+    assert mats.shape == (2, 3) + pauli.shape
+    for index in np.ndindex(thetas.shape):
+        expected = expm(-0.5j * thetas[index] * pauli)
+        assert np.allclose(mats[index], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -42,6 +53,27 @@ def test_two_qubit_rotations_match_exponential(kind, pauli):
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=10):
         expected = expm(-0.5j * theta * pauli)
         assert np.allclose(gate_matrix(kind, (theta,)), expected, atol=1e-12)
+    _check_batch_matches_exponential(kind, pauli, rng)
+
+
+def test_entries_outside_the_identity_and_generator_are_zero_bytes():
+    # apply_matrix picks its index tables from the nonzero pattern, so an
+    # entry that neither I nor P fills must be +0j in every bit, at angles
+    # of +0.0 and -0.0 too; R3 fills all four entries, and a fixed gate's
+    # pattern is its own nonzero entries
+    angles = np.array([0.0, -0.0, 0.3, -2.1, np.pi])
+    for kind, (n_angles, n_targets) in GATE_ARITY.items():
+        d = 1 << n_targets
+        if kind in GENERATORS:
+            pattern = (GENERATORS[kind] != 0) | np.eye(d, dtype=bool)
+        elif n_angles:
+            pattern = np.ones((d, d), dtype=bool)
+        else:
+            pattern = gate_matrix(kind) != 0
+        per_angle = [gate_matrix(kind, (a,) * n_angles) for a in angles]
+        for m in per_angle + [gate_matrix(kind, (angles,) * n_angles)]:
+            outside = m[..., ~pattern]
+            assert same_bytes(outside, np.zeros(outside.shape, dtype=complex)), kind
 
 
 def test_rx_pi_on_zero_gives_minus_i_one():
@@ -139,18 +171,7 @@ def test_inverse_circuit_recovers_initial_state():
 
 def test_gate_matrices_are_unitary():
     rng = np.random.default_rng(43)
-    for kind, (n_angles, n_targets) in [
-        ("H", (0, 1)),
-        ("RX", (1, 1)),
-        ("RY", (1, 1)),
-        ("RZ", (1, 1)),
-        ("R3", (3, 1)),
-        ("CNOT", (0, 2)),
-        ("CZ", (0, 2)),
-        ("RXX", (1, 2)),
-        ("RYY", (1, 2)),
-        ("RZZ", (1, 2)),
-    ]:
+    for kind, (n_angles, n_targets) in GATE_ARITY.items():
         angles = tuple(rng.uniform(-np.pi, np.pi, size=n_angles).tolist())
         m = gate_matrix(kind, angles)
         d = 2**n_targets

@@ -33,20 +33,8 @@ from string import ascii_letters
 
 import numpy as np
 
-from .circuits import (
-    Circuit,
-    _slot_array,
-    angle_partials,
-    angle_values,
-    run_circuit_batch,
-)
-from .qsim import GENERATORS, _z_table, apply_matrix, gate_matrix, z_expectations
-
-
-def expectation_batch(circuit: Circuit, params, inputs, qubits) -> np.ndarray:
-    """<Z_q> for each q in ``qubits``; shape batch + (len(qubits),)."""
-    amps = run_circuit_batch(circuit, params, inputs)
-    return z_expectations(amps, circuit.n_qubits, qubits)
+from .circuits import Circuit, _slot_array, angle_partials, angle_values
+from .qsim import GENERATORS, _z_table, apply_matrix, gate_matrix
 
 
 def _rotation_sweep(ops):

@@ -46,10 +46,8 @@ from .models_qnn import (
     build_qnn,
     build_vqc_classifier,
     dense_predict,
-    dense_probabilities,
     dense_train,
     qnn_predict,
-    qnn_probabilities,
     qnn_train,
     vqc_probabilities,
     vqc_train,
@@ -109,20 +107,18 @@ DENSE_BUDGETS = {3: 21, 4: 48}
 
 @dataclass(frozen=True)
 class Fitted:
-    """A trained model as the harness scores it; it sets one of two scorers.
+    """A trained model as the harness scores it.
 
-    A probabilistic classifier sets ``probabilities``, the class
-    probabilities of a batch, and its labels are their argmax, ties to the
-    lowest class.  Regression models and kernel machines set ``predict``:
-    values in the [0, 1] space of the scaled targets the fit was given, or
-    labels.
+    ``score`` maps a batch to values in the [0, 1] space of the scaled
+    targets the fit was given, to labels (kernel machines), or to (n,
+    n_classes) class probabilities, whose argmax ``run`` takes as the
+    labels, ties to the lowest class.
     """
 
+    score: Callable
     n_params: int
     details: dict
     history: list
-    predict: Callable | None = None
-    probabilities: Callable | None = None
 
 
 # The fit functions call other modules' functions through this module's
@@ -146,11 +142,8 @@ def _fit_qnn(circuit_for, cfg, X_train, y_train):
     circuit = circuit_for(cfg, X_train.shape[1])
     model = build_qnn(circuit, cfg.task, seed=cfg.seed)
     model, history = qnn_train(model, (X_train, y_train), epochs=cfg.epochs, lr=cfg.lr)
-
-    regression = cfg.task == "regression"
     return Fitted(
-        predict=(lambda X: qnn_predict(model, X)) if regression else None,
-        probabilities=None if regression else (lambda X: qnn_probabilities(model, X)),
+        score=lambda X: qnn_predict(model, X),
         n_params=circuit.n_trainable,
         details={"circuit": circuit.name, "lr": cfg.lr},
         history=history,
@@ -162,7 +155,7 @@ def _fit_vqc(cfg, X_train, y_train):
     clf = build_vqc_classifier(X_train.shape[1], n_classes, seed=cfg.seed)
     clf, history = vqc_train(clf, (X_train, y_train), iters=cfg.iters)
     return Fitted(
-        probabilities=lambda X: vqc_probabilities(clf, X),
+        score=lambda X: vqc_probabilities(clf, X),
         n_params=clf.ansatz.n_trainable,
         details={
             "feature_map": clf.feature_map.name,
@@ -180,11 +173,8 @@ def _fit_nn(cfg, X_train, y_train):
     budget = DENSE_BUDGETS[n_feats]
     model = build_dense_baseline(budget, n_feats, cfg.task, seed=cfg.seed)
     model, history = dense_train(model, (X_train, y_train), epochs=cfg.epochs, lr=cfg.lr)
-
-    regression = cfg.task == "regression"
     return Fitted(
-        predict=(lambda X: dense_predict(model, X)) if regression else None,
-        probabilities=None if regression else (lambda X: dense_probabilities(model, X)),
+        score=lambda X: dense_predict(model, X),
         n_params=budget,
         details={"layer_sizes": list(model.layer_sizes), "budget": budget, "lr": cfg.lr},
         history=history,
@@ -219,13 +209,13 @@ def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
         )
         decide = partial(ovr_predict, model)
 
-    def predict(X):
+    def score(X):
         # the training rows' kernel is already at hand
         return decide(K_train if X is X_train else kernel(X, X_train))
 
     details.update(C=cfg.C, n_support=n_params)
     return Fitted(
-        predict=predict,
+        score=score,
         n_params=n_params,
         details=details,
         history=[],
@@ -243,7 +233,7 @@ def _fit_recurrent(build, cfg, X_train, y_train):
     )
     details.update(window=cfg.window, lr=cfg.lr)
     return Fitted(
-        predict=lambda X: sequence_forward(model, X),
+        score=lambda X: sequence_forward(model, X),
         n_params=model.params.size,
         details=details,
         history=history,
@@ -374,6 +364,10 @@ class ExperimentConfig:
         elif kind == "csv":
             if set(self.data) != {"kind", "path"}:
                 raise ConfigError(f"bad csv data spec {self.data!r}")
+            # load_csv would read an int as an open file descriptor
+            path = self.data["path"]
+            if not isinstance(path, str) or not path:
+                raise ConfigError(f"data.path must be a non-empty string, got {path!r}")
         else:
             raise ConfigError("data kind must be 'synth' or 'csv'")
         if not isinstance(self.selection, dict) or len(self.selection) != 1 or not (
@@ -516,6 +510,8 @@ def report_from_json(text: str) -> ExperimentReport:
     values = {key: doc[key] for key in _REPORT_KEYS}
     if not isinstance(values["config"], dict):
         raise DataFormatError("report config must be a JSON object")
+    if values["config"].get("task") not in _ANY_TASK:
+        raise DataFormatError("report config task must be regression, binary or ternary")
     values["selected_features"] = _report_list(doc, "selected_features")
     values["loss_history"] = _report_list(doc, "loss_history")
     rows = values["predictions"] = _report_list(doc, "predictions", of_rows=True)
@@ -642,15 +638,12 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     train = rows < split
     X_train, y_train, X_test, y_test = X[train], y[train], X[~train], y[~train]
     fitted = _stage(stages, "train", spec.fit, cfg, X_train, y_train)
+    pred_train, pred_test = fitted.score(X_train), fitted.score(X_test)
     probabilities = None
-    if fitted.probabilities is None:
-        pred_train, pred_test = fitted.predict(X_train), fitted.predict(X_test)
-    else:
-        # one pass over each split; its labels are the argmax of its rows
-        pred_train = np.argmax(fitted.probabilities(X_train), axis=1)
-        P_test = fitted.probabilities(X_test)
-        pred_test = np.argmax(P_test, axis=1)
-        probabilities = tuple(tuple(float(v) for v in row) for row in P_test)
+    if pred_test.ndim == 2:
+        # class probabilities: the labels are each row's argmax
+        probabilities = tuple(tuple(float(v) for v in row) for row in pred_test)
+        pred_train, pred_test = np.argmax(pred_train, axis=1), np.argmax(pred_test, axis=1)
     if scaler is not None:
         kelvin = dataset.target()[rows]
         predicted = scaler.inverse(pred_test)

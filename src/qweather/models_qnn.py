@@ -13,8 +13,9 @@ its own, so its float arithmetic stays that of the per-gate path.  QNN
 training binds its circuit to each epoch's angles once, runs the forward
 pass under that binding and keeps the forward states for ``circuit_vjp``,
 which reuses the binding.
-Every classifier here gives class probabilities from one batch function,
-and its labels are their argmax, ties going to the lowest class.
+Every model here has one scorer: ``qnn_predict``, ``vqc_probabilities`` and
+``dense_predict`` return values in the [0, 1] target space (regression) or
+(n, n_classes) class probabilities; the harness takes the labels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import bind, circuit_vjp, expectation_batch
+from .autodiff import bind, circuit_vjp
 from .circuits import (
     Circuit,
     build_real_amplitudes,
@@ -85,11 +86,8 @@ def build_qnn(circuit: Circuit, task: str, seed=None) -> QnnModel:
 def qnn_expectations(model: QnnModel, X) -> np.ndarray:
     """Readout expectations for a batch, shape (n, len(readout))."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.circuit.n_inputs:
-        raise ValueError(
-            f"expected {model.circuit.n_inputs} features, got {X.shape[1]}"
-        )
-    return expectation_batch(model.circuit, model.params, X, model.readout)
+    psi = run_circuit_batch(model.circuit, model.params, X)
+    return z_expectations(psi, model.circuit.n_qubits, model.readout)
 
 
 def _qnn_class_probabilities(task, z):
@@ -100,19 +98,13 @@ def _qnn_class_probabilities(task, z):
     return _softmax(z)
 
 
-def qnn_probabilities(model: QnnModel, X) -> np.ndarray:
-    """Class probabilities per sample, shape (n, 2) or (n, 3)."""
+def qnn_predict(model: QnnModel, X) -> np.ndarray:
+    """Values in the [0, 1] target space (regression), or class
+    probabilities, shape (n, 2) or (n, 3)."""
+    z = qnn_expectations(model, X)
     if model.task == "regression":
-        raise ValueError("a regression model has no class probabilities")
-    return _qnn_class_probabilities(model.task, qnn_expectations(model, X))
-
-
-def qnn_predict(model: QnnModel, X):
-    """Values in the [0, 1] target space (regression), or the probabilities'
-    argmax labels."""
-    if model.task != "regression":
-        return np.argmax(qnn_probabilities(model, X), axis=1)
-    return (qnn_expectations(model, X)[:, 0] + 1.0) / 2.0
+        return (z[:, 0] + 1.0) / 2.0
+    return _qnn_class_probabilities(model.task, z)
 
 
 def _adam_fit_data(task, dataset, epochs):
@@ -364,18 +356,12 @@ def _dense_class_probabilities(task, out):
     return _softmax(out)
 
 
-def dense_probabilities(model: DenseBaseline, X) -> np.ndarray:
-    """Class probabilities per sample, shape (n, 2) or (n, 3)."""
+def dense_predict(model: DenseBaseline, X) -> np.ndarray:
+    """Values (regression), or class probabilities, shape (n, 2) or (n, 3)."""
+    out = dense_forward(model, X)
     if model.task == "regression":
-        raise ValueError("a regression model has no class probabilities")
-    return _dense_class_probabilities(model.task, dense_forward(model, X))
-
-
-def dense_predict(model: DenseBaseline, X):
-    """Values (regression), or the probabilities' argmax labels."""
-    if model.task != "regression":
-        return np.argmax(dense_probabilities(model, X), axis=1)
-    return dense_forward(model, X)[:, 0]
+        return out[:, 0]
+    return _dense_class_probabilities(model.task, out)
 
 
 def _dense_loss_and_grad(model: DenseBaseline, X, y):

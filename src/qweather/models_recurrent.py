@@ -288,6 +288,28 @@ def _gate_readout(cell: _QuantumCell, p, gates, inputs, rec):
     return z_expectations(states, cell.n_qubits, range(cell.n_qubits))
 
 
+def _lstm_update(f, i, g, o, c):
+    """The LSTM cell update from activated gates: (o*s, c', s) with
+    c' = f*c + i*g and s = tanh(c')."""
+    c_next = f * c + i * g
+    s = np.tanh(c_next)
+    return o * s, c_next, s
+
+
+def _lstm_update_vjp(rec, dout, dc):
+    """Backward through ``_lstm_update`` and the gate activations, from the
+    gradients at o*s (``dout``) and at c' (``dc``): the pre-activation
+    gradients of f, i, g and o, and the gradient at c."""
+    f, i, g, o, s = rec["f"], rec["i"], rec["g"], rec["o"], rec["s"]
+    dc = dc + dout * o * (1.0 - s**2)
+    return (
+        dc * rec["c_prev"] * f * (1.0 - f),
+        dc * g * i * (1.0 - i),
+        dc * i * (1.0 - g**2),
+        dout * s * o * (1.0 - o),
+    ), dc * f
+
+
 def qlstm_step(cell: QlstmCell, x_t, h, c, bound=None):
     """One step: (x_t, h, c) -> ((h', c'), record).
 
@@ -306,9 +328,7 @@ def qlstm_step(cell: QlstmCell, x_t, h, c, bound=None):
     v = u @ p["W"] + p["b"]
     f, i, g, o = _gate_readout(cell, p, _QLSTM_GROUP, v, rec)
     f, i, g, o = _sigmoid(f), _sigmoid(i), np.tanh(g), _sigmoid(o)
-    c_next = f * c + i * g
-    s = np.tanh(c_next)
-    u2 = o * s
+    u2, c_next, s = _lstm_update(f, i, g, o, c)
     h_next = _gate_readout(cell, p, "hidden", u2, rec)
     rec.update(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2)
     return (h_next, c_next), rec
@@ -348,9 +368,7 @@ def lstm_step(model: ClassicalRnnBaseline, x_t, h, c):
     f = _sigmoid(pre[:, hs : 2 * hs])
     g = np.tanh(pre[:, 2 * hs : 3 * hs])
     o = _sigmoid(pre[:, 3 * hs :])
-    c_next = f * c + i * g
-    s = np.tanh(c_next)
-    h_next = o * s
+    h_next, c_next, s = _lstm_update(f, i, g, o, c)
     return (h_next, c_next), dict(x=x_t, h_prev=h, c_prev=c, i=i, f=f, g=g, o=o, s=s)
 
 
@@ -413,21 +431,8 @@ def _qlstm_backward(cell: QlstmCell, steps, q, dy):
         rec = steps[t]
         if t < T - 1:  # u2 feeds the readout at the last step, the hidden circuit before
             du2 = _gate_vjp(cell, p, g, rec, "hidden", rec["u2"], dh)
-        do = du2 * rec["s"]
-        dc = dc + du2 * rec["o"] * (1.0 - rec["s"] ** 2)
-        df = dc * rec["c_prev"]
-        di = dc * rec["g"]
-        dg = dc * rec["i"]
-        dc = dc * rec["f"]
-        dz = np.stack(
-            [
-                df * rec["f"] * (1.0 - rec["f"]),
-                di * rec["i"] * (1.0 - rec["i"]),
-                dg * (1.0 - rec["g"] ** 2),
-                do * rec["o"] * (1.0 - rec["o"]),
-            ]
-        )
-        dv = _gate_vjp(cell, p, g, rec, _QLSTM_GROUP, rec["v"], dz)
+        dz, dc = _lstm_update_vjp(rec, du2, dc)
+        dv = _gate_vjp(cell, p, g, rec, _QLSTM_GROUP, rec["v"], np.stack(dz))
         dh = _input_map_vjp(p, g, rec["u"], dv)[:, cell.input_dim :]
     return _flat(cell, g)
 
@@ -454,21 +459,8 @@ def _lstm_backward(model: ClassicalRnnBaseline, steps, h, dy):
     p, g, dh = _backward_start(model, h, dy)
     dc = np.zeros((dy.size, model.hidden_size))
     for rec in reversed(steps):
-        do = dh * rec["s"]
-        dc = dc + dh * rec["o"] * (1.0 - rec["s"] ** 2)
-        df = dc * rec["c_prev"]
-        di = dc * rec["g"]
-        dg = dc * rec["i"]
-        dc = dc * rec["f"]
-        dpre = np.concatenate(
-            [
-                di * rec["i"] * (1 - rec["i"]),
-                df * rec["f"] * (1 - rec["f"]),
-                dg * (1 - rec["g"] ** 2),
-                do * rec["o"] * (1 - rec["o"]),
-            ],
-            axis=1,
-        )
+        (df, di, dg, do), dc = _lstm_update_vjp(rec, dh, dc)
+        dpre = np.concatenate([di, df, dg, do], axis=1)
         g["W_ih"] += dpre.T @ rec["x"]
         g["W_hh"] += dpre.T @ rec["h_prev"]
         g["b_ih"] += dpre.sum(axis=0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import same_bytes
 
-from qweather import autodiff, models_qnn
+from qweather import models_qnn
 from qweather.bench import (
     MODEL_TASKS,
     ConfigError,
@@ -33,9 +33,7 @@ from qweather.models_qnn import (
     build_qnn,
     build_vqc_classifier,
     dense_predict,
-    dense_probabilities,
     qnn_predict,
-    qnn_probabilities,
     vqc_probabilities,
 )
 from qweather.models_recurrent import (
@@ -93,6 +91,12 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigError):
                 tiny_config(data=data)
+
+    @pytest.mark.parametrize("path", [0, True, None, ["a"], ""])
+    def test_csv_path_must_be_a_nonempty_string(self, path):
+        # load_csv(0) would read standard input as the CSV
+        with pytest.raises(ConfigError, match="data.path must be a non-empty string"):
+            tiny_config(data={"kind": "csv", "path": path})
 
     def test_selection_needs_exactly_one_rule(self):
         with pytest.raises(ConfigError):
@@ -354,17 +358,16 @@ def test_every_model_task_pair_completes(model, task):
     [("vqc", "binary"), ("vqc", "ternary"), ("qnn-sel", "binary"), ("qnn-ising", "ternary")],
 )
 def test_classifier_simulates_test_rows_once(model, task, monkeypatch):
-    # every circuit evaluation of the quantum classifiers goes through one of
-    # these two names; record the batch size of each
+    # every circuit evaluation of the quantum classifiers goes through
+    # models_qnn's run_circuit_batch; record the batch size of each
     batch_rows = []
-    for module in (autodiff, models_qnn):
-        original = module.run_circuit_batch
+    original = models_qnn.run_circuit_batch
 
-        def counted(circuit, params, inputs, *args, _original=original, **kwargs):
-            batch_rows.append(np.atleast_2d(inputs).shape[0])
-            return _original(circuit, params, inputs, *args, **kwargs)
+    def counted(circuit, params, inputs, *args, **kwargs):
+        batch_rows.append(np.atleast_2d(inputs).shape[0])
+        return original(circuit, params, inputs, *args, **kwargs)
 
-        monkeypatch.setattr(module, "run_circuit_batch", counted)
+    monkeypatch.setattr(models_qnn, "run_circuit_batch", counted)
     rep = run(tiny_config(model=model, task=task, epochs=2, iters=5))
     assert rep.n_test != rep.n_train
     assert batch_rows.count(rep.n_test) == 1
@@ -471,38 +474,41 @@ class TestArtifacts:
             assert float(pred) == row[2]
 
 
-# (id, seeded model, its scorer, input shape): every trained-model kind a
-# run builds, at the sizes of its default run
+# (id, seeded model, its scorer, input shape, class count or None for
+# regression): every trained-model kind a run builds, at the sizes of its
+# default run
 MODEL_KINDS = [
     ("qnn-sel-regression", lambda: build_qnn(build_reuploading_sel(4, 4), "regression", 1),
-     qnn_predict, (5, 4)),
+     qnn_predict, (5, 4), None),
     ("qnn-sel-binary", lambda: build_qnn(build_reuploading_sel(4, 4), "binary", 1),
-     qnn_probabilities, (5, 4)),
+     qnn_predict, (5, 4), 2),
     ("qnn-sel-ternary", lambda: build_qnn(build_reuploading_sel(4, 4), "ternary", 1),
-     qnn_probabilities, (5, 4)),
+     qnn_predict, (5, 4), 3),
     ("qnn-ising-ternary", lambda: build_qnn(build_reuploading_ising(3, 2), "ternary", 2),
-     qnn_probabilities, (5, 3)),
-    ("vqc-binary", lambda: build_vqc_classifier(3, 2, seed=3), vqc_probabilities, (5, 3)),
-    ("vqc-ternary", lambda: build_vqc_classifier(3, 3, seed=4), vqc_probabilities, (5, 3)),
+     qnn_predict, (5, 3), 3),
+    ("vqc-binary", lambda: build_vqc_classifier(3, 2, seed=3), vqc_probabilities, (5, 3), 2),
+    ("vqc-ternary", lambda: build_vqc_classifier(3, 3, seed=4), vqc_probabilities, (5, 3), 3),
     ("nn-regression", lambda: build_dense_baseline(21, 3, "regression", seed=5),
-     dense_predict, (5, 3)),
+     dense_predict, (5, 3), None),
     ("nn-binary", lambda: build_dense_baseline(48, 4, "binary", seed=6),
-     dense_probabilities, (5, 4)),
+     dense_predict, (5, 4), 2),
     ("nn-ternary", lambda: build_dense_baseline(21, 3, "ternary", seed=7),
-     dense_probabilities, (5, 3)),
-    ("qlstm", lambda: build_qlstm(3, 4, 2, seed=8), sequence_forward, (5, 4, 3)),
-    ("qgru", lambda: build_qgru(3, 4, 2, seed=9), sequence_forward, (5, 4, 3)),
-    ("lstm", lambda: build_classical_lstm(3, 8, seed=10), sequence_forward, (5, 4, 3)),
-    ("gru", lambda: build_classical_gru(3, 16, seed=11), sequence_forward, (5, 4, 3)),
+     dense_predict, (5, 3), 3),
+    ("qlstm", lambda: build_qlstm(3, 4, 2, seed=8), sequence_forward, (5, 4, 3), None),
+    ("qgru", lambda: build_qgru(3, 4, 2, seed=9), sequence_forward, (5, 4, 3), None),
+    ("lstm", lambda: build_classical_lstm(3, 8, seed=10), sequence_forward, (5, 4, 3), None),
+    ("gru", lambda: build_classical_gru(3, 16, seed=11), sequence_forward, (5, 4, 3), None),
 ]
 
 
 class TestModelDocuments:
     @pytest.mark.parametrize(
-        "build,score,shape", [case[1:] for case in MODEL_KINDS],
+        "build,score,shape,n_classes", [case[1:] for case in MODEL_KINDS],
         ids=[case[0] for case in MODEL_KINDS],
     )
-    def test_round_trip_keeps_params_and_scores_byte_identical(self, build, score, shape):
+    def test_round_trip_keeps_params_and_scores_byte_identical(
+        self, build, score, shape, n_classes
+    ):
         model = build()
         text = model_to_json(model)
         doc = json.loads(text)
@@ -516,7 +522,14 @@ class TestModelDocuments:
                 assert getattr(loaded, f.name) == getattr(model, f.name)
         assert same_bytes(loaded.params, model.params)
         X = np.random.default_rng(12).uniform(-1.0, 1.0, size=shape)
-        assert same_bytes(score(loaded, X), score(model, X))
+        scored = score(loaded, X)
+        assert same_bytes(scored, score(model, X))
+        # one scorer per model: regression values, or class probabilities
+        if n_classes is None:
+            assert scored.shape == shape[:1]
+        else:
+            assert scored.shape == (shape[0], n_classes)
+            assert np.allclose(scored.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "build", [case[1] for case in MODEL_KINDS], ids=[case[0] for case in MODEL_KINDS]

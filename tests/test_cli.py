@@ -352,6 +352,8 @@ class TestPlotData:
             ({"predictions": [["2020-01", 290.0, "x"]]}, "predictions row"),
             ({"predictions": [["2020-01", 290.0, True]]}, "predictions row"),
             ({"config": []}, "report config must be a JSON object"),
+            ({"config": {}}, "report config task must be regression, binary or ternary"),
+            ({"config": {"task": "quaternary"}}, "report config task must be"),
             ({"probabilities": [[0.5, 0.5], [0.5, 0.5]]}, "one row per prediction"),
             ({"probabilities": [[0.5, "x"]]}, "rows must be numbers"),
             (
@@ -361,7 +363,8 @@ class TestPlotData:
         ],
         ids=[
             "short_row", "time_not_a_string", "value_not_a_number", "value_a_bool",
-            "config_a_list", "probabilities_per_prediction", "probability_not_a_number",
+            "config_a_list", "config_without_task", "config_unknown_task",
+            "probabilities_per_prediction", "probability_not_a_number",
             "ragged_probabilities",
         ],
     )

@@ -29,13 +29,11 @@ from qweather.models_qnn import (
     dense_forward,
     init_params,
     dense_predict,
-    dense_probabilities,
     dense_train,
     _dense_loss_and_grad,
     _qnn_loss_and_grad,
     qnn_expectations,
     qnn_predict,
-    qnn_probabilities,
     qnn_train,
     readout_class_masks,
     vqc_probabilities,
@@ -86,17 +84,17 @@ class TestQnnForward:
     def test_ternary_uniform_for_zero_params_constant_features(self):
         model = build_qnn(build_reuploading_ising(3, 2), "ternary")
         x = np.array([[0.7, 0.7, 0.7]])
-        assert np.allclose(qnn_probabilities(model, x), 1.0 / 3.0, atol=1e-12)
-        assert qnn_predict(model, x).tolist() == [0]
+        probs = qnn_predict(model, x)
+        assert probs.shape == (1, 3)
+        assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_binary_certain_zero_state(self):
         # |00> gives <Z_0> = 1, hence p(class 1) = 0
         model = build_qnn(build_real_amplitudes(2, 0), "binary")
-        probs = qnn_probabilities(model, NO_INPUT)
+        probs = qnn_predict(model, NO_INPUT)
         assert probs.shape == (1, 2)
         assert probs[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert qnn_predict(model, NO_INPUT).tolist() == [0]
 
     def test_binary_balanced_superposition(self):
         model = QnnModel(
@@ -104,9 +102,9 @@ class TestQnnForward:
             params=np.array([np.pi / 2, 0.0]),
             task="binary",
         )
-        probs = qnn_probabilities(model, NO_INPUT)
+        probs = qnn_predict(model, NO_INPUT)
         assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
-        assert qnn_predict(model, NO_INPUT).tolist() == [int(np.argmax(probs[0]))]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_regression_unscales_readout(self):
         # <Z> = 0 is the middle of the [0, 1] target space
@@ -123,12 +121,7 @@ class TestQnnForward:
         with pytest.raises(ValueError):
             qnn_predict(model, [[0.1, 0.2, 0.3]])
         with pytest.raises(ValueError):
-            qnn_probabilities(replace(model, task="binary"), [[0.1, 0.2, 0.3]])
-
-    def test_regression_has_no_probabilities(self):
-        model = build_qnn(build_reuploading_sel(2, 2), "regression")
-        with pytest.raises(ValueError):
-            qnn_probabilities(model, np.zeros((1, 2)))
+            qnn_predict(replace(model, task="binary"), [[0.1, 0.2, 0.3]])
 
     def test_readout_shape_checked(self):
         # the readout is the task's: ternary reads qubits 0, 1 and 2
@@ -198,7 +191,7 @@ class TestQnnTrain:
         model = build_qnn(build_reuploading_sel(2, 2), "binary", seed=2)
         model, history = qnn_train(model, (X, y), epochs=120, lr=0.1)
         assert history[-1] < history[0]
-        assert np.mean(qnn_predict(model, X) == y) == 1.0
+        assert np.mean(np.argmax(qnn_predict(model, X), axis=1) == y) == 1.0
 
     def test_single_qubit_loss_decreases(self):
         circuit = _ry_ansatz()
@@ -449,7 +442,7 @@ class TestDenseBaseline:
         y = np.repeat([0.0, 1.0], 12)
         model = build_dense_baseline(48, 4, "binary", seed=4)
         model, _ = dense_train(model, (X, y), epochs=200, lr=0.05)
-        assert np.mean(dense_predict(model, X) == y) == 1.0
+        assert np.mean(np.argmax(dense_predict(model, X), axis=1) == y) == 1.0
 
     def test_zero_epochs_rejected(self):
         model = build_dense_baseline(21, 3, "binary")
@@ -472,17 +465,21 @@ class TestDenseBaseline:
         # zero parameters give a zero logit, and sigmoid(0) is exactly 0.5
         model = build_dense_baseline(21, 3, "binary")
         X = np.ones((2, 3))
-        assert dense_probabilities(model, X).tolist() == [[0.5, 0.5], [0.5, 0.5]]
-        assert dense_predict(model, X).tolist() == [0, 0]
+        probs = dense_predict(model, X)
+        assert probs.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert np.argmax(probs, axis=1).tolist() == [0, 0]
 
     @pytest.mark.parametrize("task", ["binary", "ternary"])
     def test_labels_are_argmax_of_probabilities(self, task):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(9, 3))
         model = build_dense_baseline(21, 3, task, seed=2)
-        probs = dense_probabilities(model, X)
+        probs = dense_predict(model, X)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(dense_predict(model, X), np.argmax(probs, axis=1))
+        # sigmoid and softmax keep the order of the network's raw outputs
+        out = dense_forward(model, X)
+        scores = np.column_stack([-out[:, 0], out[:, 0]]) if task == "binary" else out
+        assert np.array_equal(np.argmax(probs, axis=1), np.argmax(scores, axis=1))
 
 
 

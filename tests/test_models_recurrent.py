@@ -8,7 +8,8 @@ from conftest import same_bytes
 
 from qweather import models_recurrent
 from qweather.bench import model_from_json
-from qweather.autodiff import bind, circuit_vjp, expectation_batch
+from qweather.autodiff import bind, circuit_vjp
+from qweather.circuits import run_circuit_batch
 from qweather.models_qnn import INIT_ANGLE
 from qweather.models_recurrent import (
     ClassicalRnnBaseline,
@@ -31,6 +32,7 @@ from qweather.models_recurrent import (
     train_sequence_model,
 )
 from qweather.models_recurrent import _flat, _unpack
+from qweather.qsim import z_expectations
 
 
 def _seq_loss(model, X, y):
@@ -221,7 +223,8 @@ class TestQlstmStep:
         # the readout circuit is the sixth block; the head is the last three values
         per = cell.circuit.n_trainable
         theta = cell.params[5 * per : 6 * per]
-        q = expectation_batch(cell.circuit, theta, rec["u2"], (0, 1))
+        states = run_circuit_batch(cell.circuit, theta, rec["u2"])
+        q = z_expectations(states, cell.n_qubits, (0, 1))
         y = q @ cell.params[-3:-1] + cell.params[-1]
         assert np.allclose(sequence_forward(cell, X), y, atol=1e-12)
 

@@ -290,13 +290,13 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     sweep ends at the binding's product prefix, gates on one qubit each:
     with rho_q = Tr_{others} |psi><lambda| per row, a prefix rotation's
     dL/da is Im Tr(P rho_q), and un-applying its gate g is
-    rho_q <- g^H rho_q g.  Other input steps are swept per row, psi and
-    lambda stacked.  G stacked circuits are swept side by side up to the
-    merge point: going backwards, the point after which no remaining step
-    has a trainable angle, at the latest the prefix.  Before it every
-    circuit's psi is the same and dL/da is linear in lambda, so the sweep
-    goes on with one psi and the sum of the G lambdas, and the steps there
-    run once, not G times.
+    rho_q <- g^H rho_q g.  Other input steps are swept per row, one
+    apply_matrix call for psi and one for lambda.  G stacked circuits are
+    swept side by side up to the merge point: going backwards, the point
+    after which no remaining step has a trainable angle, at the latest the
+    prefix.  Before it every circuit's psi is the same and dL/da is linear
+    in lambda, so the sweep goes on with one psi and the sum of the G
+    lambdas, and the steps there run once, not G times.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = np.atleast_2d(_slot_array(circuit, inputs, "input"))
@@ -321,15 +321,12 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     ):
         raise ValueError(f"binding does not fit {circuit.name} at {theta.shape}")
     plan = bound.plan
-    # per-row steps take psi and lambda stacked: one apply_matrix call
-    # un-applies a gate from both
-    join = tuple if all(shared for shared, _ in plan) else np.stack
-    pair = join([psi, (w @ _z_table(n, tuple(qubits))) * psi])
+    lam = (w @ _z_table(n, tuple(qubits))) * psi
     d_params = np.zeros(theta.shape)
     d_inputs = np.zeros(x.shape)
-    # stacked angles broadcast against the pair's rows in per-row steps;
-    # plan[:first] holds no trainable angle, so there the stacked circuits
-    # apply the same gates
+    # stacked angles broadcast against the rows of psi and lambda in per-row
+    # steps; plan[:first] holds no trainable angle, so there the stacked
+    # circuits apply the same gates
     theta_rows, first = theta, 0
     if theta.ndim == 2:
         theta_rows = theta[:, None, :]
@@ -347,33 +344,33 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     for j in range(len(plan) - 1, -1, -1):
         if j == first - 1:
             # the merge point: one psi, the sum of the lambdas
-            pair = join([pair[0][0], pair[1].sum(axis=0)])
+            psi, lam = psi[0], lam.sum(axis=0)
         shared, item = plan[j]
         if shared:
             _, _, u, wl, idx, phase, chain = item
             # S = W^H R W per trainable layer, R = sum_b psi_b lambda_b^H
-            r = (pair[0].mT @ pair[1].conj())[..., None, :, :]
+            r = (psi.mT @ lam.conj())[..., None, :, :]
             s = wl.conj().mT @ r @ wl
             s = s.reshape(s.shape[:-3] + (-1,))
             reads = (s[..., idx] * phase).imag.sum(axis=-1)
             # einsum, not matmul: OpenBLAS runs this product on two threads,
             # and on a busy host their wake-ups cost more than the product
             d_params += np.einsum("...r,...ri->...i", reads, chain)
-            if j == 0 and enc and pair[0].ndim == 3:
+            if j == 0 and enc and psi.ndim == 3:
                 # the sweep ends in the prefix, where every circuit's psi is
                 # the same: un-apply one psi and the G lambdas, and merge
                 u = u.conj()
-                pair = join([pair[0][0] @ u[0], (pair[1] @ u).sum(axis=0)])
+                psi, lam = psi[0] @ u[0], (lam @ u).sum(axis=0)
             elif j > 0 or enc:
                 u = u.conj()
-                pair = pair @ u if join is np.stack else (pair[0] @ u, pair[1] @ u)
+                psi, lam = psi @ u, lam @ u
             continue
         kind, targets, ref = item
         angle = ()
         if ref is not None:
             angle = (angle_values(ref, theta_rows, x),)
-            p_psi = apply_matrix(pair[0], n, targets, GENERATORS[kind])
-            overlap = np.einsum("...i,...i->...", pair[1].conj(), p_psi).imag
+            p_psi = apply_matrix(psi, n, targets, GENERATORS[kind])
+            overlap = np.einsum("...i,...i->...", lam.conj(), p_psi).imag
             for slot_kind, idx, factor in angle_partials(ref, theta_rows, x):
                 term = factor * overlap
                 if slot_kind == "trainable":
@@ -382,15 +379,16 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
                     d_inputs[:, idx] += term if term.ndim == 1 else term.sum(axis=0)
         if j > 0 or enc:
             inverse = gate_matrix(kind, tuple(-a for a in angle))
-            pair = apply_matrix(pair, n, targets, inverse)
+            psi = apply_matrix(psi, n, targets, inverse)
+            lam = apply_matrix(lam, n, targets, inverse)
     if not enc:
         return d_params, d_inputs
-    if pair[0].ndim == 3:
-        pair = (pair[0][0], pair[1].sum(axis=0))
+    if psi.ndim == 3:
+        psi, lam = psi[0], lam.sum(axis=0)
     # rho[b, q] = Tr_{others} |psi_b><lambda_b| per qubit, (B, n, 2, 2),
     # gathered a qubit at a time: a gather of all n (160 KiB at 156 rows
     # and 4 qubits) faulted in fresh pages on every call
-    psi, lam = pair[0], pair[1].conj()
+    lam = lam.conj()
     halves = [_subspaces(n, (q,)) for q in range(n)]
     rho = [np.einsum("bit,bjt->bij", psi[:, h], lam[:, h]) for h in halves]
     rho = np.stack(rho, axis=1)

@@ -425,12 +425,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
     return config_from_dict(doc)
+
+
+# report.json keys; "probabilities" may also be null or absent
+_REPORT_KEYS = (
+    "config", "n_parameters", "selected_features", "details", "metrics",
+    "loss_history", "n_train", "n_test", "predictions",
+)
 
 
 @dataclass(frozen=True)
@@ -452,33 +459,11 @@ class ExperimentReport:
     def as_dict(self) -> dict:
         # wall time deliberately excluded: identical configs must produce
         # byte-identical report documents
-        return {
-            "config": self.config,
-            "n_parameters": self.n_parameters,
-            "selected_features": list(self.selected_features),
-            "details": self.details,
-            "metrics": self.metrics,
-            "loss_history": list(self.loss_history),
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "predictions": [list(row) for row in self.predictions],
-            "probabilities": (
-                [list(row) for row in self.probabilities]
-                if self.probabilities is not None
-                else None
-            ),
-        }
+        return {key: getattr(self, key) for key in _REPORT_KEYS + ("probabilities",)}
 
 
 def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(report.as_dict(), sort_keys=True, indent=1)
-
-
-# report.json keys; "probabilities" may also be null or absent
-_REPORT_KEYS = (
-    "config", "n_parameters", "selected_features", "details", "metrics",
-    "loss_history", "n_train", "n_test", "predictions",
-)
 
 
 def _report_list(doc, key, of_rows=False):
@@ -685,35 +670,39 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     return report
 
 
-def write_run_artifacts(report: ExperimentReport, out_dir) -> None:
+def _write_files(out_dir, files) -> None:
+    """Write each (name, text) pair as a UTF-8 file in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.config, sort_keys=True, indent=1))
-        fh.write("\n")
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
-        fh.write("\n")
-    with open(os.path.join(out_dir, "predictions.csv"), "w", encoding="utf-8") as fh:
-        fh.write("time,actual,predicted\n")
-        for row in report.predictions:
-            fh.write(f"{row[0]},{_fmt(row[1])},{_fmt(row[2])}\n")
-    with open(os.path.join(out_dir, "loss_history.csv"), "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, value in enumerate(report.loss_history):
-            fh.write(f"{i},{_fmt(value)}\n")
-    with open(os.path.join(out_dir, "timing.json"), "w", encoding="utf-8") as fh:
-        timing = {"wall_time_s": report.wall_time_s, "stages": report.stages}
-        fh.write(json.dumps(timing))
-        fh.write("\n")
+    for name, text in files:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def write_run_artifacts(report: ExperimentReport, out_dir) -> None:
+    timing = {"wall_time_s": report.wall_time_s, "stages": report.stages}
+    _write_files(out_dir, [
+        ("config.json", json.dumps(report.config, sort_keys=True, indent=1) + "\n"),
+        ("report.json", report_to_json(report) + "\n"),
+        ("predictions.csv", _csv(["time", "actual", "predicted"], report.predictions)),
+        ("loss_history.csv", _csv(["epoch", "loss"], enumerate(report.loss_history))),
+        ("timing.json", json.dumps(timing) + "\n"),
+    ])
 
 
 def _fmt(value):
-    # repr round-trips floats exactly; integers print bare
-    if isinstance(value, bool):
-        return str(int(value))
+    # repr round-trips floats exactly; integers (bools among them) print bare
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows: strings as they are, numbers through
+    ``_fmt``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def compare(configs, out_dir=None):
@@ -726,7 +715,6 @@ def compare(configs, out_dir=None):
     tasks = {c.task for c in configs}
     if len(tasks) != 1:
         raise ConfigError(f"compare needs a shared task, got {sorted(tasks)}")
-    task = configs[0].task
     reports = []
     for i, cfg in enumerate(configs):
         sub = (
@@ -735,46 +723,26 @@ def compare(configs, out_dir=None):
             else None
         )
         reports.append(run(cfg, out_dir=sub))
-    if task == "regression":
-        columns = [
-            "train_mse_scaled",
-            "test_mse_scaled",
-            "train_mse_kelvin",
-            "test_mse_kelvin",
-        ]
-    else:
-        columns = ["train_accuracy", "test_accuracy"]
+    # the metrics run wrote for the task, in its order
+    columns = list(reports[0].metrics)
     header = ["model", "n_parameters"] + columns
-    rows = []
-    for cfg, rep in zip(configs, reports):
-        rows.append(
-            [cfg.model, str(rep.n_parameters)]
-            + [f"{rep.metrics[c]:.4f}" for c in columns]
-        )
-    widths = [
-        max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(len(header))
+    rows = [
+        [cfg.model, rep.n_parameters] + [rep.metrics[c] for c in columns]
+        for cfg, rep in zip(configs, reports)
     ]
-    lines = [
-        "  ".join(h.ljust(widths[j]) for j, h in enumerate(header)),
-        "  ".join("-" * widths[j] for j in range(len(header))),
+    cells = [header] + [
+        [model, str(n_parameters)] + [f"{v:.4f}" for v in values]
+        for model, n_parameters, *values in rows
     ]
-    for r in rows:
-        lines.append("  ".join(r[j].ljust(widths[j]) for j in range(len(header))))
-    text = "\n".join(lines) + "\n"
-    csv_lines = [",".join(header)]
-    for cfg, rep in zip(configs, reports):
-        csv_lines.append(
-            ",".join(
-                [cfg.model, str(rep.n_parameters)]
-                + [_fmt(rep.metrics[c]) for c in columns]
-            )
-        )
-    csv_text = "\n".join(csv_lines) + "\n"
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
+    cells.insert(1, ["-" * width for width in widths])
+    text = "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)) + "\n"
+        for line in cells
+    )
+    csv_text = _csv(header, rows)
     if out_dir is not None:
-        with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_files(out_dir, [("comparison.txt", text), ("comparison.csv", csv_text)])
     return text, csv_text, reports
 
 
@@ -784,25 +752,19 @@ def emit_plot_data(report: ExperimentReport, path, probabilities: bool = False):
         if not report.probabilities:
             raise NoPredictionsError("this report carries no class probabilities")
         n_classes = len(report.probabilities[0])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "time,actual," + ",".join(f"p_{c}" for c in range(n_classes)) + "\n"
+        header = ["time", "actual"] + [f"p_{c}" for c in range(n_classes)]
+        rows = [
+            (when, actual, *probs)
+            for (when, actual, _), probs in zip(report.predictions, report.probabilities)
+        ]
+    else:
+        if report.config.get("task") != "regression":
+            raise NoPredictionsError(
+                "classification reports hold labels; request probabilities instead"
             )
-            for row, probs in zip(report.predictions, report.probabilities):
-                fh.write(
-                    f"{row[0]},{_fmt(row[1])},"
-                    + ",".join(_fmt(p) for p in probs)
-                    + "\n"
-                )
-        return
-    if report.config.get("task") != "regression":
-        raise NoPredictionsError(
-            "classification reports hold labels; request probabilities instead"
-        )
-    if not report.predictions:
-        raise NoPredictionsError("report contains no predictions")
-    rows = sorted(report.predictions, key=lambda r: r[0])
+        if not report.predictions:
+            raise NoPredictionsError("report contains no predictions")
+        header = ["time", "actual_K", "predicted_K"]
+        rows = sorted(report.predictions, key=lambda r: r[0])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,actual_K,predicted_K\n")
-        for row in rows:
-            fh.write(f"{row[0]},{_fmt(row[1])},{_fmt(row[2])}\n")
+        fh.write(_csv(header, rows))

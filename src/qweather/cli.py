@@ -16,6 +16,7 @@ from .bench import (
     ConfigError,
     NoPredictionsError,
     PipelineError,
+    _csv,
     compare,
     emit_plot_data,
     load_config,
@@ -138,10 +139,9 @@ def _cmd_correlate(args) -> int:
     for name in report.ranking():
         print(f"{name:<12}  {report.correlations[name]: .4f}")
     if args.out:
+        rows = [(name, report.correlations[name]) for name in report.ranking()]
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("feature,r\n")
-            for name in report.ranking():
-                fh.write(f"{name},{report.correlations[name]!r}\n")
+            fh.write(_csv(["feature", "r"], rows))
     return EXIT_OK
 
 
@@ -169,7 +169,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
+    with open(args.report, encoding="utf-8-sig") as fh:
         report = report_from_json(fh.read())
     emit_plot_data(report, args.out, probabilities=args.probabilities)
     print(f"wrote {args.out}")

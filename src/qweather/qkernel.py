@@ -23,14 +23,9 @@ class IllConditionedKernelError(Exception):
 def embed_states(X, feature_map: Circuit) -> np.ndarray:
     """Amplitudes of every row under the feature map, shape (n, 2**q)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != feature_map.n_inputs:
-        raise ValueError(
-            f"feature dimension {X.shape[1]} does not match "
-            f"{feature_map.name} ({feature_map.n_inputs} inputs)"
-        )
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    return run_circuit_batch(feature_map, np.zeros(feature_map.n_trainable), X)
+    return run_circuit_batch(feature_map, (), X)
 
 
 def fidelity_kernel(Xa, Xb, feature_map: Circuit) -> np.ndarray:

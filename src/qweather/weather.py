@@ -156,7 +156,7 @@ def load_csv(path, target_name: str = "t2m"):
     or a kept row whose timestamp is not after the previous kept row's is a
     DataFormatError that names the column or the file line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

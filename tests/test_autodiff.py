@@ -440,7 +440,7 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
     product and reads the rotations' gradients off per-qubit 2 x 2 matrices,
     so apply_matrix sees no rows.  reuploading_sel(3,2) also re-uploads its
     inputs between its two runs: those 3 rotations alone are swept per row,
-    each a generator product on psi and an un-apply on the psi/lambda pair."""
+    each a generator product on psi and an un-apply on psi and on lambda."""
     rng = np.random.default_rng(36)
     rows = []
 
@@ -451,7 +451,7 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
     monkeypatch.setattr(autodiff, "apply_matrix", counting)
     for circuit, want in [
         (build_qlstm_vqc(4, 2), []),
-        (build_reuploading_sel(3, 2), [(2, 32)] * 3 + [(32,)] * 3),
+        (build_reuploading_sel(3, 2), [(32,)] * 9),
     ]:
         theta = rng.normal(size=circuit.n_trainable)
         xs = rng.uniform(-2.0, 2.0, size=(32, circuit.n_inputs))

@@ -472,6 +472,12 @@ class TestArtifacts:
             assert t == row[0]
             assert float(actual) == row[1]
             assert float(pred) == row[2]
+        lines = (out / "loss_history.csv").read_text().splitlines()
+        assert lines[0] == "epoch,loss"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            str(i) for i in range(len(rep.loss_history))
+        ]
+        assert tuple(float(line.split(",")[1]) for line in lines[1:]) == rep.loss_history
 
 
 # (id, seeded model, its scorer, input shape, class count or None for
@@ -595,6 +601,24 @@ class TestCompare:
         assert (tmp_path / "comparison.csv").exists()
         assert len(reports) == 2
         assert csv_rows[1].split(",")[1] == str(reports[0].n_parameters)
+
+    def test_two_regressors_tabulated(self, tmp_path):
+        configs = [
+            tiny_config(model="nn", task="regression", epochs=5),
+            tiny_config(model="lstm", task="regression", epochs=3),
+        ]
+        _, csv_text, reports = compare(configs, out_dir=str(tmp_path))
+        assert (tmp_path / "comparison.csv").read_text() == csv_text
+        header, *rows = [line.split(",") for line in csv_text.splitlines()]
+        # the columns are the metrics run wrote, in its order
+        columns = [
+            "train_mse_scaled", "test_mse_scaled", "train_mse_kelvin", "test_mse_kelvin"
+        ]
+        assert header == ["model", "n_parameters"] + columns
+        assert [list(rep.metrics) for rep in reports] == [columns, columns]
+        for row, cfg, rep in zip(rows, configs, reports, strict=True):
+            assert row[:2] == [cfg.model, str(rep.n_parameters)]
+            assert dict(zip(columns, map(float, row[2:]), strict=True)) == rep.metrics
 
     def test_order_follows_input(self):
         configs = [

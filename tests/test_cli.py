@@ -166,6 +166,14 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_config_with_byte_order_mark(self, tmp_path, svc_config, capsys):
+        with open(svc_config, encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "bom.json"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["model"] == "svc"
+
     def test_missing_data_file_exit_3(self, tmp_path):
         doc = {
             "model": "svc",
@@ -327,6 +335,13 @@ class TestPlotData:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "time,actual_K,predicted_K"
         assert len(lines) > 1
+
+    def test_report_with_byte_order_mark(self, tmp_path):
+        report = tmp_path / "bom.json"
+        report.write_text("\ufeff" + json.dumps(_report_document()), encoding="utf-8")
+        out = tmp_path / "series.csv"
+        assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 0
+        assert out.read_text() == "time,actual_K,predicted_K\n2020-01,290.0,291.0\n"
 
     @pytest.mark.parametrize(
         "text,message",

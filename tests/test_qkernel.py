@@ -90,6 +90,13 @@ def test_fidelity_rejects_wrong_dimension():
         fidelity_kernel(X, X, build_zz_feature_map(4, 1))
 
 
+def test_fidelity_rejects_non_finite_features():
+    X = np.zeros((3, 4))
+    X[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fidelity_kernel(X, X, build_zz_feature_map(4, 1))
+
+
 def test_rbf_kernel_values():
     X = np.array([[0.0], [1.0], [2.0]])
     K = rbf_kernel(X, X, 1.0)

@@ -42,6 +42,14 @@ def test_load_csv_well_formed(tmp_path):
     assert report.as_dict()["columns"] == ["t2m", "sp"]
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+    p = write(tmp_path / "bom.csv", "\ufefftime,t2m,sp\n2020-01-01,290.5,101000\n")
+    ds, report = load_csv(p)
+    assert report.as_dict()["columns"] == ["t2m", "sp"]
+    assert ds.time == ("2020-01-01",)
+
+
 def test_load_csv_drops_incomplete_rows(tmp_path):
     p = write(
         tmp_path / "gap.csv",

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .qsim import GATE_ARITY, MAX_QUBITS, apply_matrix, gate_matrix
+from .qsim import GATE_ARITY, MAX_QUBITS, _gather_plan, apply_matrix, gate_matrix
 
 TRANSFORMS = ("identity", "arctan", "arctan_square", "zz_product")
 
@@ -103,6 +104,11 @@ class Circuit:
                     )
                 if ref.partner is not None and ref.partner >= self.n_inputs:
                     raise ValueError(f"input slot {ref.partner} out of range")
+        # hashed once: caches keyed by a circuit look it up on every call
+        object.__setattr__(self, "_hash", hash((self.name, self.ops)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def angle_values(ref: AngleRef, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -177,8 +183,14 @@ def run_circuit_batch(
     theta[:, None, :] for a stacked (G, n_trainable) theta.  Unless
     ``state`` is given, the binding's product prefix (the leading
     single-qubit gates without a trainable angle) is built as a product
-    state on the input rows.  Unbound calls, and a wide circuit's binding,
-    which has no run and no prefix, apply every gate.
+    state on the input rows.  Other unbound calls, and a wide circuit's
+    binding, which has no run and no prefix, apply every gate.
+
+    Unbound, one 1-D theta on a given (B, 2**n) ``state`` runs a circuit of
+    real matrices only (H, CNOT, CZ, RY on trainable angles: vqc's ansatz)
+    on (2**n, 2B) real rows [Re | Im], one per basis index.  (c + 0j) * a is
+    c times each part of a, so each amplitude is the gate-by-gate one but
+    for the sign of a zero.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = _slot_array(circuit, inputs, "input")
@@ -196,6 +208,9 @@ def run_circuit_batch(
             )
         shapes.append(amps.shape[:-1])
     full = np.broadcast_shapes(*shapes) + (dim,)
+    if bound is None and theta.ndim == 1 and amps.ndim == 2 and amps.shape == full:
+        if (plan := _real_plan(circuit)) is not None:
+            return _run_real(plan, theta, x, amps)
     runs, i = {}, 0
     if bound is not None:
         want = bound.theta if bound.theta.ndim == 1 else bound.theta[:, None, :]
@@ -229,6 +244,50 @@ def run_circuit_batch(
     if amps.shape != full:
         amps = np.broadcast_to(amps, full).copy()
     return amps
+
+
+@lru_cache(maxsize=None)
+def _real_plan(circuit: Circuit):
+    """(RY refs, entries, RY slots, steps) to run ``circuit`` on real rows;
+    None unless every op is a fixed gate or an RY on a trainable angle.  A
+    step is an op's ``_gather_plan`` terms as (gather or None, None or the
+    index of their entries, a (2**n, 1) column unless all rows share one, as
+    an RY's cos(theta/2) diagonal).  The call sets the RYs' entries."""
+    ops = circuit.ops
+    entries, slots, steps = [], [], []
+    for op in ops:
+        if op.angles and (op.kind != "RY" or op.angles[0].slot_kind == "input"):
+            return None
+        # at angle 1.0 an RY has no zero and no unit entry, as at most angles
+        probe = gate_matrix(op.kind, (1.0,) * len(op.angles)).real.ravel()
+        at = len(entries)
+        slots += range(at, at + 4) if op.angles else []
+        entries += probe.tolist()
+        masks = (probe != 0).tobytes(), (probe == 1).tobytes()
+        gather, coef, scale, diag = _gather_plan(circuit.n_qubits, op.targets, *masks)
+        coef = [at + (c[0] if (probe[c] == probe[c[0]]).all() else c[:, None]) for c in coef]
+        gather = [None, *gather[1:]] if diag else list(gather)
+        steps.append(list(zip(gather, coef if scale else [None] * len(coef))))
+    return tuple(op.angles[0] for op in ops if op.angles), np.array(entries), slots, steps
+
+
+def _run_real(plan, theta, x, amps):
+    """``amps`` (B, d) after a ``_real_plan``, run on real rows."""
+    refs, entries, slots, steps = plan
+    entries = entries.copy()
+    angles = np.array([angle_values(ref, theta, x) for ref in refs])
+    entries[slots] = gate_matrix("RY", (angles,)).real.ravel()
+    a = np.concatenate((amps.real, amps.imag)).T.copy()
+    for terms in steps:
+        out = None
+        for gather, coef in terms:
+            term = a if gather is None else a.take(gather, axis=0)
+            if coef is not None:  # a gathered term is a fresh array
+                term = np.multiply(entries[coef], term, out=None if gather is None else term)
+            out = term if out is None else np.add(out, term, out=out)
+        a = out
+    out = np.ascontiguousarray(a.reshape(len(a), 2, -1).transpose(2, 0, 1))
+    return out.view(complex)[..., 0]
 
 
 def _product_state(n_qubits: int, layers, x) -> np.ndarray:
@@ -271,13 +330,15 @@ class _Template:
     both slot counts from what the layers used.
     """
 
+    built: dict[str, Circuit] = {}  # by name, so caches find a circuit by identity
+
     def __init__(self, template, **sizes):
         for label, (value, lo) in sizes.items():
             if int(value) != value or value < lo:
                 raise ValueError(
                     f"build_{template}: {label} must be an integer >= {lo}"
                 )
-        values = [value for value, _ in sizes.values()]
+        values = [int(value) for value, _ in sizes.values()]
         self.name = template_name(template, *values)
         self.n = values[0]
         self.ops = []
@@ -312,9 +373,9 @@ class _Template:
             self.ops.append(CircuitOp(kind, (q, (q + r) % self.n), angles(q)))
 
     def circuit(self) -> Circuit:
-        return Circuit(
-            self.name, self.n, tuple(self.ops), self.n_trainable, self.n_inputs
-        )
+        """The one Circuit of this template at these sizes."""
+        built = Circuit(self.name, self.n, tuple(self.ops), self.n_trainable, self.n_inputs)
+        return _Template.built.setdefault(self.name, built)
 
 
 def build_reuploading_ising(n_qubits: int = 3, n_layers: int = 2) -> Circuit:

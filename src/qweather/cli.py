@@ -170,7 +170,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     with open(args.report, encoding="utf-8-sig") as fh:
-        report = report_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise DataFormatError(f"report is not UTF-8 text: {err}") from None
+    report = report_from_json(text)
     emit_plot_data(report, args.out, probabilities=args.probabilities)
     print(f"wrote {args.out}")
     return EXIT_OK

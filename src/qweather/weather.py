@@ -157,7 +157,11 @@ def load_csv(path, target_name: str = "t2m"):
     DataFormatError that names the column or the file line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise DataFormatError(f"{path} is not UTF-8 text: {err}") from None
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -429,9 +430,17 @@ def test_equal_circuits_built_apart_share_one_cache_entry():
     autodiff._structure.cache_clear()
     theta = np.random.default_rng(41).normal(size=(4, 24))
     first, second = (bind(build_qlstm_vqc(4, 2), theta, 40) for _ in range(2))
+    # an equal circuit that the template did not build
+    built = build_qlstm_vqc(4, 2)
+    apart = Circuit(
+        built.name, 4, tuple(replace(op) for op in built.ops), 24, built.n_inputs
+    )
+    assert apart == built and apart is not built
+    third = bind(apart, theta, 40)
     assert autodiff._structure.cache_info().currsize == 1
     # plan[0] is the one shared run; its unitary U comes out the same
     assert same_bytes(first.plan[0][1][2], second.plan[0][1][2])
+    assert same_bytes(first.plan[0][1][2], third.plan[0][1][2])
 
 
 def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import same_bytes
-from reference import run
+from reference import apply_gates, run
 
 import qweather.circuits as circuits_mod
 from qweather.autodiff import bind
@@ -237,6 +237,8 @@ def test_template_round_trips_through_its_name(build, a, b):
     circuit = build(a, b)
     assert circuit.name == f"{build.__name__[len('build_'):]}({a},{b})"
     assert circuit_from_name(circuit.name) == circuit
+    # one shared circuit per template and sizes
+    assert circuit_from_name(circuit.name) is circuit is build(a, b)
 
 
 def test_circuit_from_name_rejects_unknown():
@@ -438,6 +440,92 @@ def test_run_from_a_state_continues_the_circuit():
     assert same_bytes(states, kept)
     with pytest.raises(ValueError):
         run_circuit_batch(ansatz, theta, (), state=np.zeros((5, 4), dtype=complex))
+
+
+# angles whose RY matrix holds exact zeros (0.0, -0.0) or exact ones (pi, 2 pi)
+SPECIAL_ANGLES = (0.0, -0.0, np.pi, 2 * np.pi)
+
+
+def _random_real_circuit(rng, n_qubits, n_ops):
+    """``n_ops`` random gates with real matrices: RY on an identity or an
+    arctan angle, H, and on two or more qubits CNOT and CZ."""
+    kinds = ["RY", "H"] + ["CNOT", "CZ"] * (n_qubits > 1)
+    ops, k = [], 0
+    for kind in rng.choice(kinds, size=n_ops):
+        if kind == "RY":
+            transform = str(rng.choice(["identity", "arctan"]))
+            scale = 1.0 if transform == "identity" else 2.0
+            ref = AngleRef("trainable", k, transform, scale)
+            ops.append(CircuitOp("RY", (int(rng.integers(n_qubits)),), (ref,)))
+            k += 1
+        else:
+            targets = rng.choice(n_qubits, size=1 if kind == "H" else 2, replace=False)
+            ops.append(CircuitOp(str(kind), tuple(int(t) for t in targets)))
+    return Circuit(f"real{n_qubits}", n_qubits, tuple(ops), k, 0)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("batch", [2, 5, 64])
+def test_real_circuits_on_given_rows_match_gate_by_gate(n_qubits, batch):
+    """A circuit of real gates, on given rows with one shared theta, runs on
+    real rows.  Its amplitudes are the gate-by-gate ones up to the sign of
+    a zero, which + 0.0 folds away, and its probabilities are the same."""
+    rng = np.random.default_rng(100 * n_qubits + batch)
+    dim = 1 << n_qubits
+    for _ in range(4):
+        circuit = _random_real_circuit(rng, n_qubits, 6 * n_qubits)
+        assert circuits_mod._real_plan(circuit) is not None
+        theta = rng.normal(scale=3.0, size=circuit.n_trainable)
+        special = rng.random(theta.size) < 0.4
+        theta[special] = rng.choice(SPECIAL_ANGLES, size=special.sum())
+        state = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+        parts = state.view(float)
+        zero = rng.random(parts.shape) < 0.2
+        parts[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+        gates = []
+        for op in circuit.ops:
+            angles = ()
+            if op.angles:
+                ref = op.angles[0]
+                v = theta[ref.slot_index]
+                angles = (ref.scale * (v if ref.transform == "identity" else np.arctan(v)),)
+            gates.append((op.kind, op.targets, angles))
+        want = apply_gates(state, gates)
+        got = run_circuit_batch(circuit, theta, (), state=state)
+        assert same_bytes(np.abs(got) ** 2, np.abs(want) ** 2)
+        assert same_bytes(got + 0.0, want + 0.0)
+
+
+def test_only_real_gates_on_given_rows_skip_apply_matrix(monkeypatch):
+    """vqc's ansatz on the feature map's states with one shared theta runs
+    on real rows, with no apply_matrix call; a feature map, per-row angles,
+    stacked theta, a binding (wide at 5 rows on 3 qubits) and a lone (d,)
+    state apply every gate."""
+    fmap, ansatz = build_zz_feature_map(3, 1), build_real_amplitudes(3, 3)
+    rng = np.random.default_rng(29)
+    theta = rng.normal(size=ansatz.n_trainable)
+    x = rng.uniform(0.0, np.pi, size=(5, 3))
+    states = run_circuit_batch(fmap, (), x)
+    calls = []
+    apply = circuits_mod.apply_matrix
+
+    def counting(*args):
+        calls.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(circuits_mod, "apply_matrix", counting)
+    every, stacked = len(ansatz.ops), np.stack([theta, -theta])[:, None]
+    for name, circuit, params, inputs, state, bound, want in [
+        ("real ansatz", ansatz, theta, (), states, None, 0),
+        ("feature map", fmap, (), x, None, None, len(fmap.ops)),
+        ("per-row angles", ansatz, np.tile(theta, (5, 1)), (), states, None, every),
+        ("stacked theta", ansatz, stacked, (), states, None, every),
+        ("binding", ansatz, theta, (), states, bind(ansatz, theta, 5), every),
+        ("one row", ansatz, theta, (), states[0], None, every),
+    ]:
+        calls.clear()
+        run_circuit_batch(circuit, params, inputs, state=state, bound=bound)
+        assert len(calls) == want, name
 
 
 def test_angle_shift_offsets_one_occurrence():

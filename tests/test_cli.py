@@ -86,6 +86,12 @@ class TestIngest:
         assert main(["ingest", "--csv", str(path)]) == 3
         assert message in capsys.readouterr().err
 
+    def test_latin1_csv_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("time,t2m,unit\n2020-01,290.5,\u00b0K\n".encode("latin-1"))
+        assert main(["ingest", "--csv", str(path)]) == 3
+        assert "latin1.csv is not UTF-8 text" in capsys.readouterr().err
+
 
 class TestCorrelate:
     def test_table_and_csv(self, synth_csv, tmp_path, capsys):
@@ -165,6 +171,13 @@ class TestRun:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        # unlike a data file or a report, the config is what the user wrote
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"model": "svc", "note": "\u00b0"}'.encode("latin-1"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "can't decode byte 0xb0" in capsys.readouterr().err
 
     def test_config_with_byte_order_mark(self, tmp_path, svc_config, capsys):
         with open(svc_config, encoding="utf-8") as fh:
@@ -358,6 +371,13 @@ class TestPlotData:
         out = tmp_path / "x.csv"
         assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+
+    def test_report_not_utf8_exit_3(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b'{"config": "\xff"}')
+        out = tmp_path / "x.csv"
+        assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 3
+        assert "report is not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "changes,message",

@@ -50,6 +50,14 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     assert ds.time == ("2020-01-01",)
 
 
+def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
+    # a Latin-1 export writes the degree sign as the lone byte 0xb0
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("time,t2m,unit\n2020-01,290.5,\u00b0K\n".encode("latin-1"))
+    with pytest.raises(DataFormatError, match="latin1.csv is not UTF-8 text"):
+        load_csv(p)
+
+
 def test_load_csv_drops_incomplete_rows(tmp_path):
     p = write(
         tmp_path / "gap.csv",

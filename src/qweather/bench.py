@@ -65,13 +65,10 @@ from .models_recurrent import (
     train_sequence_model,
 )
 from .qkernel import (
+    KernelMachine,
     default_gamma,
-    fidelity_kernel,
-    ovr_predict,
-    ovr_train,
-    rbf_kernel,
-    svm_predict,
-    svm_train,
+    kernel_machine_predict,
+    kernel_machine_train,
 )
 from .weather import (
     DataFormatError,
@@ -109,10 +106,10 @@ DENSE_BUDGETS = {3: 21, 4: 48}
 class Fitted:
     """A trained model as the harness scores it.
 
-    ``score`` maps a batch to values in the [0, 1] space of the scaled
-    targets the fit was given, to labels (kernel machines), or to (n,
-    n_classes) class probabilities, whose argmax ``run`` takes as the
-    labels, ties to the lowest class.
+    ``score`` maps a batch, which ``run`` makes of every row at once, to
+    values in the [0, 1] space of the scaled targets the fit was given, to
+    labels (a ``KernelMachine``), or to (n, n_classes) class probabilities,
+    whose argmax ``run`` takes as the labels, ties to the lowest class.
     """
 
     score: Callable
@@ -181,42 +178,23 @@ def _fit_nn(cfg, X_train, y_train):
     )
 
 
-def _fidelity(cfg, X_train):
-    fm = build_zz_feature_map(X_train.shape[1], 1)
-    return (lambda A, B: fidelity_kernel(A, B, fm)), {"feature_map": fm.name}
-
-
-def _rbf(cfg, X_train):
-    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(X_train)
-    return (lambda A, B: rbf_kernel(A, B, gamma)), {"gamma": gamma}
-
-
-def _fit_kernel_machine(kernel_for, cfg, X_train, y_train):
-    kernel, details = kernel_for(cfg, X_train)
-    K_train = kernel(X_train, X_train)
-    if cfg.task == "binary":
-        y_pm = np.where(np.asarray(y_train) == 1, 1.0, -1.0)
-        model = svm_train(K_train, y_pm, C=cfg.C, label_map=(0, 1))
-        n_params = int(len(model.support_indices))
-        details.update(smo_iterations=model.n_iter, smo_gap=model.kkt_gap)
-        decide = partial(svm_predict, model)
+def _fit_kernel_machine(kernel, cfg, X_train, y_train):
+    # "rbf" of the configured or default width, or the ZZ feature map
+    if kernel == "rbf":
+        gamma = default_gamma(X_train) if cfg.gamma is None else cfg.gamma
     else:
-        model = ovr_train(K_train, y_train, C=cfg.C)
-        n_params = int(sum(len(m.support_indices) for m in model.models))
-        details.update(
-            smo_iterations=[m.n_iter for m in model.models],
-            smo_gap=[m.kkt_gap for m in model.models],
-        )
-        decide = partial(ovr_predict, model)
-
-    def score(X):
-        # the training rows' kernel is already at hand
-        return decide(K_train if X is X_train else kernel(X, X_train))
-
-    details.update(C=cfg.C, n_support=n_params)
+        kernel, gamma = build_zz_feature_map(X_train.shape[1], 1).name, None
+    machine, solves = kernel_machine_train(X_train, y_train, kernel, gamma, C=cfg.C)
+    n_support = int(np.count_nonzero(machine.coefficients))
+    # one machine reports its solve's figures bare, several as lists
+    iters, gaps = [s.n_iter for s in solves], [s.kkt_gap for s in solves]
+    if len(solves) == 1:
+        (iters,), (gaps,) = iters, gaps
+    details = {"feature_map": kernel} if gamma is None else {"gamma": gamma}
+    details.update(smo_iterations=iters, smo_gap=gaps, C=cfg.C, n_support=n_support)
     return Fitted(
-        score=score,
-        n_params=n_params,
+        score=lambda X: kernel_machine_predict(machine, X),
+        n_params=n_support,
         details=details,
         history=[],
     )
@@ -275,9 +253,9 @@ MODELS = {
     ),
     "vqc": ModelSpec(_CLASSIFY, _fit_vqc, scaling="minmax", iters=150),
     "qsvm": ModelSpec(
-        _CLASSIFY, partial(_fit_kernel_machine, _fidelity), scaling="minmax"
+        _CLASSIFY, partial(_fit_kernel_machine, "zz_feature_map"), scaling="minmax"
     ),
-    "svc": ModelSpec(_CLASSIFY, partial(_fit_kernel_machine, _rbf), scaling="minmax"),
+    "svc": ModelSpec(_CLASSIFY, partial(_fit_kernel_machine, "rbf"), scaling="minmax"),
     "nn": ModelSpec(_ANY_TASK, _fit_nn, epochs=300, lr=0.05),
     "qlstm": ModelSpec(
         _REGRESS,
@@ -514,7 +492,8 @@ def report_from_json(text: str) -> ExperimentReport:
 
 # the classes a model document may name
 _MODEL_CLASSES = {cls.__name__: cls for cls in (
-    QnnModel, VqcClassifier, DenseBaseline, QlstmCell, QgruCell, ClassicalRnnBaseline
+    QnnModel, VqcClassifier, DenseBaseline, QlstmCell, QgruCell, ClassicalRnnBaseline,
+    KernelMachine,
 )}
 # a field's reader by its annotation, which the model modules keep as a
 # string; JSON holds the other fields as they are
@@ -610,7 +589,8 @@ def _prepare(stages, cfg, dataset, feats, split):
 
 
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
-    """Execute one experiment and optionally write its artifact directory."""
+    """Execute one experiment, scoring every row in one call, and optionally
+    write its artifact directory."""
     cfg = normalized(config)
     spec = MODELS[cfg.model]
     started = time.perf_counter()
@@ -621,33 +601,27 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     split = int(math.floor(dataset.n_rows * cfg.split_fraction))
     X, y, rows, scaler = _prepare(stages, cfg, dataset, feats, split)
     train = rows < split
-    X_train, y_train, X_test, y_test = X[train], y[train], X[~train], y[~train]
-    fitted = _stage(stages, "train", spec.fit, cfg, X_train, y_train)
-    pred_train, pred_test = fitted.score(X_train), fitted.score(X_test)
+    fitted = _stage(stages, "train", spec.fit, cfg, X[train], y[train])
+    pred = fitted.score(X)
     probabilities = None
-    if pred_test.ndim == 2:
+    if pred.ndim == 2:
         # class probabilities: the labels are each row's argmax
-        probabilities = tuple(tuple(float(v) for v in row) for row in pred_test)
-        pred_train, pred_test = np.argmax(pred_train, axis=1), np.argmax(pred_test, axis=1)
+        probabilities = tuple(tuple(float(v) for v in row) for row in pred[~train])
+        pred = np.argmax(pred, axis=1)
+    actual, predicted, metric, value = y, pred, _accuracy, int
+    compared = {"accuracy": (pred, y)}
     if scaler is not None:
-        kelvin = dataset.target()[rows]
-        predicted = scaler.inverse(pred_test)
-        metrics = {
-            "train_mse_scaled": _mse(pred_train, y_train),
-            "test_mse_scaled": _mse(pred_test, y_test),
-            "train_mse_kelvin": _mse(scaler.inverse(pred_train), kelvin[train]),
-            "test_mse_kelvin": _mse(predicted, kelvin[~train]),
-        }
-        actual, value = kelvin[~train], float
-    else:
-        metrics = {
-            "train_accuracy": _accuracy(pred_train, y_train),
-            "test_accuracy": _accuracy(pred_test, y_test),
-        }
-        actual, predicted, value = y_test, pred_test, int
+        actual, predicted = dataset.target()[rows], scaler.inverse(pred)
+        compared = {"mse_scaled": (pred, y), "mse_kelvin": (predicted, actual)}
+        metric, value = _mse, float
+    metrics = {
+        f"{part}_{name}": metric(a[mask], b[mask])
+        for name, (a, b) in compared.items()
+        for part, mask in (("train", train), ("test", ~train))
+    }
     predictions = tuple(
         (dataset.time[r], value(a), value(p))
-        for r, a, p in zip(rows[~train], actual, predicted)
+        for r, a, p in zip(rows[~train], actual[~train], predicted[~train])
     )
     if not all(np.isfinite(v) for v in metrics.values()):
         raise PipelineError("evaluate", ValueError("non-finite metric produced"))

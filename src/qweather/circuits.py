@@ -324,10 +324,10 @@ def _no_angles(q):
 class _Template:
     """A template's ops, laid down layer by layer.
 
-    ``sizes`` are the template's two sizes as ``label=(value, lowest)``, the
-    qubit count first.  Trainable slots come from one running counter and
-    the input angle maker marks the inputs as read, so ``circuit()`` takes
-    both slot counts from what the layers used.
+    ``sizes`` are the two sizes as ``label=(value, lowest)``, read back as the
+    ints ``n`` (qubits) and ``repeats``.  Trainable slots come from one running
+    counter and the input angle maker marks the inputs as read, so
+    ``circuit()`` takes both slot counts from what the layers used.
     """
 
     built: dict[str, Circuit] = {}  # by name, so caches find a circuit by identity
@@ -338,9 +338,8 @@ class _Template:
                 raise ValueError(
                     f"build_{template}: {label} must be an integer >= {lo}"
                 )
-        values = [int(value) for value, _ in sizes.values()]
-        self.name = template_name(template, *values)
-        self.n = values[0]
+        self.n, self.repeats = (int(value) for value, _ in sizes.values())
+        self.name = template_name(template, self.n, self.repeats)
         self.ops = []
         self.n_trainable = 0
         self.n_inputs = 0
@@ -388,7 +387,7 @@ def build_reuploading_ising(n_qubits: int = 3, n_layers: int = 2) -> Circuit:
     if n_qubits != 3:
         raise ValueError("the Ising reuploading template is defined for 3 qubits")
     t = _Template("reuploading_ising", n_qubits=(n_qubits, 3), n_layers=(n_layers, 1))
-    for _ in range(n_layers):
+    for _ in range(t.repeats):
         t.layer("RY", t.inputs())
         t.layer("RX", t.trainable())
         t.layer("RZ", t.trainable())
@@ -405,10 +404,10 @@ def build_reuploading_sel(n_qubits: int = 4, n_layers: int = 4) -> Circuit:
     qubit, then a CNOT ring of range (l mod (n-1)) + 1.
     """
     t = _Template("reuploading_sel", n_qubits=(n_qubits, 2), n_layers=(n_layers, 1))
-    for layer in range(1, n_layers + 1):
+    for layer in range(1, t.repeats + 1):
         t.layer("RY", t.inputs())
         t.layer("R3", t.trainable(3))
-        t.ring((layer % (n_qubits - 1)) + 1)
+        t.ring((layer % (t.n - 1)) + 1)
     return t.circuit()
 
 
@@ -419,10 +418,10 @@ def build_zz_feature_map(n_features: int, reps: int = 1) -> Circuit:
     adjacent pair a CNOT-conjugated RZ carrying 2*(pi - x_i)*(pi - x_j).
     """
     t = _Template("zz_feature_map", n_features=(n_features, 2), reps=(reps, 1))
-    for _ in range(reps):
+    for _ in range(t.repeats):
         t.layer("H")
         t.layer("RZ", t.inputs(scale=2.0))
-        for q in range(n_features - 1):
+        for q in range(t.n - 1):
             cnot = CircuitOp("CNOT", (q, q + 1))
             zz = AngleRef("input", q, "zz_product", 2.0, partner=q + 1)
             t.ops += [cnot, CircuitOp("RZ", (q + 1,), (zz,)), cnot]
@@ -433,7 +432,7 @@ def build_real_amplitudes(n_qubits: int, reps: int = 3) -> Circuit:
     """RY layer, then reps blocks of a linear CNOT chain plus an RY layer."""
     t = _Template("real_amplitudes", n_qubits=(n_qubits, 2), reps=(reps, 0))
     t.layer("RY", t.trainable())
-    for _ in range(reps):
+    for _ in range(t.repeats):
         t.ring(closed=False)
         t.layer("RY", t.trainable())
     return t.circuit()
@@ -442,7 +441,7 @@ def build_real_amplitudes(n_qubits: int, reps: int = 3) -> Circuit:
 def build_z_feature_map(n_features: int = 4, reps: int = 1) -> Circuit:
     """First-order feature map: H then RZ(2*x_i) per qubit, no entanglement."""
     t = _Template("z_feature_map", n_features=(n_features, 1), reps=(reps, 1))
-    for _ in range(reps):
+    for _ in range(t.repeats):
         t.layer("H")
         t.layer("RZ", t.inputs(scale=2.0))
     return t.circuit()
@@ -459,7 +458,7 @@ def build_qlstm_vqc(n_qubits: int = 4, n_layers: int = 1) -> Circuit:
     t.layer("H")
     t.layer("RY", t.inputs("arctan"))
     t.layer("RZ", t.inputs("arctan_square"))
-    for _ in range(n_layers):
+    for _ in range(t.repeats):
         t.ring()
         t.layer("R3", t.trainable(3))
     return t.circuit()

@@ -3,8 +3,8 @@
 The kernel entry for two samples is the squared overlap of their embedded
 statevectors.  Training solves the soft-margin dual by sequential minimal
 optimization: each step pairs the maximal KKT violator with the partner
-of largest second-order gain (Fan, Chen & Lin 2005, LIBSVM's WSS2);
-multiclass goes one-vs-rest with ties broken toward the lowest class.
+of largest second-order gain (Fan, Chen & Lin 2005, LIBSVM's WSS2).  A
+``KernelMachine`` holds one machine for two classes, else one per class.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, run_circuit_batch
+from .circuits import Circuit, circuit_from_name, run_circuit_batch
 
 
 class IllConditionedKernelError(Exception):
@@ -61,14 +61,12 @@ class SvmModel:
     support_indices: np.ndarray
     support_labels: np.ndarray
     bias: float
-    regularization_C: float
-    label_map: tuple
     n_train: int
     n_iter: int
     kkt_gap: float
 
 
-def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3, label_map=(-1, 1)):
+def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3):
     """Soft-margin SVM on a precomputed kernel via SMO.
 
     ``y`` must be in {-1, +1} with both classes present.  The solver stops
@@ -79,7 +77,7 @@ def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3, label_map=(-1, 1)):
     is the midpoint of the interval the KKT conditions allow.
     """
     K, y = _checked(kernel, y, C)
-    return _smo(K, y, C, tol, label_map)
+    return _smo(K, y, C, tol)
 
 
 def _checked(kernel, y, C):
@@ -103,7 +101,7 @@ def _checked(kernel, y, C):
     return K, y
 
 
-def _smo(K, y, C, tol, label_map):
+def _smo(K, y, C, tol):
     """The SMO solve of ``svm_train`` on checked inputs."""
     n = y.size
     # dual gradient G of 0.5 a'Qa - sum(a) with Q = yy'K; -y*G is the
@@ -152,8 +150,6 @@ def _smo(K, y, C, tol, label_map):
         support_indices=support,
         support_labels=y[support].copy(),
         bias=bias,
-        regularization_C=float(C),
-        label_map=tuple(label_map),
         n_train=n,
         n_iter=n_iter,
         kkt_gap=kkt_gap,
@@ -172,39 +168,68 @@ def svm_decision(model: SvmModel, k_rows) -> np.ndarray:
     return k_rows[:, model.support_indices] @ coef + model.bias
 
 
-def svm_predict(model: SvmModel, k_rows) -> np.ndarray:
-    """Labels for kernel rows of shape (m, n_train) or (n_train,), shape
-    (m,): ``label_map[1]`` where the decision is >= 0 (sign ties go
-    positive), ``label_map[0]`` elsewhere."""
-    positive = svm_decision(model, k_rows) >= 0
-    return np.where(positive, model.label_map[1], model.label_map[0])
-
-
 @dataclass(frozen=True)
-class OvrModel:
+class KernelMachine:
+    """A trained kernel classifier, scored on the training rows it kept.
+
+    ``kernel`` is "rbf", of width ``gamma``, or a feature-map descriptor
+    such as "zz_feature_map(3,1)" with ``gamma`` None.  Row j of
+    ``coefficients`` is machine j's alpha * y on each support row, zero
+    where it did not keep the row.  One machine decides ``classes[1]``
+    against ``classes[0]``, else machine j ``classes[j]`` against the rest.
+    """
+
+    kernel: str
+    gamma: float | None
     classes: tuple
-    models: tuple
+    support_rows: np.ndarray
+    coefficients: np.ndarray
+    biases: np.ndarray
+
+    def __post_init__(self):
+        if (self.kernel == "rbf") != (self.gamma is not None):
+            raise ValueError("gamma is set exactly for the rbf kernel")
+        if len(self.classes) < 2 or list(self.classes) != sorted(set(self.classes)):
+            raise ValueError("classes must be two or more distinct labels in order")
+        m = 1 if len(self.classes) == 2 else len(self.classes)
+        shapes = (self.support_rows.shape, self.coefficients.shape, self.biases.shape)
+        if self.support_rows.ndim != 2 or shapes[1:] != ((m, shapes[0][0]), (m,)):
+            raise ValueError(
+                f"{m} machines do not fit row, coefficient and bias shapes {shapes}"
+            )
 
 
-def ovr_train(kernel, y, C: float = 1.0, tol: float = 1e-3) -> OvrModel:
-    """One binary machine per class, that class against the rest."""
+def _kernel(kernel, gamma, Xa, Xb) -> np.ndarray:
+    if kernel == "rbf":
+        return rbf_kernel(Xa, Xb, gamma)
+    return fidelity_kernel(Xa, Xb, circuit_from_name(kernel))
+
+
+def kernel_machine_train(X, y, kernel, gamma=None, C: float = 1.0, tol: float = 1e-3):
+    """(machine, solves): the ``KernelMachine`` of rows ``X`` and labels ``y``
+    and each machine's SMO solve (an ``SvmModel``); the kernel is checked once."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y).ravel()
-    classes = tuple(sorted(np.unique(y).tolist()))
-    if len(classes) < 2:
-        raise ValueError("at least two classes are required")
-    # the checks pass for one class's labels iff they pass for all: run once
-    K, _ = _checked(kernel, np.where(y == classes[0], 1.0, -1.0), C)
-    models = [_smo(K, np.where(y == c, 1.0, -1.0), C, tol, (-1, 1)) for c in classes]
-    return OvrModel(classes=classes, models=tuple(models))
+    classes = tuple(np.unique(y).tolist())
+    # one class against the rest for each class, or the second class alone;
+    # the checks pass for one machine's labels iff they pass for all
+    signs = [np.where(y == c, 1.0, -1.0) for c in classes[len(classes) == 2:]]
+    K, _ = _checked(_kernel(kernel, gamma, X, X), signs[0], C)
+    solves = tuple(_smo(K, sign, C, tol) for sign in signs)
+    kept = np.unique(np.concatenate([m.support_indices for m in solves]))
+    coefficients = np.zeros((len(solves), kept.size))
+    for row, m in zip(coefficients, solves):
+        row[np.isin(kept, m.support_indices)] = m.dual_coefficients * m.support_labels
+    biases = np.array([m.bias for m in solves])
+    return KernelMachine(kernel, gamma, classes, X[kept], coefficients, biases), solves
 
 
-def ovr_decision(model: OvrModel, k_rows) -> np.ndarray:
-    """Per-class decision values, shape (m, n_classes)."""
-    cols = [svm_decision(m, k_rows) for m in model.models]
-    return np.stack(cols, axis=1)
-
-
-def ovr_predict(model: OvrModel, k_rows) -> np.ndarray:
-    """Labels for kernel rows, shape (m,): the class of the largest
-    decision value, ties to the lowest class."""
-    return np.asarray(model.classes)[np.argmax(ovr_decision(model, k_rows), axis=1)]
+def kernel_machine_predict(machine: KernelMachine, X) -> np.ndarray:
+    """Labels for feature rows, shape (n,): with one machine the second
+    class where its decision is >= 0, else the class of the largest
+    decision, ties to the lowest class."""
+    k_rows = _kernel(machine.kernel, machine.gamma, X, machine.support_rows)
+    decision = k_rows @ machine.coefficients.T + machine.biases
+    if len(machine.biases) == 1:
+        return np.asarray(machine.classes)[(decision[:, 0] >= 0).astype(int)]
+    return np.asarray(machine.classes)[np.argmax(decision, axis=1)]

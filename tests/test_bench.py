@@ -43,6 +43,7 @@ from qweather.models_recurrent import (
     build_qlstm,
     sequence_forward,
 )
+from qweather.qkernel import kernel_machine_predict, kernel_machine_train
 from qweather.weather import EmptySelectionError, synth_generate
 
 TINY = {"kind": "synth", "seed": 3, "n_months": 96}
@@ -359,7 +360,8 @@ def test_every_model_task_pair_completes(model, task):
 )
 def test_classifier_simulates_test_rows_once(model, task, monkeypatch):
     # every circuit evaluation of the quantum classifiers goes through
-    # models_qnn's run_circuit_batch; record the batch size of each
+    # models_qnn's run_circuit_batch; record the batch size of each.  The
+    # run scores the training and test rows together, in one batch
     batch_rows = []
     original = models_qnn.run_circuit_batch
 
@@ -370,7 +372,8 @@ def test_classifier_simulates_test_rows_once(model, task, monkeypatch):
     monkeypatch.setattr(models_qnn, "run_circuit_batch", counted)
     rep = run(tiny_config(model=model, task=task, epochs=2, iters=5))
     assert rep.n_test != rep.n_train
-    assert batch_rows.count(rep.n_test) == 1
+    assert batch_rows.count(rep.n_train + rep.n_test) == 1
+    assert rep.n_test not in batch_rows
     assert len(rep.probabilities) == rep.n_test
 
 
@@ -560,6 +563,44 @@ class TestModelDocuments:
         # the readout is the task's, so a document cannot state it
         for bad in (missing, dict(doc, seed=7), dict(doc, readout=[0])):
             with pytest.raises(ValueError, match="holds exactly the keys"):
+                model_from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("kernel,gamma,task", [
+        ("rbf", 2.5, "binary"), ("zz_feature_map(3,1)", None, "ternary"),
+    ])
+    def test_kernel_machine_round_trip_keeps_labels_byte_identical(
+        self, kernel, gamma, task
+    ):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0.0, 1.0, size=(30, 3))
+        y = np.digitize(X.sum(axis=1), [1.2, 1.8] if task == "ternary" else [1.5])
+        machine, _ = kernel_machine_train(X, y, kernel, gamma)
+        text = model_to_json(machine)
+        doc = json.loads(text)
+        assert doc["class"] == "KernelMachine"
+        assert set(doc) == {"class"} | {f.name for f in fields(machine)}
+        assert text == json.dumps(doc, sort_keys=True)
+        loaded = model_from_json(text)
+        assert (loaded.kernel, loaded.gamma) == (kernel, gamma)
+        assert loaded.classes == machine.classes
+        for name in ("support_rows", "coefficients", "biases"):
+            assert same_bytes(getattr(loaded, name), getattr(machine, name))
+        Z = rng.uniform(0.0, 1.0, size=(12, 3))
+        labels = kernel_machine_predict(loaded, Z)
+        assert same_bytes(labels, kernel_machine_predict(machine, Z))
+        assert set(labels.tolist()) <= set(machine.classes)
+
+    def test_kernel_machine_document_of_the_wrong_shape_rejected(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        machine, _ = kernel_machine_train(X, np.array([0, 0, 1, 1]), "rbf", 1.0)
+        doc = json.loads(model_to_json(machine))
+        for bad in (
+            dict(doc, biases=doc["biases"] * 2),
+            dict(doc, coefficients=[row[:-1] for row in doc["coefficients"]]),
+            dict(doc, support_rows=doc["support_rows"][:-1]),
+            dict(doc, classes=[0, 1, 2]),
+        ):
+            with pytest.raises(ValueError, match="do not fit"):
                 model_from_json(json.dumps(bad))
 
     def test_quantum_cell_runs_only_qlstm_vqc(self):

@@ -279,6 +279,18 @@ def test_builders_reject_invalid_sizes(builder, args):
         builder(*args)
 
 
+@pytest.mark.parametrize(
+    "build,a,b", TEMPLATE_GRID, ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_builders_read_integral_float_sizes_as_ints(build, a, b):
+    circuit = build(a, b)
+    for sizes in ((float(a), b), (a, float(b)), (float(a), float(b))):
+        assert build(*sizes) is circuit
+    for sizes in ((a + 0.5, b), (a, b + 0.5)):
+        with pytest.raises(ValueError, match=f"{build.__name__}|3 qubits"):
+            build(*sizes)
+
+
 def bind_and_run(circuit, params, inputs):
     """One row run unbound and under a binding, which must agree."""
     x = np.reshape(inputs, (1, -1))

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from conftest import same_bytes
 from scipy.optimize import minimize
 
 from qweather.circuits import build_z_feature_map, build_zz_feature_map
+from qweather import qkernel
 from qweather.qkernel import (
     IllConditionedKernelError,
-    OvrModel,
-    SvmModel,
+    KernelMachine,
     default_gamma,
     fidelity_kernel,
-    ovr_decision,
-    ovr_predict,
-    ovr_train,
+    kernel_machine_predict,
+    kernel_machine_train,
     rbf_kernel,
     svm_decision,
-    svm_predict,
     svm_train,
 )
 
@@ -125,7 +124,6 @@ def test_two_point_training_closed_form():
     assert set(model.support_indices.tolist()) == {0, 1}
     assert np.allclose(model.dual_coefficients, [1.0, 1.0], atol=1e-6)
     assert model.bias == pytest.approx(0.0, abs=1e-9)
-    assert svm_predict(model, K).tolist() == [1, -1]
     assert svm_decision(model, K) == pytest.approx([0.9, -0.9], abs=1e-6)
 
 
@@ -134,7 +132,8 @@ def test_two_point_labels_stable_under_small_kernel_noise():
     base = svm_train(np.array([[1.0, 0.1], [0.1, 1.0]]), y, C=1.0, tol=1e-3)
     noisy = np.array([[1.0, 0.1 + 5e-4], [0.1 + 5e-4, 1.0]])
     model = svm_train(noisy, y, C=1.0, tol=1e-3)
-    assert np.array_equal(svm_predict(model, noisy), svm_predict(base, noisy))
+    signs = [svm_decision(m, noisy) >= 0 for m in (model, base)]
+    assert np.array_equal(*signs)
 
 
 def _clusters(rng, centers, n_per, spread=0.3):
@@ -184,7 +183,11 @@ def test_zero_kernel_row_predicts_bias_sign():
     # both alphas sit at C, so the bias is the midpoint of [-0.1, 0.1]
     assert model.bias == pytest.approx(0.0, abs=1e-12)
     assert svm_decision(model, np.zeros(2)) == pytest.approx([model.bias])
-    assert svm_predict(model, np.zeros(2)).tolist() == [1 if model.bias >= 0 else -1]
+    # a row the rbf kernel sees as far from every support row scores the bias
+    far = np.array([[1e3]])
+    for bias, label in ((-0.5, 0), (0.5, 1)):
+        machine = _stub_machine((0, 1), [[1.0]], [bias])
+        assert kernel_machine_predict(machine, far).tolist() == [label]
 
 
 def test_smo_matches_brute_force_dual():
@@ -229,10 +232,17 @@ def test_svm_train_validation():
         svm_train(non_psd, np.array([1.0, -1.0]))
 
 
-def test_svm_predict_rejects_wrong_row_length():
+def test_svm_decision_rejects_wrong_row_length():
     model = svm_train(np.array([[1.0, 0.1], [0.1, 1.0]]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
-        svm_predict(model, np.zeros(3))
+        svm_decision(model, np.zeros(3))
+
+
+def _stub_machine(classes, coefficients, biases):
+    """An rbf machine on support rows 0, 1, ... on one feature."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    rows = np.arange(coefficients.shape[1], dtype=float)[:, None]
+    return KernelMachine("rbf", 1.0, classes, rows, coefficients, np.asarray(biases))
 
 
 def test_ovr_two_class_matches_binary():
@@ -240,47 +250,73 @@ def test_ovr_two_class_matches_binary():
     X, y = _clusters(rng, [(-1.5, 0.0), (1.5, 0.0)], 12, spread=0.8)
     K = rbf_kernel(X, X, 0.7)
     binary = svm_train(K, np.where(y == 1, 1.0, -1.0), C=1.0)
-    multi = ovr_train(K, y, C=1.0)
+    machine, solves = kernel_machine_train(X, y, "rbf", 0.7, C=1.0)
     b_labels = np.where(svm_decision(binary, K) >= 0, 1, 0)
-    assert np.array_equal(ovr_predict(multi, K), b_labels)
+    assert np.array_equal(kernel_machine_predict(machine, X), b_labels)
+    assert solves[0].n_iter == binary.n_iter and solves[0].bias == binary.bias
+
+
+def test_two_classes_give_one_machine():
+    rng = np.random.default_rng(102)
+    X, y = _clusters(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 6)
+    # a slice of a ternary task that holds only classes 0 and 2
+    keep = y != 1
+    machine, solves = kernel_machine_train(X[keep], y[keep], "rbf", 0.5, C=10.0)
+    assert machine.classes == (0, 2) and len(solves) == 1
+    assert machine.coefficients.shape == (1, len(machine.support_rows))
+    assert machine.biases.shape == (1,)
+    assert np.array_equal(kernel_machine_predict(machine, X[keep]), y[keep])
+    ternary, solves = kernel_machine_train(X, y, "rbf", 0.5, C=10.0)
+    assert ternary.coefficients.shape[0] == ternary.biases.size == len(solves) == 3
+
+
+def test_decision_of_zero_picks_the_second_class():
+    machine = _stub_machine((3, 7), [[0.0]], [0.0])
+    assert kernel_machine_predict(machine, np.array([[0.0], [5.0]])).tolist() == [7, 7]
+    below = _stub_machine((3, 7), [[0.0]], [-1e-300])
+    assert kernel_machine_predict(below, np.array([[0.0]])).tolist() == [3]
+
+
+def test_support_rows_score_as_every_training_row():
+    rng = np.random.default_rng(103)
+    X, y01 = _clusters(rng, [(0.2, 0.3), (0.8, 0.6)], 10, spread=0.15)
+    fm = build_zz_feature_map(2, 1)
+    K = fidelity_kernel(X, X, fm)
+    full = svm_train(K, np.where(y01 == 1, 1.0, -1.0), C=1.0)
+    machine, _ = kernel_machine_train(X, y01, fm.name, C=1.0)
+    assert len(machine.support_rows) == len(full.support_indices) < len(X)
+    assert same_bytes(machine.support_rows, X[full.support_indices])
+    Z = rng.uniform(0, 1, size=(7, 2))
+    want = np.where(svm_decision(full, fidelity_kernel(Z, X, fm)) >= 0, 1, 0)
+    assert np.array_equal(kernel_machine_predict(machine, Z), want)
 
 
 def test_ovr_three_clusters_accuracy():
     rng = np.random.default_rng(100)
     X, y = _clusters(rng, [(-3.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 8)
-    K = rbf_kernel(X, X, 0.5)
-    model = ovr_train(K, y, C=10.0)
-    assert model.classes == (0, 1, 2)
-    assert np.array_equal(ovr_predict(model, K), y)
+    machine, solves = kernel_machine_train(X, y, "rbf", 0.5, C=10.0)
+    assert machine.classes == (0, 1, 2)
+    assert np.array_equal(kernel_machine_predict(machine, X), y)
+    # each machine's coefficients sit on the rows it kept, zero elsewhere
+    for row, solve in zip(machine.coefficients, solves):
+        kept = np.flatnonzero(row)
+        assert same_bytes(machine.support_rows[kept], X[solve.support_indices])
+        assert same_bytes(row[kept], solve.dual_coefficients * solve.support_labels)
 
 
 def test_ovr_tie_goes_to_lowest_class():
-    stub = SvmModel(
-        dual_coefficients=np.array([1.0]),
-        support_indices=np.array([0]),
-        support_labels=np.array([1.0]),
-        bias=0.0,
-        regularization_C=1.0,
-        label_map=(-1, 1),
-        n_train=2,
-        n_iter=0,
-        kkt_gap=0.0,
-    )
-    model = OvrModel(classes=(0, 1, 2), models=(stub, stub, stub))
-    decisions = ovr_decision(model, np.array([0.4, 0.1]))
-    assert np.all(decisions == decisions[0, 0])
-    assert ovr_predict(model, np.array([0.4, 0.1])).tolist() == [0]
+    machine = _stub_machine((0, 1, 2), [[1.0, 0.0]] * 3, [0.0] * 3)
+    assert kernel_machine_predict(machine, np.array([[0.4], [1.0]])).tolist() == [0, 0]
 
 
 def test_ovr_requires_two_classes():
     with pytest.raises(ValueError):
-        ovr_train(np.eye(3), np.zeros(3))
+        kernel_machine_train(np.eye(3), np.zeros(3), "rbf", 1.0)
 
 
 def test_ovr_checks_the_kernel_once(monkeypatch):
     rng = np.random.default_rng(101)
     X, y = _clusters(rng, [(-3.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 6)
-    K = rbf_kernel(X, X, 0.5)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -289,18 +325,48 @@ def test_ovr_checks_the_kernel_once(monkeypatch):
         return eigvalsh(K)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    model = ovr_train(K, y, C=10.0)
-    assert len(model.models) == 3
+    _, solves = kernel_machine_train(X, y, "rbf", 0.5, C=10.0)
+    assert len(solves) == 3
     assert calls == [(18, 18)]
 
 
-def test_ovr_train_validation():
-    K = np.eye(3)
+def test_ovr_train_validation(monkeypatch):
+    X = np.eye(3)
     y = np.array([0, 1, 2])
     with pytest.raises(ValueError):
-        ovr_train(np.eye(2), y)
+        kernel_machine_train(X[:2], y, "rbf", 1.0)
     with pytest.raises(ValueError):
-        ovr_train(K, y, C=0.0)
+        kernel_machine_train(X, y, "rbf", 1.0, C=0.0)
+    with pytest.raises(ValueError, match="unknown circuit descriptor"):
+        kernel_machine_train(X, y, "mystery(3,1)")
+    monkeypatch.setattr(qkernel, "rbf_kernel", lambda A, B, gamma: 1.0 - np.eye(len(A)))
     with pytest.raises(IllConditionedKernelError):
-        ovr_train(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]))
+        kernel_machine_train(X[:2], y[:2], "rbf", 1.0)
 
+
+@pytest.mark.parametrize(
+    "fields,match",
+    [
+        (dict(gamma=None), "gamma"),
+        (dict(kernel="zz_feature_map(1,1)"), "gamma"),
+        (dict(classes=(0,)), "classes"),
+        (dict(classes=(1, 0)), "classes"),
+        (dict(classes=(0, 0)), "classes"),
+        (dict(classes=(0, 1, 2)), "shapes"),
+        (dict(coefficients=np.zeros((1, 3))), "shapes"),
+        (dict(biases=np.zeros(2)), "shapes"),
+        (dict(support_rows=np.zeros(2)), "shapes"),
+    ],
+)
+def test_kernel_machine_rejects_fields_that_do_not_fit(fields, match):
+    good = dict(
+        kernel="rbf",
+        gamma=1.0,
+        classes=(0, 1),
+        support_rows=np.zeros((2, 1)),
+        coefficients=np.zeros((1, 2)),
+        biases=np.zeros(1),
+    )
+    KernelMachine(**good)
+    with pytest.raises(ValueError, match=match):
+        KernelMachine(**dict(good, **fields))

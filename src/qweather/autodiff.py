@@ -18,6 +18,9 @@ per parameter update, and the forward calls and the VJPs of that update
 share it.  A recurrent cell's gate group, several circuits on the same
 inputs with their own angles, is one stacked call: its circuits are swept
 side by side until no trainable angle is left to reverse, then as one.
+A caller that reads no input gradient (QNN training) says so, and the
+sweep then skips the reads at input rotations, stops at the earliest
+trainable angle and never reaches the prefix.
 
 The tests check these gradients against parameter shift and central finite
 differences in ``tests/reference.py``, which run each circuit gate by gate
@@ -254,7 +257,9 @@ def bind(circuit: Circuit, params, n_rows: int) -> Binding:
     return Binding(circuit, theta, prefix, layers, plan)
 
 
-def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound=None):
+def circuit_vjp(
+    circuit: Circuit, params, inputs, states, qubits, weights, bound=None, wrt_inputs=True
+):
     """Adjoint vector-Jacobian product of the per-sample <Z_q> readout.
 
     ``inputs`` is (n_samples, n_inputs), ``params`` the shared
@@ -297,6 +302,14 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     prefix.  Before it every circuit's psi is the same and dL/da is linear
     in lambda, so the sweep goes on with one psi and the sum of the G
     lambdas, and the steps there run once, not G times.
+
+    With ``wrt_inputs`` False (QNN training, which reads only ``d_params``),
+    ``d_inputs`` comes back as None and the sweep does only what
+    ``d_params`` needs: an input rotation is un-applied from psi and lambda
+    but read for no gradient, the sweep stops at the earliest plan item that
+    holds a trainable angle (un-applying nothing before it), and the prefix
+    is not walked.  The skipped work fed only ``d_inputs``, so ``d_params``
+    has the bytes of the full sweep's.
     """
     theta = _slot_array(circuit, params, "trainable")
     x = np.atleast_2d(_slot_array(circuit, inputs, "input"))
@@ -323,26 +336,26 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
     plan = bound.plan
     lam = (w @ _z_table(n, tuple(qubits))) * psi
     d_params = np.zeros(theta.shape)
-    d_inputs = np.zeros(x.shape)
+    d_inputs = np.zeros(x.shape) if wrt_inputs else None
+    # plan[:first] holds no trainable angle: there the stacked circuits
+    # apply the same gates, and only input gradients are read
+    first = next(
+        (
+            j
+            for j, (shared, item) in enumerate(plan)
+            if shared or (item[2] is not None and item[2].slot_kind == "trainable")
+        ),
+        len(plan),
+    )
     # stacked angles broadcast against the rows of psi and lambda in per-row
-    # steps; plan[:first] holds no trainable angle, so there the stacked
-    # circuits apply the same gates
-    theta_rows, first = theta, 0
-    if theta.ndim == 2:
-        theta_rows = theta[:, None, :]
-        first = next(
-            (
-                j
-                for j, (shared, item) in enumerate(plan)
-                if shared or (item[2] is not None and item[2].slot_kind == "trainable")
-            ),
-            len(plan),
-        )
-    # the sweep ends on the prefix layers from the first with an angle
-    enc = bound.layers
+    # steps
+    theta_rows = theta[:, None, :] if theta.ndim == 2 else theta
+    # the sweep ends on the prefix layers from the first with an angle, or,
+    # without input gradients, at plan[first] with no prefix walk
+    enc, end = (bound.layers, 0) if wrt_inputs else ((), first)
     enc = enc[next((k for k, l in enumerate(enc) if l[1] is not None), len(enc)) :]
-    for j in range(len(plan) - 1, -1, -1):
-        if j == first - 1:
+    for j in range(len(plan) - 1, end - 1, -1):
+        if j == first - 1 and theta.ndim == 2:
             # the merge point: one psi, the sum of the lambdas
             psi, lam = psi[0], lam.sum(axis=0)
         shared, item = plan[j]
@@ -361,14 +374,13 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
                 # the same: un-apply one psi and the G lambdas, and merge
                 u = u.conj()
                 psi, lam = psi[0] @ u[0], (lam @ u).sum(axis=0)
-            elif j > 0 or enc:
+            elif j > end or enc:
                 u = u.conj()
                 psi, lam = psi @ u, lam @ u
             continue
         kind, targets, ref = item
-        angle = ()
-        if ref is not None:
-            angle = (angle_values(ref, theta_rows, x),)
+        angle = () if ref is None else (angle_values(ref, theta_rows, x),)
+        if ref is not None and (wrt_inputs or ref.slot_kind == "trainable"):
             p_psi = apply_matrix(psi, n, targets, GENERATORS[kind])
             overlap = np.einsum("...i,...i->...", lam.conj(), p_psi).imag
             for slot_kind, idx, factor in angle_partials(ref, theta_rows, x):
@@ -377,10 +389,10 @@ def circuit_vjp(circuit: Circuit, params, inputs, states, qubits, weights, bound
                     d_params[..., idx] += np.sum(term, axis=-1)
                 else:
                     d_inputs[:, idx] += term if term.ndim == 1 else term.sum(axis=0)
-        if j > 0 or enc:
+        if j > end or enc:
             inverse = gate_matrix(kind, tuple(-a for a in angle))
-            psi = apply_matrix(psi, n, targets, inverse)
-            lam = apply_matrix(lam, n, targets, inverse)
+            psi = apply_matrix(psi, n, targets, inverse, kind)
+            lam = apply_matrix(lam, n, targets, inverse, kind)
     if not enc:
         return d_params, d_inputs
     if psi.ndim == 3:

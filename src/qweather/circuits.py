@@ -239,7 +239,7 @@ def run_circuit_batch(
             if mat.ndim > 2 and mat.shape[:-2] != amps.shape[:-1]:
                 wide = np.broadcast_shapes(amps.shape[:-1], mat.shape[:-2]) + (dim,)
                 amps = np.broadcast_to(amps, wide)
-        amps = apply_matrix(amps, circuit.n_qubits, op.targets, mat)
+        amps = apply_matrix(amps, circuit.n_qubits, op.targets, mat, op.kind)
         i += 1
     if amps.shape != full:
         amps = np.broadcast_to(amps, full).copy()

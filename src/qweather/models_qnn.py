@@ -12,7 +12,8 @@ evaluation runs the ansatz from those cached states; it runs every gate on
 its own, so its float arithmetic stays that of the per-gate path.  QNN
 training binds its circuit to each epoch's angles once, runs the forward
 pass under that binding and keeps the forward states for ``circuit_vjp``,
-which reuses the binding.
+which reuses the binding and, as the loss reads no input gradient, sweeps
+back only as far as the trainable angles.
 Every model here has one scorer: ``qnn_predict``, ``vqc_probabilities`` and
 ``dense_predict`` return values in the [0, 1] target space (regression) or
 (n, n_classes) class probabilities; the harness takes the labels.
@@ -159,8 +160,9 @@ def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
             -np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None)))
         )
         dl_dz = (p - onehot) / n
+    # the loss reads no input gradient, so the sweep takes none
     grad, _ = circuit_vjp(
-        model.circuit, model.params, X, psi, model.readout, dl_dz, bound=bound
+        model.circuit, model.params, X, psi, model.readout, dl_dz, bound, wrt_inputs=False
     )
     return loss, grad
 

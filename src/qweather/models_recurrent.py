@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -310,17 +310,20 @@ def _lstm_update_vjp(rec, dout, dc):
     ), dc * f
 
 
-def qlstm_step(cell: QlstmCell, x_t, h, c, bound=None):
+def qlstm_step(cell: QlstmCell, x_t, h, c, bound=None, readout=False):
     """One step: (x_t, h, c) -> ((h', c'), record).
 
     Shapes are batched: x_t (B, input_dim), h and c (B, hidden_size).
     Gate values come from circuits evaluated on the shared affine map v of
     u = [x_t; h]; c' = f*c + i*g and the projection circuit turns
-    u2 = o*tanh(c') into the next hidden state.  The record holds every
-    intermediate that backpropagation through time reads, the gate
-    circuits' final states (``tape``) and bindings among them.  ``bound``
-    is the dict of bindings to use and fill, one per gate group or lone gate
-    circuit; a pass hands every step the same one.
+    u2 = o*tanh(c') into the next hidden state.  At a window's last step
+    (``readout`` True) the readout circuit, which feeds the head, takes
+    u2 in place of the projection, whose output no later step would read;
+    h' is then its readout.  The record holds every intermediate that
+    backpropagation through time reads, the gate circuits' final states
+    (``tape``) and bindings among them.  ``bound`` is the dict of bindings
+    to use and fill, one per gate group or lone gate circuit; a pass hands
+    every step the same one.
     """
     p = _unpack(cell)
     rec = dict(tape={}, bound={} if bound is None else bound)
@@ -329,14 +332,9 @@ def qlstm_step(cell: QlstmCell, x_t, h, c, bound=None):
     f, i, g, o = _gate_readout(cell, p, _QLSTM_GROUP, v, rec)
     f, i, g, o = _sigmoid(f), _sigmoid(i), np.tanh(g), _sigmoid(o)
     u2, c_next, s = _lstm_update(f, i, g, o, c)
-    h_next = _gate_readout(cell, p, "hidden", u2, rec)
+    h_next = _gate_readout(cell, p, "readout" if readout else "hidden", u2, rec)
     rec.update(u=u, v=v, c_prev=c, f=f, i=i, g=g, o=o, s=s, u2=u2)
     return (h_next, c_next), rec
-
-
-def _qlstm_readout(cell: QlstmCell, rec):
-    # the readout circuit's states join the last step's tape
-    return _gate_readout(cell, _unpack(cell), "readout", rec["u2"], rec)
 
 
 def qgru_step(cell: QgruCell, x_t, h, bound=None):
@@ -490,13 +488,13 @@ def _gru_backward(model: ClassicalRnnBaseline, steps, h, dy):
 
 
 def _cell_ops(model):
-    """(step, number of state arrays, readout circuit or None, backward);
-    built per call, so a rebound module global (perfbench's tracer) is used."""
+    """(step, last step, number of state arrays, backward); built per call,
+    so a rebound module global (perfbench's tracer) is used."""
     return {
-        "qlstm": (qlstm_step, 2, _qlstm_readout, _qlstm_backward),
-        "qgru": (qgru_step, 1, None, _qgru_backward),
-        "lstm": (lstm_step, 2, None, _lstm_backward),
-        "gru": (gru_step, 1, None, _gru_backward),
+        "qlstm": (qlstm_step, partial(qlstm_step, readout=True), 2, _qlstm_backward),
+        "qgru": (qgru_step, qgru_step, 1, _qgru_backward),
+        "lstm": (lstm_step, lstm_step, 2, _lstm_backward),
+        "gru": (gru_step, gru_step, 1, _gru_backward),
     }[model.kind]
 
 
@@ -504,19 +502,20 @@ def _run(model, X):
     """Run each window through the cell from a zero state.
 
     Returns the per-step records, the head's input and the predictions.
-    The head's input is the final hidden state, except for qlstm, where it
-    is the readout circuit on the last step's u2.
+    The head's input is the last step's first state: the final hidden
+    state, except for qlstm, where it is the readout circuit on the last
+    step's u2.
     """
-    step, n_state, readout, _ = _cell_ops(model)
+    step, last, n_state, _ = _cell_ops(model)
     B, T, _ = X.shape
     state = tuple(np.zeros((B, model.hidden_size)) for _ in range(n_state))
     # the steps share one dict of bindings: each gate circuit is bound once
     kwargs = dict(bound={}) if isinstance(model, _QuantumCell) else {}
     steps = []
     for t in range(T):
-        state, rec = step(model, X[:, t], *state, **kwargs)
+        state, rec = (last if t == T - 1 else step)(model, X[:, t], *state, **kwargs)
         steps.append(rec)
-    head_in = state[0] if readout is None else readout(model, steps[-1])
+    head_in = state[0]
     p = _unpack(model)
     return steps, head_in, head_in @ p["head_w"] + p["head_b"]
 

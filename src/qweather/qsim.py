@@ -8,9 +8,10 @@ rotation decomposes as R3(a, b, g) = RZ(g) @ RY(b) @ RZ(a).
 ``apply_matrix`` applies every gate as at most two gathers of the
 amplitudes, each scaled by one matrix entry per amplitude: no gate kind has
 more than two nonzero entries in a matrix row.  Its index tables are cached
-per (qubit count, targets, nonzero pattern), and each amplitude sees the
-same products and sums as a slot-by-slot application of the matrix (see
-``apply_matrix`` for the one exception, the sign of a zero).
+per (qubit count, targets, nonzero pattern), the pattern of per-row
+matrices coming from their gate kind where the caller names it, and each
+amplitude sees the same products and sums as a slot-by-slot application of
+the matrix (see ``apply_matrix`` for the exceptions, signs of zeros).
 """
 
 from __future__ import annotations
@@ -154,8 +155,19 @@ def _gather_plan(n_qubits, targets, nonzero, ones):
     return idx ^ bits[flip], coef, scale, not flip[0].any()
 
 
+@lru_cache(maxsize=None)
+def _kind_nonzero(kind: str) -> bytes:
+    """The bytes of the nonzero mask of ``kind``'s matrix at a generic angle:
+    at 1.0 every entry that any angle makes nonzero is nonzero."""
+    return (gate_matrix(kind, (1.0,) * GATE_ARITY[kind][0]) != 0).tobytes()
+
+
 def apply_matrix(
-    amps: np.ndarray, n_qubits: int, targets: tuple[int, ...], mat: np.ndarray
+    amps: np.ndarray,
+    n_qubits: int,
+    targets: tuple[int, ...],
+    mat: np.ndarray,
+    kind: str | None = None,
 ) -> np.ndarray:
     """Apply a k-qubit unitary to amplitudes of shape (..., 2**n_qubits).
 
@@ -176,6 +188,13 @@ def apply_matrix(
     index tables depend only on the qubit count, the targets and which
     entries are nonzero (and, for a shared matrix, equal to 1), and are
     built once per such structure.
+
+    Per-row matrices of a gate ``kind`` (as ``gate_matrix(kind, angles)``
+    builds them) take that kind's nonzero pattern at a generic angle, found
+    once per kind, in place of a reduction over the batch; without a kind
+    the pattern is where any row has a nonzero entry.  The two differ only
+    where every row's angle makes an entry exactly zero, and there only the
+    sign of a zero can change.  A shared matrix ignores ``kind``.
     """
     k = len(targets)
     shape = amps.shape
@@ -192,8 +211,11 @@ def apply_matrix(
             raise ValueError(
                 f"matrix batch axes {mat.shape[:-2]} do not broadcast to {shape[:-1]}"
             )
-        nonzero = mat.any(axis=tuple(range(mat.ndim - 2)))
-        plan = _gather_plan(n_qubits, targets, nonzero.tobytes(), None)
+        if kind is None:
+            nonzero = mat.any(axis=tuple(range(mat.ndim - 2))).tobytes()
+        else:
+            nonzero = _kind_nonzero(kind)
+        plan = _gather_plan(n_qubits, targets, nonzero, None)
         flat = mat.reshape(mat.shape[:-2] + (-1,))
     else:
         plan = _gather_plan(

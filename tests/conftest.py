@@ -47,7 +47,10 @@ def circuit_sweeps(monkeypatch):
 
 
 def same_bytes(a, b) -> bool:
-    """Equal shape, dtype and bytes: no tolerance, signed zeros included."""
+    """Equal shape, dtype and bytes: no tolerance, signed zeros included.
+    None (a gradient not taken) equals only None."""
+    if a is None or b is None:
+        return a is b
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return (a.shape, a.dtype) == (b.shape, b.dtype) and np.array_equal(
         a.ravel().view(np.uint8), b.ravel().view(np.uint8)
@@ -69,14 +72,17 @@ def fresh_forward_vjps(monkeypatch):
     original = qweather.autodiff.circuit_vjp
     checked = []
 
-    def checking(circuit, params, inputs, states, qubits, weights, bound=None):
+    def checking(
+        circuit, params, inputs, states, qubits, weights, bound=None, wrt_inputs=True
+    ):
         theta = np.asarray(params)
         if theta.ndim == 2:
             theta = theta[..., None, :]
         fresh = simulate(circuit, theta, np.atleast_2d(inputs), bound=bound)
         assert same_bytes(states, fresh)
-        got = original(circuit, params, inputs, states, qubits, weights, bound)
-        want = original(circuit, params, inputs, fresh, qubits, weights, bound)
+        args = qubits, weights, bound, wrt_inputs
+        got = original(circuit, params, inputs, states, *args)
+        want = original(circuit, params, inputs, fresh, *args)
         assert all(same_bytes(g, w) for g, w in zip(got, want))
         checked.append(circuit.name)
         return got

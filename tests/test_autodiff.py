@@ -470,6 +470,76 @@ def test_vjp_sweeps_only_input_steps_per_row(monkeypatch):
         assert sorted(rows) == want, circuit.name
 
 
+def test_vjp_without_input_gradients_unapplies_only_input_steps(monkeypatch):
+    """Without input gradients, reuploading_sel(3,2)'s 3 re-uploaded
+    rotations read nothing: each is un-applied from psi and from lambda, and
+    the sweep stops at the first shared run.  The ZZ map before trainable
+    RYs has only input steps before its one shared run, so apply_matrix sees
+    none.  Neither walks its prefix, and d_inputs is None."""
+    rng = np.random.default_rng(42)
+    rows = []
+
+    def counting(amps, *args):
+        rows.append(amps.shape[:-1])
+        return apply_matrix(amps, *args)
+
+    def no_walk(*args):
+        raise AssertionError("prefix walked without input gradients")
+
+    cases = []
+    for circuit, want in [(build_reuploading_sel(3, 2), [(32,)] * 6), (_zz_map_then_ry(3), [])]:
+        theta = rng.normal(size=circuit.n_trainable)
+        xs = rng.uniform(-2.0, 2.0, size=(32, circuit.n_inputs))
+        # bound before _subspaces is patched: binding a shared run reads it
+        bound = bind(circuit, theta, 32)
+        states = run_circuit_batch(circuit, theta, xs, bound=bound)
+        cases.append((circuit, theta, xs, states, bound, want))
+    monkeypatch.setattr(autodiff, "apply_matrix", counting)
+    monkeypatch.setattr(autodiff, "_subspaces", no_walk)
+    for circuit, theta, xs, states, bound, want in cases:
+        rows.clear()
+        d_params, d_inputs = circuit_vjp(
+            circuit, theta, xs, states, (0, 1), np.ones((32, 2)), bound, wrt_inputs=False
+        )
+        assert rows == want, circuit.name
+        assert d_inputs is None
+        assert d_params.shape == theta.shape
+
+
+# the templates the models train, the feature map before trainable RYs, the
+# mixed circuits, and the wide 8-qubit binding (d * d > 8 B, every step per
+# row), with one- and three-qubit readouts
+WITHOUT_INPUTS_CASES = [
+    _vjp_case(build_reuploading_sel(4, 4), 40, (0,), "reuploading_sel(4,4)-1q"),
+    _vjp_case(build_reuploading_sel(3, 4)),
+    _vjp_case(build_reuploading_ising(3, 2), 40, (0,), "reuploading_ising(3,2)-1q"),
+    _vjp_case(build_reuploading_ising(3, 2)),
+    _vjp_case(build_qlstm_vqc(4, 2), 156, (0, 1, 3)),
+    _vjp_case(_zz_map_then_ry(3)),
+    _vjp_case(build_reuploading_sel(8, 4), 48, (0,), "reuploading_sel(8,4)-48rows"),
+    _vjp_case(build_reuploading_sel(8, 4), 48, (0, 3, 7), "reuploading_sel(8,4)-48rows-3q"),
+    _vjp_case(SHARED_MIX),
+    _vjp_case(TRAINABLE_FIRST),
+    _vjp_case(LAYER_MIX),
+    _vjp_case(ENCODE_MIX),
+]
+
+
+@pytest.mark.parametrize("n_gates", [0, 4], ids=["one", "G=4"])
+@pytest.mark.parametrize("circuit, rows, qubits", WITHOUT_INPUTS_CASES)
+def test_vjp_without_input_gradients_keeps_the_param_bytes(circuit, rows, qubits, n_gates):
+    thetas, xs, states, weights = _stacked_case(circuit, rows, qubits, max(n_gates, 1))
+    if n_gates == 0:
+        thetas, states, weights = thetas[0], states[0], weights[0]
+    bound = bind(circuit, thetas, rows)
+    full, _ = circuit_vjp(circuit, thetas, xs, states, qubits, weights, bound)
+    d_params, d_inputs = circuit_vjp(
+        circuit, thetas, xs, states, qubits, weights, bound, wrt_inputs=False
+    )
+    assert d_inputs is None
+    assert same_bytes(d_params, full)
+
+
 def test_product_path_needs_a_binding(monkeypatch):
     """Calls without a binding, and a wide circuit on few rows, whose
     binding has no prefix, run every gate: the product prefix (forward) and

@@ -376,9 +376,9 @@ def _matrix_ndims(monkeypatch):
     ndims = []
     apply = circuits_mod.apply_matrix
 
-    def recording(amps, n_qubits, targets, mat):
+    def recording(amps, n_qubits, targets, mat, kind=None):
         ndims.append(mat.ndim)
-        return apply(amps, n_qubits, targets, mat)
+        return apply(amps, n_qubits, targets, mat, kind)
 
     monkeypatch.setattr(circuits_mod, "apply_matrix", recording)
     return ndims

@@ -433,22 +433,38 @@ class TestTraining:
         _, other = train_sequence_model(model, X, y, epochs=4, lr=0.05)
         assert runs[0] != other
 
-    @pytest.mark.parametrize(
-        "builder,sweeps_per_step,extra",
-        [(build_qlstm, 2, 1), (build_qgru, 2, 0)],
-        ids=["qlstm", "qgru"],
-    )
+    @pytest.mark.parametrize("builder", [build_qlstm, build_qgru], ids=["qlstm", "qgru"])
     def test_one_epoch_sweeps_each_gate_circuit_once_per_step(
-        self, builder, sweeps_per_step, extra, circuit_sweeps
+        self, builder, circuit_sweeps
     ):
         # qlstm: the forget/input/update/output group as one stacked call
-        # and hidden per step, plus the readout once; qgru: the reset/update
-        # group and candidate per step.  The backward pass reads the taped
-        # states and adds no sweep.
+        # and hidden per step, the readout in place of hidden at the last
+        # step; qgru: the reset/update group and candidate per step.  The
+        # backward pass reads the taped states and adds no sweep.
         X, y = _sine_windows(n_points=20, window=4)
         model = builder(input_dim=1, n_qubits=2, n_layers=1, seed=5)
         train_sequence_model(model, X, y, epochs=1)
-        assert len(circuit_sweeps) == sweeps_per_step * X.shape[1] + extra
+        assert len(circuit_sweeps) == 2 * X.shape[1]
+
+    def test_qlstm_forward_skips_the_last_hidden_circuit(self, monkeypatch):
+        # the hidden circuit's output at a window's last step feeds nothing:
+        # the head reads the readout circuit on that step's u2
+        calls = []
+        original = models_recurrent._gate_readout
+
+        def counted(cell, p, gates, *args):
+            calls.append(gates)
+            return original(cell, p, gates, *args)
+
+        monkeypatch.setattr(models_recurrent, "_gate_readout", counted)
+        X, _ = _sine_windows(n_points=20, window=5)
+        model = build_qlstm(input_dim=1, n_qubits=2, n_layers=1, seed=5)
+        sequence_forward(model, X)
+        T = X.shape[1]
+        assert calls.count(models_recurrent._QLSTM_GROUP) == T
+        assert calls.count("hidden") == T - 1
+        assert calls.count("readout") == 1
+        assert len(calls) == 2 * T
 
     @pytest.mark.parametrize(
         "builder,shapes",

@@ -402,6 +402,27 @@ def test_apply_matrix_exact_zeros_keep_their_sign():
                     assert same_bytes(got, want), (kind, targets, angles)
 
 
+@pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "RXX", "RYY", "RZZ", "R3"])
+def test_apply_matrix_pattern_from_the_kind_matches_the_batch_pattern(kind):
+    # per-row matrices named by their kind take the kind's nonzero pattern
+    # in place of one found over the batch: the same bytes at random angles;
+    # where every row's angle is 0, entries the kind fills are exact zeros
+    # the batch drops, and the two calls differ at most in signs of zeros
+    rng = np.random.default_rng(73)
+    n = 3
+    n_angles, n_targets = GATE_ARITY[kind]
+    for targets in itertools.permutations(range(n), n_targets):
+        for batch, mat_batch in [((7,), (7,)), ((2, 7), (7,))]:
+            amps = _random_amps(rng, batch + (1 << n,))
+            angles = rng.uniform(-np.pi, np.pi, (n_angles,) + mat_batch)
+            mat = gate_matrix(kind, tuple(angles))
+            named = apply_matrix(amps, n, targets, mat, kind)
+            assert same_bytes(named, apply_matrix(amps, n, targets, mat)), (kind, targets)
+            zero = gate_matrix(kind, tuple(np.zeros_like(angles)))
+            named = apply_matrix(amps, n, targets, zero, kind)
+            assert np.array_equal(named, apply_matrix(amps, n, targets, zero)), (kind, targets)
+
+
 def test_apply_matrix_dense_unitary_matches_slot_loop():
     # rows with four entries: more than any gate kind has
     rng = np.random.default_rng(71)

@@ -17,11 +17,16 @@ back only as far as the trainable angles.
 Every model here has one scorer: ``qnn_predict``, ``vqc_probabilities`` and
 ``dense_predict`` return values in the [0, 1] target space (regression) or
 (n, n_classes) class probabilities; the harness takes the labels.
+Every trained model here and in ``models_recurrent`` shares one loss per
+task (``_task_loss``, where a family supplies only its binary link), one
+parameter layout (``_unpack``/``_flat``) and one seeded draw (``_uniform``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,12 +43,16 @@ from .qsim import z_expectations
 INIT_ANGLE = np.pi / 8
 
 
-def init_params(n: int, seed) -> np.ndarray:
-    """Small random angles; zeros when seed is None."""
+def _uniform(n: int, bound: float, seed) -> np.ndarray:
+    """Zeros when seed is None, else n seeded uniform draws in +-bound."""
     if seed is None:
         return np.zeros(n)
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-INIT_ANGLE, INIT_ANGLE, size=n)
+    return np.random.default_rng(seed).uniform(-bound, bound, size=n)
+
+
+def init_params(n: int, seed) -> np.ndarray:
+    """Small random angles; zeros when seed is None."""
+    return _uniform(n, INIT_ANGLE, seed)
 
 
 def _sigmoid(z):
@@ -54,6 +63,45 @@ def _softmax(z):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+# A binary link: p(class 1) from the one score column, and the gradient of the
+# mean binary cross-entropy with respect to that score at the clipped p, labels
+# y and row count n.  A QNN reads p1 = (1 - <Z>)/2, a dense baseline a sigmoid.
+_QNN_LINK = (
+    lambda z: (1.0 - z) / 2.0,
+    lambda p, y, n: (-y / p + (1 - y) / (1 - p)) * (-0.5) / n,
+)
+_DENSE_LINK = (_sigmoid, lambda p, y, n: (p - y) / n)
+
+
+def _class_probabilities(task, scores, link):
+    """(n, 2) from the binary link, or the softmax over three scores."""
+    if task == "binary":
+        p1 = link[0](scores[:, 0])
+        return np.column_stack([1.0 - p1, p1])
+    return _softmax(scores)
+
+
+def _cross_entropy(p, y):
+    """Mean -log of each row's probability of its label."""
+    return float(-np.mean(np.log(np.clip(p[np.arange(len(y)), y.astype(int)], 1e-12, None))))
+
+
+def _task_loss(task, scores, y, link=None):
+    """(loss, gradient with respect to ``scores``) of the task's mean loss:
+    the MSE of the one score, the cross-entropy of the ``link``'s p(class 1),
+    or (ternary, three scores) the cross-entropy of their softmax."""
+    n = scores.shape[0]
+    if task == "regression":
+        resid = scores[:, 0] - y
+        return float(np.mean(resid**2)), (2.0 / n) * resid[:, None]
+    if task == "binary":
+        p = np.clip(link[0](scores[:, 0]), 1e-12, 1.0 - 1e-12)
+        loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+        return loss, link[1](p, y, n)[:, None]
+    p = _softmax(scores)
+    return _cross_entropy(p, y), (p - np.eye(3)[y.astype(int)]) / n
 
 
 @dataclass(frozen=True)
@@ -91,33 +139,23 @@ def qnn_expectations(model: QnnModel, X) -> np.ndarray:
     return z_expectations(psi, model.circuit.n_qubits, model.readout)
 
 
-def _qnn_class_probabilities(task, z):
-    # binary: p1 = (1 - <Z>)/2; ternary: softmax over three readouts
-    if task == "binary":
-        p1 = (1.0 - z[:, 0]) / 2.0
-        return np.column_stack([1.0 - p1, p1])
-    return _softmax(z)
-
-
 def qnn_predict(model: QnnModel, X) -> np.ndarray:
     """Values in the [0, 1] target space (regression), or class
     probabilities, shape (n, 2) or (n, 3)."""
     z = qnn_expectations(model, X)
     if model.task == "regression":
         return (z[:, 0] + 1.0) / 2.0
-    return _qnn_class_probabilities(model.task, z)
+    return _class_probabilities(model.task, z, _QNN_LINK)
 
 
-def _adam_fit_data(task, dataset, epochs):
-    """(X, y) of a full-batch Adam fit as float arrays, once the rows are
-    not empty, epochs >= 1 and a classifier's labels lie in [0, n_classes)."""
+def _fit_data(task, dataset):
+    """(X, y) of a fit as float arrays, once the rows are not empty and a
+    classifier's labels lie in [0, n_classes)."""
     X, y = dataset
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     n_classes = {"binary": 2, "ternary": 3}.get(task)
     if n_classes is not None and np.any((y < 0) | (y >= n_classes)):
         raise ValueError(f"labels must be in [0, {n_classes})")
@@ -128,6 +166,8 @@ def _adam_fit(loss_and_grad, model, X, y, epochs, lr):
     """Full-batch Adam from the model's parameters on ``loss_and_grad(model,
     X, y) -> (loss, gradient)``; the trained model and each epoch's loss.
     It calls ``adam_step`` through this module, where perfbench patches it."""
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     params = model.params.copy()
     state = adam_init(params.size, learning_rate=lr)
     history = []
@@ -138,28 +178,36 @@ def _adam_fit(loss_and_grad, model, X, y, epochs, lr):
     return replace(model, params=params), history
 
 
+@lru_cache(maxsize=None)
+def _slices(blocks):
+    """((name, slice, shape), ...) of (name, shape) blocks laid end to end
+    in a parameter vector, and the vector's length."""
+    table, k = [], 0
+    for name, shape in blocks:
+        n = math.prod(shape)
+        table.append((name, slice(k, k + n), shape))
+        k += n
+    return tuple(table), k
+
+
+def _unpack(model):
+    """The blocks of the model's ``layout`` by name, as views of its vector."""
+    table, _ = _slices(model.layout)
+    return {name: model.params[s].reshape(shape) for name, s, shape in table}
+
+
+def _flat(model, blocks):
+    """Blocks named as in the model's layout, packed into one vector."""
+    return np.concatenate([np.ravel(blocks[name]) for name, _ in model.layout])
+
+
 def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
-    n = X.shape[0]
     # one binding of the epoch's angles serves the forward pass and the VJP;
     # the forward states are the tape circuit_vjp reverses
-    bound = bind(model.circuit, model.params, n)
+    bound = bind(model.circuit, model.params, X.shape[0])
     psi = run_circuit_batch(model.circuit, model.params, X, bound=bound)
     z = z_expectations(psi, model.circuit.n_qubits, model.readout)
-    if model.task == "regression":
-        resid = z[:, 0] - y_enc
-        loss = float(np.mean(resid**2))
-        dl_dz = (2.0 / n) * resid[:, None]
-    elif model.task == "binary":
-        p = np.clip(_qnn_class_probabilities(model.task, z)[:, 1], 1e-12, 1.0 - 1e-12)
-        loss = float(-np.mean(y_enc * np.log(p) + (1 - y_enc) * np.log(1 - p)))
-        dl_dz = ((-y_enc / p + (1 - y_enc) / (1 - p)) * (-0.5) / n)[:, None]
-    else:
-        p = _qnn_class_probabilities(model.task, z)
-        onehot = np.eye(3)[y_enc.astype(int)]
-        loss = float(
-            -np.mean(np.log(np.clip(p[np.arange(n), y_enc.astype(int)], 1e-12, None)))
-        )
-        dl_dz = (p - onehot) / n
+    loss, dl_dz = _task_loss(model.task, z, y_enc, _QNN_LINK)
     # the loss reads no input gradient, so the sweep takes none
     grad, _ = circuit_vjp(
         model.circuit, model.params, X, psi, model.readout, dl_dz, bound, wrt_inputs=False
@@ -170,7 +218,7 @@ def _qnn_loss_and_grad(model: QnnModel, X, y_enc):
 def qnn_train(model: QnnModel, dataset, epochs: int, lr: float = 0.01):
     """Full-batch Adam from the model's parameters, on the MSE of <Z>
     against 2y - 1 (regression, y in [0, 1]) or on cross-entropy."""
-    X, y = _adam_fit_data(model.task, dataset, epochs)
+    X, y = _fit_data(model.task, dataset)
     y_enc = 2.0 * y - 1.0 if model.task == "regression" else y
     return _adam_fit(_qnn_loss_and_grad, model, X, y_enc, epochs, lr)
 
@@ -252,24 +300,15 @@ def vqc_train(clf: VqcClassifier, dataset, iters: int = 150):
     """Derivative-free training of the ansatz on mean cross-entropy, from
     the classifier's parameters.
 
-    The feature-map states, readout masks and row index are built once per
-    fit; each COBYLA evaluation runs only the ansatz.
+    The feature-map states and readout masks are built once per fit; each
+    COBYLA evaluation runs only the ansatz.
     """
-    X, y = dataset
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y).astype(int).ravel()
-    if X.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    if np.any((y < 0) | (y >= clf.n_classes)):
-        raise ValueError(f"labels must be in [0, {clf.n_classes})")
+    X, y = _fit_data("binary" if clf.n_classes == 2 else "ternary", dataset)
     states, masks = _vqc_fixed_part(clf, X)
-    rows = np.arange(len(y))
     history = []
 
     def objective(theta):
-        p = _vqc_class_probabilities(clf, theta, states, masks)
-        picked = np.clip(p[rows, y], 1e-12, None)
-        loss = float(-np.mean(np.log(picked)))
+        loss = _cross_entropy(_vqc_class_probabilities(clf, theta, states, masks), y)
         history.append(loss)
         return loss
 
@@ -294,11 +333,15 @@ class DenseBaseline:
     params: np.ndarray
 
     def __post_init__(self):
-        d, h, o = self.layer_sizes
-        bias_h, bias_o = self.bias_flags
-        n = d * h + (h if bias_h else 0) + h * o + (o if bias_o else 0)
-        if len(self.params) != n:
+        if len(self.params) != _slices(self.layout)[1]:
             raise ValueError("parameter vector has the wrong length")
+
+    @property
+    def layout(self) -> tuple:
+        """(name, shape) blocks: w1, b1 if flagged, w2, b2 if flagged."""
+        (d, h, o), (bias_h, bias_o) = self.layer_sizes, self.bias_flags
+        blocks = (("w1", (d, h)), ("b1", (h,)), ("w2", (h, o)), ("b2", (o,)))
+        return tuple(b for b, kept in zip(blocks, (True, bias_h, True, bias_o)) if kept)
 
 
 def build_dense_baseline(budget: int, input_dim: int, task: str, seed=None):
@@ -313,49 +356,25 @@ def build_dense_baseline(budget: int, input_dim: int, task: str, seed=None):
             f"task={task}"
         )
     hidden, bias_h, bias_o = _DENSE_LAYOUTS[key]
-    if seed is None:
-        params = np.zeros(budget)
-    else:
-        rng = np.random.default_rng(seed)
-        params = rng.uniform(-0.5, 0.5, size=budget)
     return DenseBaseline(
         layer_sizes=(input_dim, hidden, out_dim),
         bias_flags=(bias_h, bias_o),
         task=task,
-        params=params,
+        params=_uniform(budget, 0.5, seed),
     )
 
 
-def _dense_unpack(model: DenseBaseline):
-    d, h, o = model.layer_sizes
-    bh, bo = model.bias_flags
-    p = model.params
-    k = 0
-    w1 = p[k : k + d * h].reshape(d, h)
-    k += d * h
-    b1 = p[k : k + h] if bh else np.zeros(h)
-    if bh:
-        k += h
-    w2 = p[k : k + h * o].reshape(h, o)
-    k += h * o
-    b2 = p[k : k + o] if bo else np.zeros(o)
-    return w1, b1, w2, b2
+def _dense_layers(p, X):
+    """The hidden activations and raw outputs of blocks ``p`` on rows X; an
+    unflagged bias adds 0.0."""
+    hidden = np.tanh(X @ p["w1"] + p.get("b1", 0.0))
+    return hidden, hidden @ p["w2"] + p.get("b2", 0.0)
 
 
 def dense_forward(model: DenseBaseline, X) -> np.ndarray:
     """Raw outputs (n, out_dim): values, logits, or class scores."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    w1, b1, w2, b2 = _dense_unpack(model)
-    hidden = np.tanh(X @ w1 + b1)
-    return hidden @ w2 + b2
-
-
-def _dense_class_probabilities(task, out):
-    # binary: sigmoid of the one logit; ternary: softmax over three scores
-    if task == "binary":
-        p1 = _sigmoid(out[:, 0])
-        return np.column_stack([1.0 - p1, p1])
-    return _softmax(out)
+    return _dense_layers(_unpack(model), X)[1]
 
 
 def dense_predict(model: DenseBaseline, X) -> np.ndarray:
@@ -363,46 +382,21 @@ def dense_predict(model: DenseBaseline, X) -> np.ndarray:
     out = dense_forward(model, X)
     if model.task == "regression":
         return out[:, 0]
-    return _dense_class_probabilities(model.task, out)
+    return _class_probabilities(model.task, out, _DENSE_LINK)
 
 
 def _dense_loss_and_grad(model: DenseBaseline, X, y):
-    w1, b1, w2, b2 = _dense_unpack(model)
-    n = X.shape[0]
-    a = X @ w1 + b1
-    hidden = np.tanh(a)
-    out = hidden @ w2 + b2
-    if model.task == "regression":
-        resid = out[:, 0] - y
-        loss = float(np.mean(resid**2))
-        d_out = (2.0 / n) * resid[:, None]
-    elif model.task == "binary":
-        p = np.clip(_dense_class_probabilities(model.task, out)[:, 1], 1e-12, 1 - 1e-12)
-        loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-        d_out = ((p - y) / n)[:, None]
-    else:
-        p = _dense_class_probabilities(model.task, out)
-        yi = y.astype(int)
-        loss = float(-np.mean(np.log(np.clip(p[np.arange(n), yi], 1e-12, None))))
-        d_out = (p - np.eye(3)[yi]) / n
-    g_w2 = hidden.T @ d_out
-    g_b2 = d_out.sum(axis=0)
-    d_hidden = (d_out @ w2.T) * (1 - hidden**2)
-    g_w1 = X.T @ d_hidden
-    g_b1 = d_hidden.sum(axis=0)
-    bh, bo = model.bias_flags
-    pieces = [g_w1.ravel()]
-    if bh:
-        pieces.append(g_b1)
-    pieces.append(g_w2.ravel())
-    if bo:
-        pieces.append(g_b2)
-    return loss, np.concatenate(pieces)
+    p = _unpack(model)
+    hidden, out = _dense_layers(p, X)
+    loss, d_out = _task_loss(model.task, out, y, _DENSE_LINK)
+    d_hidden = (d_out @ p["w2"].T) * (1 - hidden**2)
+    grads = dict(w1=X.T @ d_hidden, b1=d_hidden.sum(axis=0))
+    grads.update(w2=hidden.T @ d_out, b2=d_out.sum(axis=0))
+    return loss, _flat(model, grads)
 
 
 def dense_train(model: DenseBaseline, dataset, epochs: int, lr: float = 0.01):
     """Full-batch Adam from the model's parameters; mirrors the quantum
     training interface."""
-    X, y = _adam_fit_data(model.task, dataset, epochs)
+    X, y = _fit_data(model.task, dataset)
     return _adam_fit(_dense_loss_and_grad, model, X, y, epochs, lr)
-

@@ -5,13 +5,14 @@ variational circuit read out as per-qubit Z expectations; two further
 circuits project the cell output to the hidden state and to the scalar
 prediction.  The quantum GRU does the same for reset/update/candidate
 gates.  Classical LSTM/GRU baselines with the dual-bias convention are
-provided for parameter-count comparisons.
+provided for parameter-count comparisons.  Every cell's vector follows its
+``layout``, cut and packed by ``models_qnn``'s layout helpers.
 
 Each cell's step function is the one place its forward arithmetic lives.
 Prediction and training run the same loop over the steps; training then
 hands the step records to the cell's backward function (backpropagation
 through time, with an adjoint vector-Jacobian product through each gate
-circuit) and takes full-batch Adam steps on next-step mean squared error.
+circuit) and takes full-batch Adam steps on next-step MSE (``_task_loss``).
 The gates that read the same input map form a gate group (the quantum
 LSTM's forget, input, update and output gates; the quantum GRU's reset and
 update gates), which runs as one stacked circuit call forward and one
@@ -28,7 +29,6 @@ and the adjoint sweep ends there, on per-qubit 2 x 2 matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import ClassVar
@@ -42,7 +42,17 @@ from .circuits import (
     run_circuit_batch,
     template_name,
 )
-from .models_qnn import INIT_ANGLE, _adam_fit, _adam_fit_data, _sigmoid
+from .models_qnn import (
+    INIT_ANGLE,
+    _adam_fit,
+    _fit_data,
+    _flat,
+    _sigmoid,
+    _slices,
+    _task_loss,
+    _uniform,
+    _unpack,
+)
 from .qsim import z_expectations
 
 QLSTM_GATES = ("forget", "input", "update", "output", "hidden", "readout")
@@ -81,7 +91,7 @@ class _QuantumCell:
 
     Every gate runs the same ``qlstm_vqc`` circuit, and the cell's qubit
     count is the circuit's.  The hidden state is a per-qubit readout, so
-    hidden_size is n_qubits.  The parameter vector follows ``_layout``.
+    hidden_size is n_qubits.  The parameter vector follows ``layout``.
     """
 
     kind: ClassVar[str]
@@ -96,8 +106,12 @@ class _QuantumCell:
         n_layers = c.n_trainable // (3 * c.n_qubits)
         if c.name != template_name("qlstm_vqc", c.n_qubits, n_layers):
             raise ValueError(f"a quantum cell's gates run qlstm_vqc, not {c.name!r}")
-        if len(self.params) != _slices(*_layout_key(self))[1]:
+        if len(self.params) != _slices(self.layout)[1]:
             raise ValueError("parameter vector has the wrong length")
+
+    @property
+    def layout(self) -> tuple:
+        return _layout(self.kind, self.input_dim, self.n_qubits, self.circuit.n_trainable)
 
     @property
     def n_qubits(self) -> int:
@@ -141,12 +155,15 @@ class ClassicalRnnBaseline:
     def __post_init__(self):
         if self.kind not in ("lstm", "gru"):
             raise ValueError(f"kind must be 'lstm' or 'gru', got {self.kind!r}")
-        if len(self.params) != classical_param_count(
-            self.kind, self.input_dim, self.hidden_size
-        ):
+        if len(self.params) != _slices(self.layout)[1]:
             raise ValueError("parameter vector has the wrong length")
 
+    @property
+    def layout(self) -> tuple:
+        return _layout(self.kind, self.input_dim, self.hidden_size, 0)
 
+
+@lru_cache(maxsize=None)
 def _layout(kind, input_dim, hidden_size, per_circuit):
     """(name, shape) blocks of a cell's parameter vector, in vector order.
 
@@ -166,66 +183,34 @@ def _layout(kind, input_dim, hidden_size, per_circuit):
         blocks += [("b_ih", (rows,)), ("b_hh", (rows,))]
     else:
         raise ValueError(f"unknown recurrent model kind {kind!r}")
-    return blocks + [("head_w", (hs,)), ("head_b", ())]
-
-
-@lru_cache(maxsize=None)
-def _slices(kind, input_dim, hidden_size, per_circuit):
-    """((name, slice, shape), ...) of ``_layout`` and the vector length."""
-    table, k = [], 0
-    for name, shape in _layout(kind, input_dim, hidden_size, per_circuit):
-        n = math.prod(shape)
-        table.append((name, slice(k, k + n), shape))
-        k += n
-    return tuple(table), k
-
-
-def _layout_key(model):
-    # the arguments of _layout that describe ``model``
-    per_circuit = model.circuit.n_trainable if isinstance(model, _QuantumCell) else 0
-    return model.kind, model.input_dim, model.hidden_size, per_circuit
-
-
-def _unpack(model):
-    """The model's parameter blocks by name, as views of its vector."""
-    table, _ = _slices(*_layout_key(model))
-    return {name: model.params[s].reshape(shape) for name, s, shape in table}
-
-
-def _flat(model, blocks):
-    """Blocks named as in the model's layout, packed into one vector."""
-    table, _ = _slices(*_layout_key(model))
-    return np.concatenate([np.ravel(blocks[name]) for name, _, _ in table])
+    return tuple(blocks + [("head_w", (hs,)), ("head_b", ())])
 
 
 def qlstm_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
     # three angles per qubit per layer in each gate circuit
-    return _slices("qlstm", input_dim, n_qubits, 3 * n_qubits * n_layers)[1]
+    return _slices(_layout("qlstm", input_dim, n_qubits, 3 * n_qubits * n_layers))[1]
 
 
 def qgru_param_count(input_dim, n_qubits=4, n_layers=2) -> int:
-    return _slices("qgru", input_dim, n_qubits, 3 * n_qubits * n_layers)[1]
+    return _slices(_layout("qgru", input_dim, n_qubits, 3 * n_qubits * n_layers))[1]
 
 
 def classical_param_count(kind, input_dim, hidden_size) -> int:
-    return _slices(kind, input_dim, hidden_size, 0)[1]
+    return _slices(_layout(kind, input_dim, hidden_size, 0))[1]
 
 
 def _initial_params(key, seed):
-    """Zeros, or seeded uniform draws in vector order.
+    """Zeros, or seeded uniform draws in the order of ``_layout(*key)``.
 
     Quantum cells draw their circuit angles in +-INIT_ANGLE first, then
     everything else in +-1/sqrt(input_dim + n_qubits); classical cells draw
     the whole vector in +-1/sqrt(hidden_size).
     """
     kind, input_dim, hidden_size, _ = key
-    table, n = _slices(*key)
-    if seed is None:
-        return np.zeros(n)
+    table, n = _slices(_layout(*key))
+    if seed is None or kind in ("lstm", "gru"):
+        return _uniform(n, 1.0 / np.sqrt(hidden_size), seed)
     rng = np.random.default_rng(seed)
-    if kind in ("lstm", "gru"):
-        bound = 1.0 / np.sqrt(hidden_size)
-        return rng.uniform(-bound, bound, size=n)
     k = table[0][1].stop
     angles = rng.uniform(-INIT_ANGLE, INIT_ANGLE, size=k)
     bound = 1.0 / np.sqrt(input_dim + hidden_size)
@@ -541,15 +526,14 @@ def sequence_loss_and_grad(model, X, y):
     if X.shape[0] != y.size:
         raise ValueError("window count and target count differ")
     steps, head_in, yhat = _run(model, X)
-    resid = yhat - y
-    dy = (2.0 / y.size) * resid
+    loss, dy = _task_loss("regression", yhat[:, None], y)
     backward = _cell_ops(model)[3]
-    return float(np.mean(resid**2)), backward(model, steps, head_in, dy)
+    return loss, backward(model, steps, head_in, dy[:, 0])
 
 
 def train_sequence_model(model, windows, targets, epochs: int, lr: float = 0.01):
     """Adam on next-step MSE from the model's parameters; targets are
     expected already scaled."""
-    X, y = _adam_fit_data("regression", (windows, targets), epochs)
+    X, y = _fit_data("regression", (windows, targets))
     return _adam_fit(sequence_loss_and_grad, model, X, y, epochs, lr)
 

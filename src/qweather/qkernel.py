@@ -4,6 +4,7 @@ The kernel entry for two samples is the squared overlap of their embedded
 statevectors.  Training solves the soft-margin dual by sequential minimal
 optimization: each step pairs the maximal KKT violator with the partner
 of largest second-order gain (Fan, Chen & Lin 2005, LIBSVM's WSS2).  A
+solve (``SvmModel``) holds alpha over every training row; a
 ``KernelMachine`` holds one machine for two classes, else one per class.
 """
 
@@ -55,15 +56,26 @@ def default_gamma(X) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
+# an alpha within this of 0 or C sits at that bound; above it, a row is support
+_BOUND_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SvmModel:
-    dual_coefficients: np.ndarray
-    support_indices: np.ndarray
-    support_labels: np.ndarray
+    """One SMO solve: alpha over every training row, bias, steps, final KKT gap."""
+
+    alpha: np.ndarray
     bias: float
-    n_train: int
     n_iter: int
     kkt_gap: float
+
+    @property
+    def n_train(self) -> int:
+        return self.alpha.size
+
+    @property
+    def support_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.alpha > _BOUND_TOL)
 
 
 def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3):
@@ -72,7 +84,7 @@ def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3):
     ``y`` must be in {-1, +1} with both classes present.  The solver stops
     once the KKT gap, max(-y*G) over I_up minus min(-y*G) over I_low with
     G the dual gradient, is at most ``tol``, or after ``200 * n`` steps;
-    the model records the steps taken and that final gap.  The final bias
+    the solve records the steps taken and that final gap.  The final bias
     averages over free support vectors (0 < alpha < C); when none exist it
     is the midpoint of the interval the KKT conditions allow.
     """
@@ -132,40 +144,18 @@ def _smo(K, y, C, tol):
         G += y * (((alpha[pair] - old) * y[pair]) @ K[pair])
         n_iter += 1
 
-    free = (alpha > 1e-9) & (alpha < C - 1e-9)
+    at_zero, at_c = alpha <= _BOUND_TOL, alpha >= C - _BOUND_TOL
+    free = ~(at_zero | at_c)
     if np.any(free):
         bias = float(np.mean(v[free]))
     else:
         # midpoint of the bias interval the box constraints leave open; both
         # ends are finite, since sum(alpha * y) = 0 leaves either every alpha
         # at 0 or an alpha at C in each class
-        at_zero, at_c = alpha <= 1e-9, alpha >= C - 1e-9
         lower = v[(at_zero & (y > 0)) | (at_c & (y < 0))].max()
         upper = v[(at_zero & (y < 0)) | (at_c & (y > 0))].min()
         bias = float(0.5 * (lower + upper))
-
-    support = np.flatnonzero(alpha > 1e-9)
-    return SvmModel(
-        dual_coefficients=alpha[support].copy(),
-        support_indices=support,
-        support_labels=y[support].copy(),
-        bias=bias,
-        n_train=n,
-        n_iter=n_iter,
-        kkt_gap=kkt_gap,
-    )
-
-
-def svm_decision(model: SvmModel, k_rows) -> np.ndarray:
-    """Decision values for kernel rows of shape (m, n_train) or (n_train,)."""
-    k_rows = np.atleast_2d(np.asarray(k_rows, dtype=float))
-    if k_rows.shape[1] != model.n_train:
-        raise ValueError(
-            f"kernel row length {k_rows.shape[1]} does not match "
-            f"{model.n_train} training points"
-        )
-    coef = model.dual_coefficients * model.support_labels
-    return k_rows[:, model.support_indices] @ coef + model.bias
+    return SvmModel(alpha=alpha, bias=bias, n_iter=n_iter, kkt_gap=kkt_gap)
 
 
 @dataclass(frozen=True)
@@ -218,8 +208,8 @@ def kernel_machine_train(X, y, kernel, gamma=None, C: float = 1.0, tol: float = 
     solves = tuple(_smo(K, sign, C, tol) for sign in signs)
     kept = np.unique(np.concatenate([m.support_indices for m in solves]))
     coefficients = np.zeros((len(solves), kept.size))
-    for row, m in zip(coefficients, solves):
-        row[np.isin(kept, m.support_indices)] = m.dual_coefficients * m.support_labels
+    for row, m, sign in zip(coefficients, solves, signs):
+        row[np.isin(kept, m.support_indices)] = (m.alpha * sign)[m.support_indices]
     biases = np.array([m.bias for m in solves])
     return KernelMachine(kernel, gamma, classes, X[kept], coefficients, biases), solves
 

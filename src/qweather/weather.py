@@ -151,10 +151,10 @@ class CorrelationReport:
 def load_csv(path, target_name: str = "t2m"):
     """Parse a dataset; returns (Dataset, IngestionReport).
 
-    Any row with a missing or non-numeric cell is dropped and counted.  A
-    header without ``time`` or the target, an empty or repeated column name,
-    or a kept row whose timestamp is not after the previous kept row's is a
-    DataFormatError that names the column or the file line.
+    Any row with a missing or non-numeric cell, or a blank time, is dropped
+    and counted.  A header without ``time`` or the target, an empty or
+    repeated column name, or a kept row whose timestamp is not after the
+    previous kept row's is a DataFormatError naming the column or file line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -194,10 +194,10 @@ def load_csv(path, target_name: str = "t2m"):
             except ValueError:
                 dropped += 1
                 continue
-            if not all(math.isfinite(v) for v in values):
+            t = raw[t_idx].strip()
+            if not t or not all(math.isfinite(v) for v in values):
                 dropped += 1
                 continue
-            t = raw[t_idx].strip()
             if times and t <= times[-1]:
                 raise DataFormatError(
                     f"line {reader.line_num}: timestamp {t!r} is not after "
@@ -324,12 +324,6 @@ def bin_target(values, mode: str) -> np.ndarray:
     raise ValueError(f"unknown binning mode {mode!r}")
 
 
-def _month_stamp(i: int, start_year: int = 1940) -> str:
-    year = start_year + i // 12
-    month = i % 12 + 1
-    return f"{year:04d}-{month:02d}-01"
-
-
 def _exact_corr_column(z_unit: np.ndarray, noise: np.ndarray, rho: float):
     """Centered unit-norm column whose sample correlation with z is exactly rho."""
     g = noise - noise.mean()
@@ -359,9 +353,10 @@ _SYNTH_COLUMNS = (
 def synth_generate(seed: int, n_months: int = 1000) -> Dataset:
     """Seeded synthetic monthly dataset shaped like the ERA5 extract.
 
-    The target follows a seasonal sine with mild noise, spanning roughly
-    284.5-317.6 K; each feature column is constructed to hit its reference
-    correlation exactly on the generated sample.
+    Months run from 1940-01-01, stamped YYYY-MM-01.  The target follows a
+    seasonal sine with mild noise, spanning roughly 284.5-317.6 K; each
+    feature column is constructed to hit its reference correlation exactly
+    on the generated sample.
     """
     if n_months < 24:
         raise ValueError("n_months must be >= 24")
@@ -379,5 +374,6 @@ def synth_generate(seed: int, n_months: int = 1000) -> Dataset:
         # rescale the unit-norm column to population std 1, then to units
         base = base * math.sqrt(n_months)
         columns[name] = offset + spread * base
-    time = tuple(_month_stamp(i) for i in range(n_months))
+    months = np.datetime64("1940-01") + np.arange(n_months)
+    time = tuple(np.datetime_as_string(months, unit="D").tolist())
     return Dataset(time=time, columns=columns, target_name="t2m")

@@ -31,7 +31,6 @@ from qweather.optim import cobyla_minimize
 from qweather.qkernel import (
     fidelity_kernel,
     rbf_kernel,
-    svm_decision,
     svm_train,
 )
 from qweather.weather import (
@@ -209,8 +208,7 @@ def test_criterion_04_svm_correctness():
         y[0], y[1] = -1.0, 1.0
         K = rbf_kernel(X, X, 0.7)
         model = svm_train(K, y, C=1.0)
-        alpha = np.zeros(n)
-        alpha[model.support_indices] = model.dual_coefficients
+        alpha = model.alpha
         got = _dual_objective(K, y, alpha)
         want = _brute_force_dual(K, y, 1.0)
         worst_gap = max(worst_gap, abs(got - want))
@@ -222,7 +220,7 @@ def test_criterion_04_svm_correctness():
     y = np.array([-1.0] * 10 + [1.0] * 10)
     K = rbf_kernel(X, X, 1.0)
     model = svm_train(K, y, C=10.0)
-    acc = float(np.mean(np.sign(svm_decision(model, K)) == y))
+    acc = float(np.mean(np.sign(K @ (model.alpha * y) + model.bias) == y))
     ok = worst_gap < 1e-4 and worst_kkt < 1e-3 and acc == 1.0
     _verdict(
         4,

@@ -242,6 +242,11 @@ class TestQnnTrain:
         with pytest.raises(ValueError):
             qnn_train(model, (X, np.array([0, 1, 2, 3])), epochs=2)
 
+    def test_zero_epochs_rejected(self):
+        model = build_qnn(build_reuploading_ising(3, 1), "binary")
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            qnn_train(model, (np.zeros((4, 3)), np.zeros(4)), epochs=0)
+
 
 class TestVqcClassifier:
     def test_mod3_class_sizes_on_4_qubits(self):
@@ -368,6 +373,26 @@ class TestVqcClassifier:
         with pytest.raises(ValueError):
             vqc_train(clf, (np.zeros((3, 2)), np.array([0, 1, 2])), iters=5)
 
+    @pytest.mark.parametrize(
+        "n_classes, X, y, message",
+        [
+            (2, np.zeros((0, 2)), np.zeros(0), "dataset is empty"),
+            (2, np.zeros((3, 2)), np.array([0, 1, 2]), r"labels must be in \[0, 2\)"),
+            (3, np.zeros((3, 2)), np.array([0, 3, 1]), r"labels must be in \[0, 3\)"),
+            (3, np.zeros((3, 2)), np.array([0, -1, 1]), r"labels must be in \[0, 3\)"),
+        ],
+    )
+    def test_data_check_errors_are_the_shared_ones(self, n_classes, X, y, message):
+        # vqc_train runs the data check of the Adam trainers, messages and all
+        clf = build_vqc_classifier(2, n_classes)
+        with pytest.raises(ValueError, match=message):
+            vqc_train(clf, (X, y), iters=5)
+
+    def test_an_iteration_count_is_not_called_epochs(self):
+        clf = build_vqc_classifier(2, 2)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            vqc_train(clf, (np.zeros((2, 2)), np.array([0, 1])), iters=0)
+
 
 class TestDenseBaseline:
     @pytest.mark.parametrize(
@@ -448,6 +473,13 @@ class TestDenseBaseline:
         model = build_dense_baseline(21, 3, "binary")
         with pytest.raises(ValueError):
             dense_train(model, (np.ones((4, 3)), np.zeros(4)), epochs=0)
+
+    @pytest.mark.parametrize("flags, n", [((True, True), 21), ((True, False), 20)])
+    def test_parameter_length_follows_the_bias_flags(self, flags, n):
+        # w1 (3, 4) and w2 (4, 1) hold 16 entries, b1 4 and b2 1
+        assert DenseBaseline((3, 4, 1), flags, "binary", np.zeros(n)).params.size == n
+        with pytest.raises(ValueError, match="wrong length"):
+            DenseBaseline((3, 4, 1), flags, "binary", np.zeros(n + 1))
 
     @pytest.mark.parametrize("task, label", [("binary", 2), ("binary", -1), ("ternary", -1)])
     @pytest.mark.parametrize("train", [qnn_train, dense_train])

@@ -10,7 +10,7 @@ from qweather import models_recurrent
 from qweather.bench import model_from_json
 from qweather.autodiff import bind, circuit_vjp
 from qweather.circuits import run_circuit_batch
-from qweather.models_qnn import INIT_ANGLE
+from qweather.models_qnn import INIT_ANGLE, _flat, _unpack, build_dense_baseline
 from qweather.models_recurrent import (
     ClassicalRnnBaseline,
     QgruCell,
@@ -31,7 +31,6 @@ from qweather.models_recurrent import (
     sequence_loss_and_grad,
     train_sequence_model,
 )
-from qweather.models_recurrent import _flat, _unpack
 from qweather.qsim import z_expectations
 
 
@@ -98,7 +97,18 @@ def _one_bound(n, bound, seed):
     return np.random.default_rng(seed).uniform(-bound, bound, size=n)
 
 
+def _dense(budget, input_dim, task, blocks):
+    """A dense baseline's LAYOUTS entry: its whole vector draws in +-0.5."""
+    return (
+        lambda seed=None: build_dense_baseline(budget, input_dim, task, seed=seed),
+        budget,
+        blocks,
+        lambda seed: _one_bound(budget, 0.5, seed),
+    )
+
+
 # (build, parameter count, (name, shape) blocks in vector order, seeded draws)
+# of every model trained on one parameter vector through ``_unpack``/``_flat``
 LAYOUTS = {
     "qlstm": (
         lambda seed=None: build_qlstm(4, seed=seed),
@@ -130,6 +140,13 @@ LAYOUTS = {
         ],
         lambda seed: _one_bound(1073, 1 / np.sqrt(16), seed),
     ),
+    # a dense baseline holds a bias block only where its layout flags one
+    "nn-21-regression": _dense(
+        21, 3, "regression", [("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 1)), ("b2", (1,))]
+    ),
+    "nn-48-binary": _dense(48, 4, "binary", [("w1", (4, 8)), ("b1", (8,)), ("w2", (8, 1))]),
+    "nn-21-ternary": _dense(21, 3, "ternary", [("w1", (3, 3)), ("b1", (3,)), ("w2", (3, 3))]),
+    "nn-48-ternary": _dense(48, 4, "ternary", [("w1", (4, 6)), ("b1", (6,)), ("w2", (6, 3))]),
 }
 
 
@@ -389,6 +406,14 @@ class TestGradients:
 
 
 class TestTraining:
+    def test_zero_epochs_and_empty_windows_rejected(self):
+        model = build_classical_gru(2, 4)
+        X, y = np.zeros((3, 2, 2)), np.zeros(3)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            train_sequence_model(model, X, y, epochs=0)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            train_sequence_model(model, X[:0], y[:0], epochs=1)
+
     def test_constant_target_learned_by_qlstm(self):
         X = np.zeros((8, 3, 2))
         y = np.full(8, 0.3)

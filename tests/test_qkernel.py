@@ -13,7 +13,6 @@ from qweather.qkernel import (
     kernel_machine_predict,
     kernel_machine_train,
     rbf_kernel,
-    svm_decision,
     svm_train,
 )
 
@@ -35,10 +34,9 @@ def brute_force_dual(K, y, C):
     return -res.fun
 
 
-def full_alpha(model, n):
-    alpha = np.zeros(n)
-    alpha[model.support_indices] = model.dual_coefficients
-    return alpha
+def decision(model, y, k_rows):
+    """A solve's decision values for kernel rows against its training rows."""
+    return k_rows @ (model.alpha * y) + model.bias
 
 
 def test_fidelity_diagonal_and_duplicates():
@@ -121,10 +119,10 @@ def test_two_point_training_closed_form():
     K = np.array([[1.0, 0.1], [0.1, 1.0]])
     y = np.array([1.0, -1.0])
     model = svm_train(K, y, C=1.0)
-    assert set(model.support_indices.tolist()) == {0, 1}
-    assert np.allclose(model.dual_coefficients, [1.0, 1.0], atol=1e-6)
+    assert set(model.support_indices.tolist()) == {0, 1} and model.n_train == 2
+    assert np.allclose(model.alpha, [1.0, 1.0], atol=1e-6)
     assert model.bias == pytest.approx(0.0, abs=1e-9)
-    assert svm_decision(model, K) == pytest.approx([0.9, -0.9], abs=1e-6)
+    assert decision(model, y, K) == pytest.approx([0.9, -0.9], abs=1e-6)
 
 
 def test_two_point_labels_stable_under_small_kernel_noise():
@@ -132,7 +130,7 @@ def test_two_point_labels_stable_under_small_kernel_noise():
     base = svm_train(np.array([[1.0, 0.1], [0.1, 1.0]]), y, C=1.0, tol=1e-3)
     noisy = np.array([[1.0, 0.1 + 5e-4], [0.1 + 5e-4, 1.0]])
     model = svm_train(noisy, y, C=1.0, tol=1e-3)
-    signs = [svm_decision(m, noisy) >= 0 for m in (model, base)]
+    signs = [decision(m, y, noisy) >= 0 for m in (model, base)]
     assert np.array_equal(*signs)
 
 
@@ -150,7 +148,7 @@ def test_separable_rbf_training_accuracy():
     y = np.where(y01 == 1, 1.0, -1.0)
     K = rbf_kernel(X, X, 0.5)
     model = svm_train(K, y, C=10.0)
-    preds = np.sign(svm_decision(model, K))
+    preds = np.sign(decision(model, y, K))
     assert np.all(preds == y)
 
 
@@ -160,7 +158,7 @@ def test_separable_large_c_satisfies_margins():
     y = np.where(y01 == 1, 1.0, -1.0)
     K = rbf_kernel(X, X, 0.5)
     model = svm_train(K, y, C=1e4, tol=1e-4)
-    decisions = svm_decision(model, K)
+    decisions = decision(model, y, K)
     assert np.all(y * decisions >= 1 - 1e-3)
 
 
@@ -171,18 +169,19 @@ def test_free_support_vector_sits_on_margin():
     K = rbf_kernel(X, X, 0.5)
     tol = 1e-3
     model = svm_train(K, y, C=1.0, tol=tol)
-    alpha = full_alpha(model, len(y))
+    alpha = model.alpha
     free_pos = np.flatnonzero((alpha > 1e-6) & (alpha < 1.0 - 1e-6) & (y > 0))
     assert free_pos.size > 0
-    assert np.all(svm_decision(model, K[free_pos]) >= 1 - 2 * tol)
+    assert np.all(decision(model, y, K[free_pos]) >= 1 - 2 * tol)
 
 
 def test_zero_kernel_row_predicts_bias_sign():
     K = np.array([[1.0, 0.1], [0.1, 1.0]])
-    model = svm_train(K, np.array([1.0, -1.0]), C=1.0)
+    y = np.array([1.0, -1.0])
+    model = svm_train(K, y, C=1.0)
     # both alphas sit at C, so the bias is the midpoint of [-0.1, 0.1]
     assert model.bias == pytest.approx(0.0, abs=1e-12)
-    assert svm_decision(model, np.zeros(2)) == pytest.approx([model.bias])
+    assert decision(model, y, np.zeros((1, 2))) == pytest.approx([model.bias])
     # a row the rbf kernel sees as far from every support row scores the bias
     far = np.array([[1e3]])
     for bias, label in ((-0.5, 0), (0.5, 1)):
@@ -207,7 +206,7 @@ def test_smo_matches_brute_force_dual():
     cases.append((rbf_kernel(X, X, 0.5), y, 0.5))
     for K, y, C in cases:
         model = svm_train(K, y, C=C, tol=1e-5)
-        alpha = full_alpha(model, len(y))
+        alpha = model.alpha
         ours = dual_objective(K, y, alpha)
         best = brute_force_dual(K, y, C)
         assert abs(ours - best) < 1e-4
@@ -232,12 +231,6 @@ def test_svm_train_validation():
         svm_train(non_psd, np.array([1.0, -1.0]))
 
 
-def test_svm_decision_rejects_wrong_row_length():
-    model = svm_train(np.array([[1.0, 0.1], [0.1, 1.0]]), np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        svm_decision(model, np.zeros(3))
-
-
 def _stub_machine(classes, coefficients, biases):
     """An rbf machine on support rows 0, 1, ... on one feature."""
     coefficients = np.asarray(coefficients, dtype=float)
@@ -249,9 +242,10 @@ def test_ovr_two_class_matches_binary():
     rng = np.random.default_rng(99)
     X, y = _clusters(rng, [(-1.5, 0.0), (1.5, 0.0)], 12, spread=0.8)
     K = rbf_kernel(X, X, 0.7)
-    binary = svm_train(K, np.where(y == 1, 1.0, -1.0), C=1.0)
+    signs = np.where(y == 1, 1.0, -1.0)
+    binary = svm_train(K, signs, C=1.0)
     machine, solves = kernel_machine_train(X, y, "rbf", 0.7, C=1.0)
-    b_labels = np.where(svm_decision(binary, K) >= 0, 1, 0)
+    b_labels = np.where(decision(binary, signs, K) >= 0, 1, 0)
     assert np.array_equal(kernel_machine_predict(machine, X), b_labels)
     assert solves[0].n_iter == binary.n_iter and solves[0].bias == binary.bias
 
@@ -282,12 +276,13 @@ def test_support_rows_score_as_every_training_row():
     X, y01 = _clusters(rng, [(0.2, 0.3), (0.8, 0.6)], 10, spread=0.15)
     fm = build_zz_feature_map(2, 1)
     K = fidelity_kernel(X, X, fm)
-    full = svm_train(K, np.where(y01 == 1, 1.0, -1.0), C=1.0)
+    signs = np.where(y01 == 1, 1.0, -1.0)
+    full = svm_train(K, signs, C=1.0)
     machine, _ = kernel_machine_train(X, y01, fm.name, C=1.0)
     assert len(machine.support_rows) == len(full.support_indices) < len(X)
     assert same_bytes(machine.support_rows, X[full.support_indices])
     Z = rng.uniform(0, 1, size=(7, 2))
-    want = np.where(svm_decision(full, fidelity_kernel(Z, X, fm)) >= 0, 1, 0)
+    want = np.where(decision(full, signs, fidelity_kernel(Z, X, fm)) >= 0, 1, 0)
     assert np.array_equal(kernel_machine_predict(machine, Z), want)
 
 
@@ -297,11 +292,14 @@ def test_ovr_three_clusters_accuracy():
     machine, solves = kernel_machine_train(X, y, "rbf", 0.5, C=10.0)
     assert machine.classes == (0, 1, 2)
     assert np.array_equal(kernel_machine_predict(machine, X), y)
-    # each machine's coefficients sit on the rows it kept, zero elsewhere
-    for row, solve in zip(machine.coefficients, solves):
+    # each machine's coefficients sit on the rows it kept, zero elsewhere:
+    # alpha * y of its solve on the rows where alpha > 1e-9
+    for label, row, solve in zip(machine.classes, machine.coefficients, solves):
         kept = np.flatnonzero(row)
-        assert same_bytes(machine.support_rows[kept], X[solve.support_indices])
-        assert same_bytes(row[kept], solve.dual_coefficients * solve.support_labels)
+        support = np.flatnonzero(solve.alpha > 1e-9)
+        assert same_bytes(machine.support_rows[kept], X[support])
+        signs = np.where(y == label, 1.0, -1.0)
+        assert same_bytes(row[kept], solve.alpha[support] * signs[support])
 
 
 def test_ovr_tie_goes_to_lowest_class():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qweather import weather
 from qweather.weather import (
     REFERENCE_CORRELATIONS,
     CorrelationReport,
@@ -71,6 +72,16 @@ def test_load_csv_drops_incomplete_rows(tmp_path):
     assert ds.n_rows == 2
     assert report.rows_dropped == 2
     assert np.all(np.isfinite(ds.columns["t2m"]))
+
+
+@pytest.mark.parametrize("text", ["  ,289.0\n2020-01,290.0\n", "2020-01,290.0\n,289.0\n"])
+def test_load_csv_drops_a_blank_time_cell(tmp_path, text):
+    # first or later in the file, a row with no time is dropped and counted,
+    # not kept as time '' or taken for a timestamp out of order
+    p = write(tmp_path / "blank.csv", "time,t2m\n" + text + "2020-02,291.0\n")
+    ds, report = load_csv(p)
+    assert ds.time == ("2020-01", "2020-02")
+    assert report.rows_read == 3 and report.rows_dropped == 1
 
 
 def test_load_csv_requires_time_column(tmp_path):
@@ -279,6 +290,20 @@ def test_synth_is_deterministic():
         assert np.array_equal(a.columns[name], b.columns[name])
     c = synth_generate(seed=8, n_months=100)
     assert not np.array_equal(a.columns["t2m"], c.columns["t2m"])
+
+
+@pytest.mark.parametrize("n_months", [24, 1000, 96740])
+def test_synth_month_stamps(n_months, monkeypatch):
+    # month i is 1940-01-01 plus i months, as the f-string form writes it;
+    # past year 9999 the year takes five digits.  A Dataset orders its
+    # stamps as strings, so the longest series is read before one is built
+    monkeypatch.setattr(weather, "Dataset", lambda **fields: fields)
+    time = synth_generate(seed=7, n_months=n_months)["time"]
+    want = tuple(f"{1940 + i // 12:04d}-{i % 12 + 1:02d}-01" for i in range(n_months))
+    assert time == want
+    assert all(type(t) is str for t in time)
+    if n_months > 96720:
+        assert time[96719:96721] == ("9999-12-01", "10000-01-01")
 
 
 def test_synth_correlation_signs_and_magnitudes():

@@ -6,6 +6,15 @@ optimization: each step pairs the maximal KKT violator with the partner
 of largest second-order gain (Fan, Chen & Lin 2005, LIBSVM's WSS2).  A
 solve (``SvmModel``) holds alpha over every training row; a
 ``KernelMachine`` holds one machine for two classes, else one per class.
+
+All machines of a fit share one kernel and are solved in one loop: each
+pass chooses i and j for every unfinished machine with row-wise reductions,
+then steps each in turn, and a machine that stops takes no more steps.
+Every solve keeps the bits of solving its machine alone.  Reductions pick
+the first of equal maxima as a 1-D argmax does; each pair's step runs in
+the same IEEE operations on Python floats; and each gradient update stays
+one (2,) @ (2, n) product per machine, whose bits a batched product could
+change.
 """
 
 from __future__ import annotations
@@ -86,13 +95,15 @@ def svm_train(kernel, y, C: float = 1.0, tol: float = 1e-3):
     G the dual gradient, is at most ``tol``, or after ``200 * n`` steps;
     the solve records the steps taken and that final gap.  The final bias
     averages over free support vectors (0 < alpha < C); when none exist it
-    is the midpoint of the interval the KKT conditions allow.
+    is the midpoint of the interval the KKT conditions allow.  ``C`` must
+    be positive (``inf`` gives a hard margin) and ``tol`` not NaN.
     """
-    K, y = _checked(kernel, y, C)
-    return _smo(K, y, C, tol)
+    K, y = _checked(kernel, y, C, tol)
+    (model,) = _smo(K, y[None], C, tol)
+    return model
 
 
-def _checked(kernel, y, C):
+def _checked(kernel, y, C, tol):
     """The kernel entries and float labels, once every input check passes."""
     K = np.asarray(kernel, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -103,8 +114,11 @@ def _checked(kernel, y, C):
         raise ValueError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise ValueError("both classes must be present")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    # written so that a NaN fails too
+    if not C > 0:
+        raise ValueError(f"C must be positive, got {C!r}")
+    if not tol == tol:
+        raise ValueError(f"tol must be a number, got {tol!r}")
     min_eig = float(np.linalg.eigvalsh(K).min())
     if min_eig < -1e-8:
         raise IllConditionedKernelError(
@@ -113,37 +127,77 @@ def _checked(kernel, y, C):
     return K, y
 
 
-def _smo(K, y, C, tol):
-    """The SMO solve of ``svm_train`` on checked inputs."""
-    n = y.size
-    # dual gradient G of 0.5 a'Qa - sum(a) with Q = yy'K; -y*G is the
-    # bias each point asks for, and the KKT gap is its spread over the sets
-    # where alpha can still move up (I_up) and down (I_low)
-    alpha = np.zeros(n)
-    G = -np.ones(n)
-    diag = np.diag(K)
-    n_iter = 0
-    while True:
-        v = -y * G
-        up = np.where(y > 0, alpha < C, alpha > 0)
-        low = np.where(y > 0, alpha > 0, alpha < C)
-        i = int(np.argmax(np.where(up, v, -np.inf)))
-        kkt_gap = float(v[i] - v[low].min())
-        if kkt_gap <= tol or n_iter == 200 * n:
-            break
-        # second-order choice of j (Fan, Chen & Lin 2005, WSS2)
-        gap = v[i] - v
-        curv = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
-        j = int(np.argmax(np.where(low & (gap > 0), gap**2 / curv, -np.inf)))
-        pair = [i, j]
-        old = alpha[pair]
-        step = np.array([y[i], -y[j]])
-        room = np.where(step > 0, C - old, old)
-        t = min(gap[j] / curv[j], room.min())
-        alpha[pair] = np.where(room <= t, np.where(step > 0, C, 0.0), old + t * step)
-        G += y * (((alpha[pair] - old) * y[pair]) @ K[pair])
-        n_iter += 1
+def _smo(K, Y, C, tol):
+    """The SMO solves of the label rows ``Y`` (m, n) on one checked kernel.
 
+    Each pass takes one step in every machine that has not stopped; a
+    machine stops when its KKT gap is at most ``tol`` or after 200 * n
+    steps, and every machine's solve has the bits of solving it alone.
+    """
+    m, n = Y.shape
+    # the pair step below is Python float arithmetic
+    C, tol = float(C), float(tol)
+    # v = -y*G, for the dual gradient G of 0.5 a'Qa - sum(a) with Q = yy'K,
+    # is the bias each point asks for; the KKT gap is its spread over I_up
+    # and I_low, the points whose y*alpha can still rise and fall.  up and
+    # low hold 0 in their set and -inf outside it, so adding one masks v.
+    alpha = np.zeros((m, n))
+    v = Y.copy()
+    up = np.where(Y > 0, 0.0, -np.inf)
+    low = np.where(Y < 0, 0.0, -np.inf)
+    ys = Y.tolist()
+    diag = np.diag(K).copy()
+    owner = list(range(m))
+    rows = np.arange(m)
+    solves = [None] * m
+    for n_iter in range(200 * n + 1):
+        i = (v + up).argmax(axis=1)
+        gap = v[rows, i][:, None] - v
+        # the KKT gap is the largest gap over I_low, as rounding keeps order
+        low_gap = gap + low
+        kkt = np.maximum.reduce(low_gap, axis=1).tolist()
+        stop = [g <= tol or n_iter == 200 * n for g in kkt]
+        if any(stop):
+            for r in np.flatnonzero(stop):
+                solves[owner[r]] = _solve(alpha[r], v[r], Y[r], C, i[r], low[r] == 0, n_iter)
+            keep = np.flatnonzero(np.logical_not(stop))
+            if not keep.size:
+                break
+            alpha, v, up, low, Y, i, gap, low_gap = (
+                a[keep] for a in (alpha, v, up, low, Y, i, gap, low_gap)
+            )
+            owner, ys, rows = [owner[r] for r in keep], [ys[r] for r in keep], rows[: keep.size]
+        # second-order choice of j (Fan, Chen & Lin 2005, WSS2), in every
+        # row with the operation order of a single machine's step
+        curv = np.maximum(diag[i][:, None] + diag - 2.0 * K.take(i, axis=0), 1e-12)
+        j = np.where(low_gap > 0, gap**2 / curv, -np.inf).argmax(axis=1)
+        for r, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            row, y = alpha[r], ys[r]
+            # alpha[a] moves by t along y[a] and alpha[b] by t along -y[b],
+            # as far as the box [0, C] lets both
+            old_a, old_b = row.item(a), row.item(b)
+            room_a = C - old_a if y[a] > 0 else old_a
+            room_b = C - old_b if y[b] < 0 else old_b
+            t = min(gap.item(r, b) / curv.item(r, b), min(room_a, room_b))
+            row[a] = (C if y[a] > 0 else 0.0) if room_a <= t else old_a + t * y[a]
+            # written second, so it wins when a == b
+            row[b] = (C if y[b] < 0 else 0.0) if room_b <= t else old_b + t * -y[b]
+            moved = [(row.item(a) - old_a) * y[a], (row.item(b) - old_b) * y[b]]
+            # v - w rounds like -y*(G + y*w), since y = +-1
+            v[r] -= np.array(moved) @ K.take((a, b), axis=0)
+            for k in (a, b):
+                x = row.item(k)
+                rise, fall = (x < C, x > 0) if y[k] > 0 else (x > 0, x < C)
+                up[r, k] = 0.0 if rise else -np.inf
+                low[r, k] = 0.0 if fall else -np.inf
+    return tuple(solves)
+
+
+def _solve(alpha, v, y, C, i, low, n_iter):
+    """The ``SvmModel`` of one stopped machine, from its final state."""
+    # -y*G has an exact zero as -0.0 where y = +1; v - w always leaves +0.0
+    v = np.where(v == 0.0, -0.0 * y, v)
+    kkt_gap = float(v[i] - v[low].min())
     at_zero, at_c = alpha <= _BOUND_TOL, alpha >= C - _BOUND_TOL
     free = ~(at_zero | at_c)
     if np.any(free):
@@ -155,7 +209,7 @@ def _smo(K, y, C, tol):
         lower = v[(at_zero & (y > 0)) | (at_c & (y < 0))].max()
         upper = v[(at_zero & (y < 0)) | (at_c & (y > 0))].min()
         bias = float(0.5 * (lower + upper))
-    return SvmModel(alpha=alpha, bias=bias, n_iter=n_iter, kkt_gap=kkt_gap)
+    return SvmModel(alpha=alpha.copy(), bias=bias, n_iter=n_iter, kkt_gap=kkt_gap)
 
 
 @dataclass(frozen=True)
@@ -203,13 +257,13 @@ def kernel_machine_train(X, y, kernel, gamma=None, C: float = 1.0, tol: float = 
     classes = tuple(np.unique(y).tolist())
     # one class against the rest for each class, or the second class alone;
     # the checks pass for one machine's labels iff they pass for all
-    signs = [np.where(y == c, 1.0, -1.0) for c in classes[len(classes) == 2:]]
-    K, _ = _checked(_kernel(kernel, gamma, X, X), signs[0], C)
-    solves = tuple(_smo(K, sign, C, tol) for sign in signs)
-    kept = np.unique(np.concatenate([m.support_indices for m in solves]))
-    coefficients = np.zeros((len(solves), kept.size))
-    for row, m, sign in zip(coefficients, solves, signs):
-        row[np.isin(kept, m.support_indices)] = (m.alpha * sign)[m.support_indices]
+    Y = np.array([np.where(y == c, 1.0, -1.0) for c in classes[len(classes) == 2:]])
+    K, _ = _checked(_kernel(kernel, gamma, X, X), Y[0], C, tol)
+    solves = _smo(K, Y, C, tol)
+    alphas = np.array([m.alpha for m in solves])
+    support = alphas > _BOUND_TOL
+    kept = np.flatnonzero(support.any(axis=0))
+    coefficients = np.where(support, alphas * Y, 0.0)[:, kept]
     biases = np.array([m.bias for m in solves])
     return KernelMachine(kernel, gamma, classes, X[kept], coefficients, biases), solves
 

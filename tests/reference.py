@@ -10,12 +10,15 @@ exp(-i*theta*P/2) for a Pauli word P, so dE/dtheta =
 a derivative with respect to a trainable parameter or a raw input sums the
 shifts of every occurrence times the angle transform's chain-rule factor.
 ``full_circuit`` joins a variational classifier's feature map and ansatz
-into the one circuit its probabilities must match.
+into the one circuit its probabilities must match.  ``smo`` solves one
+soft-margin dual at a time, a step per loop pass, for the lockstep solver
+of ``qkernel`` to match bit for bit.
 """
 
 import numpy as np
 
 from qweather.circuits import Circuit, angle_partials, angle_values
+from qweather.qkernel import _BOUND_TOL, SvmModel
 from qweather.qsim import apply_matrix, gate_matrix, z_expectations
 
 
@@ -125,3 +128,48 @@ def finite_diff(circuit, theta, x, observable=0, wrt="trainable", h=1e-5):
         amps = run(circuit, theta, stepped)
     e = readout(circuit, amps, observable)
     return (e[0::2] - e[1::2]) / (2 * h)
+
+
+def smo(K, y, C, tol):
+    """One machine's SMO solve on a checked kernel, one WSS2 step a pass."""
+    n = y.size
+    # dual gradient G of 0.5 a'Qa - sum(a) with Q = yy'K; -y*G is the
+    # bias each point asks for, and the KKT gap is its spread over the sets
+    # where alpha can still move up (I_up) and down (I_low)
+    alpha = np.zeros(n)
+    G = -np.ones(n)
+    diag = np.diag(K)
+    n_iter = 0
+    while True:
+        v = -y * G
+        up = np.where(y > 0, alpha < C, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < C)
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        kkt_gap = float(v[i] - v[low].min())
+        if kkt_gap <= tol or n_iter == 200 * n:
+            break
+        # second-order choice of j (Fan, Chen & Lin 2005, WSS2)
+        gap = v[i] - v
+        curv = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        j = int(np.argmax(np.where(low & (gap > 0), gap**2 / curv, -np.inf)))
+        pair = [i, j]
+        old = alpha[pair]
+        step = np.array([y[i], -y[j]])
+        room = np.where(step > 0, C - old, old)
+        t = min(gap[j] / curv[j], room.min())
+        alpha[pair] = np.where(room <= t, np.where(step > 0, C, 0.0), old + t * step)
+        G += y * (((alpha[pair] - old) * y[pair]) @ K[pair])
+        n_iter += 1
+
+    at_zero, at_c = alpha <= _BOUND_TOL, alpha >= C - _BOUND_TOL
+    free = ~(at_zero | at_c)
+    if np.any(free):
+        bias = float(np.mean(v[free]))
+    else:
+        # midpoint of the bias interval the box constraints leave open; both
+        # ends are finite, since sum(alpha * y) = 0 leaves either every alpha
+        # at 0 or an alpha at C in each class
+        lower = v[(at_zero & (y > 0)) | (at_c & (y < 0))].max()
+        upper = v[(at_zero & (y < 0)) | (at_c & (y > 0))].min()
+        bias = float(0.5 * (lower + upper))
+    return SvmModel(alpha=alpha, bias=bias, n_iter=n_iter, kkt_gap=kkt_gap)

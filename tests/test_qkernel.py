@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 from conftest import same_bytes
 from scipy.optimize import minimize
 
@@ -229,6 +230,128 @@ def test_svm_train_validation():
     non_psd = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(IllConditionedKernelError):
         svm_train(non_psd, np.array([1.0, -1.0]))
+
+
+def test_nan_c_or_tol_is_rejected_by_name():
+    X = np.array([[0.0], [0.4], [1.0], [1.5]])
+    K, y = rbf_kernel(X, X, 1.0), np.array([1.0, 1.0, -1.0, -1.0])
+    with pytest.raises(ValueError, match="C must be positive"):
+        svm_train(K, y, C=np.nan)
+    with pytest.raises(ValueError, match="tol must be a number"):
+        svm_train(K, y, tol=np.nan)
+    with pytest.raises(ValueError, match="C must be positive"):
+        kernel_machine_train(X, [0, 0, 1, 1], "rbf", 1.0, C=np.nan)
+    with pytest.raises(ValueError, match="tol must be a number"):
+        kernel_machine_train(X, [0, 0, 1, 1], "rbf", 1.0, tol=np.nan)
+
+
+def test_hard_margin_and_any_real_tol_still_solve():
+    X = np.array([[0.0], [0.4], [1.0], [1.5]])
+    K, y = rbf_kernel(X, X, 1.0), np.array([1.0, 1.0, -1.0, -1.0])
+    hard = svm_train(K, y, C=np.inf, tol=1e-6)
+    assert hard.kkt_gap <= 1e-6 and np.all(decision(hard, y, K) * y >= 1 - 1e-5)
+    assert svm_train(K, y, tol=np.inf).n_iter == 0
+    assert svm_train(K, y, tol=-1.0).n_iter == 200 * 4
+
+
+def assert_solves_match_the_oracle(K, Y, solves, C, tol):
+    """Each solve has the bytes of the one-machine reference solve."""
+    assert len(solves) == len(Y)
+    for got, y in zip(solves, Y):
+        want = reference.smo(K, y, C, tol)
+        assert same_bytes(got.alpha, want.alpha)
+        assert got.n_iter == want.n_iter
+        # signed zeros included
+        assert same_bytes(np.float64(got.bias), np.float64(want.bias))
+        assert same_bytes(np.float64(got.kkt_gap), np.float64(want.kkt_gap))
+
+
+def _ovr_signs(labels):
+    classes = np.unique(labels)
+    classes = classes[1:] if classes.size == 2 else classes
+    return np.array([np.where(labels == c, 1.0, -1.0) for c in classes])
+
+
+def _fit_against_the_oracle(X, labels, kernel, gamma, C, tol=1e-3):
+    """kernel_machine_train's solves, each checked against the oracle."""
+    _, solves = kernel_machine_train(X, labels, kernel, gamma, C=C, tol=tol)
+    if kernel == "rbf":
+        K = rbf_kernel(X, X, gamma)
+    else:
+        K = fidelity_kernel(X, X, build_zz_feature_map(X.shape[1], 1))
+    assert_solves_match_the_oracle(K, _ovr_signs(labels), solves, C, tol)
+    return solves
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n", [2, 3, 9, 40, 200])
+def test_lockstep_matches_the_oracle_on_rbf_fits(n, C):
+    rng = np.random.default_rng(1000 + n)
+    X = rng.normal(size=(n, 2))
+    # overlapping classes, so that small C holds some alphas at C
+    binary = (X[:, 0] + 0.8 * rng.normal(size=n) > 0).astype(int)
+    binary[:2] = 0, 1
+    _fit_against_the_oracle(X, binary, "rbf", 0.7, C)
+    K, y = rbf_kernel(X, X, 0.7), np.where(binary == 1, 1.0, -1.0)
+    assert_solves_match_the_oracle(K, y[None], (svm_train(K, y, C=C),), C, 1e-3)
+    if n >= 3:
+        ternary = np.digitize(X[:, 1] + 0.5 * rng.normal(size=n), [-0.4, 0.4])
+        ternary[:3] = 0, 1, 2
+        _fit_against_the_oracle(X, ternary, "rbf", 0.7, C)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_lockstep_matches_the_oracle_on_fidelity_fits(n_classes):
+    rng = np.random.default_rng(1100 + n_classes)
+    X = rng.uniform(0, 1, size=(40, 3))
+    labels = np.arange(40) % n_classes
+    rng.shuffle(labels)
+    _fit_against_the_oracle(X, labels, "zz_feature_map(3,1)", None, 1.0)
+
+
+def test_lockstep_matches_the_oracle_on_duplicated_rows():
+    # repeated rows give equal kernel rows, so both argmax choices meet ties
+    rng = np.random.default_rng(1200)
+    X = rng.normal(size=(8, 2))[rng.integers(0, 8, size=36)]
+    labels = np.arange(36) % 3
+    for C in (0.1, 1.0, 10.0):
+        _fit_against_the_oracle(X, labels, "rbf", 0.5, C)
+        _fit_against_the_oracle(X, labels % 2, "rbf", 0.5, C)
+
+
+def test_lockstep_machines_stop_at_different_steps():
+    rng = np.random.default_rng(1300)
+    X, labels = _clusters(rng, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)], 20, spread=0.7)
+    solves = _fit_against_the_oracle(X, labels, "rbf", 0.5, 1.0)
+    assert len({s.n_iter for s in solves}) == 3
+
+
+def test_lockstep_keeps_the_signed_zero_of_an_exact_solve():
+    # v - w gives +0.0 where the one-machine solve's -y*G gives -0.0
+    K, y = np.array([[5.0, 3.0], [3.0, 5.0]]), np.array([1.0, -1.0])
+    model = svm_train(K, y, C=2.0)
+    assert model.kkt_gap == 0.0 and np.signbit(model.kkt_gap)
+    assert_solves_match_the_oracle(K, y[None], (model,), 2.0, 1e-3)
+
+
+def test_step_cap_stops_every_machine_at_200_n():
+    rng = np.random.default_rng(1400)
+    X = rng.normal(size=(6, 2))
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    solves = _fit_against_the_oracle(X, labels, "rbf", 0.8, 1.0, tol=-1.0)
+    assert [s.n_iter for s in solves] == [200 * 6] * 3
+
+
+def test_capped_machine_beside_machines_that_converge():
+    # at tol = 0 machine 1 never closes its last rounding-sized gap, while
+    # machines 0 and 2 reach a gap of exactly 0 and stop
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(4, 10))
+    X = rng.normal(size=(n, 2))
+    labels = rng.integers(0, 3, size=n)
+    solves = _fit_against_the_oracle(X, labels, "rbf", 0.8, 1.0, tol=0.0)
+    iters = [s.n_iter for s in solves]
+    assert iters[1] == 200 * n and max(iters[0], iters[2]) < 200 * n
 
 
 def _stub_machine(classes, coefficients, biases):
